@@ -10,7 +10,6 @@ from .circuit import (
     ProductNode,
     SumNode,
     evaluate_joint,
-    init_bounds,
     marginal,
     parse_pc,
     partition,
@@ -62,7 +61,6 @@ __all__ = [
     "compile_factor_graph",
     "enumerate_marginal",
     "evaluate_joint",
-    "init_bounds",
     "load_manifest",
     "marginal",
     "parse_dimacs",

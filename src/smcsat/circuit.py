@@ -232,28 +232,16 @@ def _leaf_marginal_value(node: Node, assignment: dict[CircuitVar, bool], ar: _Ar
     return ar.one if val == node.sign else ar.zero
 
 
-def _evaluate(c: Circuit, leaf_value: Callable[[Node], float], ar: _Arith) -> float:
-    values = [ar.zero] * len(c.nodes)
-    for nid, node in enumerate(c.nodes):
-        if isinstance(node, (BernoulliLeaf, IndicatorLeaf, ConstantLeaf)):
-            values[nid] = leaf_value(node)
-        else:
-            values[nid] = _inner_value(node, values, ar)
-    return values[c.root]
-
-
 def evaluate_joint(
     c: Circuit,
     assignment: dict[CircuitVar, bool],
     mode: NumericMode = NumericMode.LINEAR,
 ) -> float:
     """Evaluate the root at a full assignment of the circuit variables."""
-    c.require_valid()
-    for var in range(c.num_vars):
-        if var in c.leaves_of_var and var not in assignment:
+    for var in c.leaves_of_var:
+        if var not in assignment:
             raise ValueError(f"variable {var} unassigned in joint query")
-    ar = _ARITH[mode]
-    return _evaluate(c, lambda node: _leaf_marginal_value(node, assignment, ar), ar)
+    return marginal(c, assignment, mode)
 
 
 def marginal(
@@ -265,7 +253,13 @@ def marginal(
     c.require_valid()
     assignment = assignment or {}
     ar = _ARITH[mode]
-    return _evaluate(c, lambda node: _leaf_marginal_value(node, assignment, ar), ar)
+    values = [ar.zero] * len(c.nodes)
+    for nid, node in enumerate(c.nodes):
+        if isinstance(node, (ProductNode, SumNode)):
+            values[nid] = _inner_value(node, values, ar)
+        else:
+            values[nid] = _leaf_marginal_value(node, assignment, ar)
+    return values[c.root]
 
 
 def partition(c: Circuit, mode: NumericMode = NumericMode.LINEAR) -> float:
@@ -301,8 +295,6 @@ class BoundState:
         self.lb: list[float] = [0.0] * len(circuit.nodes)
         # frames: (level, var, [(node id, previous ub, previous lb), ...])
         self._frames: list[tuple[int, CircuitVar, list[tuple[int, float, float]]]] = []
-        self.decided_level: int | None = None
-        self.decided_value: bool | None = None
         for nid, node in enumerate(circuit.nodes):
             u, l = self._node_bounds(nid, node)
             self.ub[nid] = u
@@ -378,24 +370,12 @@ class BoundState:
                 self.ub[nid] = old_ub
                 self.lb[nid] = old_lb
             self.status[var] = None
-        if self.decided_level is not None and self.decided_level > level:
-            self.decided_level = None
-            self.decided_value = None
 
     def root_bounds(self) -> tuple[float, float]:
         return self.ub[self.circuit.root], self.lb[self.circuit.root]
 
     def assigned_vars(self) -> list[CircuitVar]:
         return [var for _, var, _ in self._frames]
-
-
-def init_bounds(
-    c: Circuit,
-    shared: Iterable[CircuitVar],
-    mode: NumericMode = NumericMode.LINEAR,
-) -> BoundState:
-    """One bottom-up pass computing initial bounds for every node."""
-    return BoundState(c, shared, mode)
 
 
 def parse_pc(text: str) -> Circuit:

@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import circuit as pc
@@ -59,7 +58,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(
         ulw_enabled=not getattr(args, "no_ulw", False),
         numeric_mode=NumericMode(getattr(args, "mode", "linear")),
-        seed=getattr(args, "seed", 0),
         max_conflicts=getattr(args, "budget_conflicts", None),
         max_seconds=getattr(args, "budget_seconds", None),
     )
@@ -68,7 +66,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-ulw", action="store_true", help="disable bound propagation")
     parser.add_argument("--mode", choices=["linear", "log"], default="linear")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--stats", action="store_true", help="print c stat lines")
     parser.add_argument("--budget-conflicts", type=int, default=None)
     parser.add_argument("--budget-seconds", type=float, default=None)
@@ -319,11 +316,7 @@ def _bench_row(path: Path, config: SolverConfig) -> list:
 def cmd_bench(args: argparse.Namespace, out) -> int:
     suite = sorted(Path(args.suite).glob("*.json"))
     config = _solver_config(args)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda p: _bench_row(p, config), suite))
-    else:
-        rows = [_bench_row(p, config) for p in suite]
+    rows = [_bench_row(p, config) for p in suite]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(BENCH_COLUMNS)
@@ -464,9 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode_group.add_argument("--without-ulw", dest="no_ulw", action="store_true")
     p_bench.set_defaults(no_ulw=False)
     p_bench.add_argument("--csv", default=None)
-    p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("--mode", choices=["linear", "log"], default="linear")
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--budget-conflicts", dest="budget_conflicts", type=int, default=None)
     p_bench.add_argument("--budget-seconds", dest="budget_seconds", type=float, default=None)
     p_bench.set_defaults(func=cmd_bench)

@@ -6,9 +6,7 @@ Literals are DIMACS-style signed integers: ``7`` is variable 7 set to True,
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Iterable
 
 Var = int
 Lit = int
@@ -16,14 +14,6 @@ Lit = int
 
 class DimacsError(ValueError):
     """Raised on malformed DIMACS input."""
-
-
-def lit_var(lit: Lit) -> Var:
-    return abs(lit)
-
-
-def lit_sign(lit: Lit) -> bool:
-    return lit > 0
 
 
 @dataclass(frozen=True)
@@ -49,19 +39,6 @@ class CnfFormula:
         return len(self.clauses)
 
 
-class ClauseState(enum.Enum):
-    SATISFIED = "satisfied"
-    FALSIFIED = "falsified"
-    UNIT = "unit"
-    UNRESOLVED = "unresolved"
-
-
-class FormulaState(enum.Enum):
-    SATISFIED = "satisfied"
-    FALSIFIED = "falsified"
-    UNKNOWN = "unknown"
-
-
 class PartialAssignment:
     """Mutable variable assignment with a trail and decision levels.
 
@@ -76,13 +53,6 @@ class PartialAssignment:
         self._level: list[int] = [0] * (num_vars + 1)
         self.trail: list[Lit] = []
         self.trail_lim: list[int] = []
-
-    @classmethod
-    def from_dict(cls, num_vars: int, values: dict[Var, bool]) -> "PartialAssignment":
-        pa = cls(num_vars)
-        for var, val in values.items():
-            pa.assign(var if val else -var)
-        return pa
 
     @property
     def current_level(self) -> int:
@@ -131,39 +101,6 @@ class PartialAssignment:
         if len(self.trail) != self.num_vars:
             raise ValueError("assignment is not complete")
         return {v: self._value[v] for v in range(1, self.num_vars + 1)}  # type: ignore[misc]
-
-
-def clause_status(clause: Iterable[Lit], a: PartialAssignment) -> tuple[ClauseState, Lit | None]:
-    """Classify a clause under a partial assignment.
-
-    Returns (state, unit_literal); the literal is set only for UNIT.
-    """
-    unassigned: Lit | None = None
-    n_unassigned = 0
-    for lit in clause:
-        v = a.lit_value(lit)
-        if v is True:
-            return ClauseState.SATISFIED, None
-        if v is None:
-            unassigned = lit
-            n_unassigned += 1
-    if n_unassigned == 0:
-        return ClauseState.FALSIFIED, None
-    if n_unassigned == 1:
-        return ClauseState.UNIT, unassigned
-    return ClauseState.UNRESOLVED, None
-
-
-def eval_formula(f: CnfFormula, a: PartialAssignment) -> FormulaState:
-    """Satisfied iff all clauses satisfied, falsified iff some clause falsified."""
-    all_sat = True
-    for clause in f.clauses:
-        state, _ = clause_status(clause, a)
-        if state is ClauseState.FALSIFIED:
-            return FormulaState.FALSIFIED
-        if state is not ClauseState.SATISFIED:
-            all_sat = False
-    return FormulaState.SATISFIED if all_sat else FormulaState.UNKNOWN
 
 
 def _clean_clause(lits: list[Lit]) -> tuple[Lit, ...] | None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -325,99 +326,139 @@ _CMP_VALUES = {c.value for c in Comparator}
 _MODE_VALUES = {m.value for m in ThresholdMode}
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_key(key: object) -> int | None:
+    """A shared-map key as an int; JSON object keys arrive as strings."""
+    if isinstance(key, str):
+        try:
+            return int(key)
+        except ValueError:
+            return None
+    return key if _is_int(key) else None
+
+
+def _check_predicate(desc: object) -> dict:
+    if not isinstance(desc, dict):
+        raise ManifestError(f"must be an object, got {desc!r}")
+    if ("circuit" in desc) == ("uai" in desc):
+        raise ManifestError("exactly one of 'circuit' or 'uai' required")
+    source = "circuit" if "circuit" in desc else "uai"
+    if not isinstance(desc[source], str):
+        raise ManifestError(f"'{source}' must be a file name, got {desc[source]!r}")
+    entry: dict = {source: desc[source]}
+    if "order" in desc:
+        order = desc["order"]
+        if source != "uai":
+            raise ManifestError("'order' is allowed only with 'uai'")
+        if not isinstance(order, list) or not all(_is_int(v) for v in order):
+            raise ManifestError(f"'order' must be a list of integers, got {order!r}")
+        entry["order"] = order
+    shared = desc.get("shared", {})
+    if not isinstance(shared, dict):
+        raise ManifestError(f"'shared' must be an object, got {shared!r}")
+    mapping: dict[int, Var] = {}
+    for key, fvar in shared.items():
+        cvar = _int_key(key)
+        if cvar is None or cvar in mapping or not _is_int(fvar):
+            raise ManifestError(f"'shared' entry {key!r}: {fvar!r} is not a new integer-to-integer pair")
+        mapping[cvar] = fvar
+    if len(set(mapping.values())) != len(mapping):
+        raise ManifestError("shared map is not injective")
+    entry["shared"] = {str(k): v for k, v in sorted(mapping.items())}
+    b = desc.get("b")
+    if b is not None:
+        if not _is_int(b) or b == 0:
+            raise ManifestError(f"'b' must be a nonzero integer literal, got {b!r}")
+        entry["b"] = b
+    cmp = desc.get("cmp", "ge")
+    if not isinstance(cmp, str) or cmp not in _CMP_VALUES:
+        raise ManifestError(f"unknown comparator {cmp!r}")
+    entry["cmp"] = cmp
+    if "threshold" not in desc:
+        raise ManifestError("missing 'threshold'")
+    q = desc["threshold"]
+    # The comparison also rejects NaN, infinities and ints beyond float range.
+    if not (_is_int(q) or isinstance(q, float)) or not abs(q) <= sys.float_info.max:
+        raise ManifestError(f"'threshold' must be a finite number, got {q!r}")
+    entry["threshold"] = float(q)
+    mode = desc.get("threshold_mode", "absolute")
+    if not isinstance(mode, str) or mode not in _MODE_VALUES:
+        raise ManifestError(f"unknown threshold mode {mode!r}")
+    entry["threshold_mode"] = mode
+    return entry
+
+
+def _check_manifest(doc: object, base_dir: str | Path | None = None) -> dict:
+    """Validate a manifest document and return it in normal form.
+
+    The one schema behind `build_manifest`, `save_manifest` and
+    `load_manifest`: every malformed field raises ManifestError. The normal
+    form spells out defaults and keys `shared` by decimal strings. With
+    `base_dir`, every referenced file must exist relative to it.
+    """
+    if not isinstance(doc, dict):
+        raise ManifestError(f"manifest must be a JSON object, got {doc!r}")
+    cnf = doc.get("cnf")
+    if not isinstance(cnf, str):
+        raise ManifestError(f"'cnf' must be a file name, got {cnf!r}")
+    predicates = doc.get("predicates", [])
+    if not isinstance(predicates, list):
+        raise ManifestError(f"'predicates' must be a list, got {predicates!r}")
+    entries = []
+    for i, desc in enumerate(predicates):
+        try:
+            entries.append(_check_predicate(desc))
+        except ManifestError as exc:
+            raise ManifestError(f"predicate {i}: {exc}") from None
+    if base_dir is not None:
+        for name in [cnf] + [e.get("circuit", e.get("uai")) for e in entries]:
+            if not (Path(base_dir) / name).exists():
+                raise ManifestError(f"referenced file does not exist: {name}")
+    return {"cnf": cnf, "predicates": entries}
+
+
 def build_manifest(
     cnf: str,
-    predicates: Sequence[dict],
+    predicates: list[dict],
     base_dir: str | Path | None = None,
 ) -> dict:
     """Assemble and validate a manifest document (JSON-serializable dict)."""
-    doc = {"cnf": str(cnf), "predicates": []}
-    base = Path(base_dir) if base_dir is not None else None
-
-    def check_path(p: str) -> None:
-        if base is not None and not (base / p).exists():
-            raise ManifestError(f"referenced file does not exist: {p}")
-
-    check_path(doc["cnf"])
-    for i, desc in enumerate(predicates):
-        entry: dict = {}
-        has_circuit = "circuit" in desc
-        has_uai = "uai" in desc
-        if has_circuit == has_uai:
-            raise ManifestError(f"predicate {i}: exactly one of 'circuit' or 'uai' required")
-        if has_circuit:
-            entry["circuit"] = str(desc["circuit"])
-            check_path(entry["circuit"])
-        else:
-            entry["uai"] = str(desc["uai"])
-            check_path(entry["uai"])
-            if "order" in desc:
-                entry["order"] = [int(x) for x in desc["order"]]
-        shared = {int(k): int(v) for k, v in desc.get("shared", {}).items()}
-        if len(set(shared.values())) != len(shared):
-            raise ManifestError(f"predicate {i}: shared map is not injective")
-        entry["shared"] = {str(k): v for k, v in sorted(shared.items())}
-        if desc.get("b") is not None:
-            b = int(desc["b"])
-            if b == 0:
-                raise ManifestError(f"predicate {i}: b literal must be nonzero")
-            entry["b"] = b
-        cmp = str(desc.get("cmp", "ge"))
-        if cmp not in _CMP_VALUES:
-            raise ManifestError(f"predicate {i}: unknown comparator {cmp!r}")
-        entry["cmp"] = cmp
-        entry["threshold"] = float(desc["threshold"])
-        mode = str(desc.get("threshold_mode", "absolute"))
-        if mode not in _MODE_VALUES:
-            raise ManifestError(f"predicate {i}: unknown threshold mode {mode!r}")
-        entry["threshold_mode"] = mode
-        doc["predicates"].append(entry)
-    return doc
+    return _check_manifest({"cnf": cnf, "predicates": predicates}, base_dir)
 
 
 def save_manifest(doc: dict, path: str | Path) -> None:
     path = Path(path)
-    build_manifest(doc["cnf"], doc["predicates"], base_dir=path.parent)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(_check_manifest(doc, path.parent), indent=2) + "\n")
 
 
 def load_manifest(path: str | Path) -> SmcProblem:
     """Load a manifest into an SmcProblem; paths resolve next to the manifest."""
     path = Path(path)
+    base = path.parent
     try:
-        doc = json.loads(path.read_text())
+        doc = _check_manifest(json.loads(path.read_text()), base)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
-    base = path.parent
-    if "cnf" not in doc:
-        raise ManifestError(f"{path}: missing 'cnf' field")
-    cnf_path = base / doc["cnf"]
-    if not cnf_path.exists():
-        raise ManifestError(f"{path}: CNF file not found: {doc['cnf']}")
-    cnf = parse_dimacs(cnf_path.read_text())
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
+    cnf = parse_dimacs((base / doc["cnf"]).read_text())
     predicates = []
-    for i, entry in enumerate(doc.get("predicates", [])):
+    for entry in doc["predicates"]:
         if "circuit" in entry:
-            pc_path = base / entry["circuit"]
-            if not pc_path.exists():
-                raise ManifestError(f"{path}: circuit file not found: {entry['circuit']}")
-            circuit = parse_pc(pc_path.read_text())
-        elif "uai" in entry:
-            uai_path = base / entry["uai"]
-            if not uai_path.exists():
-                raise ManifestError(f"{path}: UAI file not found: {entry['uai']}")
-            fg = parse_uai(uai_path.read_text())
-            circuit = compile_factor_graph(fg, order=entry.get("order"))
+            circuit = parse_pc((base / entry["circuit"]).read_text())
         else:
-            raise ManifestError(f"{path}: predicate {i} has neither 'circuit' nor 'uai'")
-        shared = {int(k): int(v) for k, v in entry.get("shared", {}).items()}
+            fg = parse_uai((base / entry["uai"]).read_text())
+            circuit = compile_factor_graph(fg, order=entry.get("order"))
         predicates.append(
             PredicateSpec(
                 circuit=circuit,
-                shared_map=shared,
-                cmp=Comparator(entry.get("cmp", "ge")),
-                threshold=float(entry["threshold"]),
-                threshold_mode=ThresholdMode(entry.get("threshold_mode", "absolute")),
+                shared_map={int(k): v for k, v in entry["shared"].items()},
+                cmp=Comparator(entry["cmp"]),
+                threshold=entry["threshold"],
+                threshold_mode=ThresholdMode(entry["threshold_mode"]),
                 b=entry.get("b"),
             )
         )

@@ -97,7 +97,6 @@ class SolveStatus(enum.Enum):
 class SolverConfig:
     ulw_enabled: bool = True
     numeric_mode: NumericMode = NumericMode.LINEAR
-    seed: int = 0
     activity_decay: float = 0.95
     restart_base: int = 100
     max_conflicts: int | None = None

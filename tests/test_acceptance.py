@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from smcsat.circuit import evaluate_joint, init_bounds, marginal, validate
+from smcsat.circuit import BoundState, evaluate_joint, marginal, validate
 from smcsat.factorgraph import compile_factor_graph, enumerate_marginal
 from smcsat.formula import CnfFormula
 from smcsat.oracle import brute_solve, verify
@@ -90,7 +90,7 @@ def test_criterion_3_bound_soundness_fuzz():
             c = random_circuit(seed + 5000, n, max_nodes=60)
             assert len(c.nodes) <= 60
             shared = set(rng.sample(range(n), rng.randint(1, min(n, 6))))
-            bs = init_bounds(c, shared)
+            bs = BoundState(c, shared)
             partial: dict[int, bool] = {}
             order = sorted(shared)
             rng.shuffle(order)

@@ -5,6 +5,7 @@ import pytest
 
 from smcsat.circuit import (
     BernoulliLeaf,
+    BoundState,
     Circuit,
     CircuitStructureError,
     NumericMode,
@@ -12,7 +13,6 @@ from smcsat.circuit import (
     ProductNode,
     SumNode,
     evaluate_joint,
-    init_bounds,
     marginal,
     parse_pc,
     partition,
@@ -204,36 +204,36 @@ def test_log_mode_matches_linear():
 # ------------------------------------------------------------ bound state
 
 def test_init_bounds_two_route(route_circuit):
-    bs = init_bounds(route_circuit, {0, 1})
+    bs = BoundState(route_circuit, {0, 1})
     assert bs.root_bounds() == (1.0, 0.0)
 
 
 def test_init_bounds_no_shared_collapses_to_partition(route_circuit):
-    bs = init_bounds(route_circuit, set())
+    bs = BoundState(route_circuit, set())
     z = partition(route_circuit)
     assert bs.root_bounds() == (z, z)
 
 
 def test_init_bounds_single_leaf():
     c = parse_pc("pc 1 1\nl 0 0.3 0.7")
-    bs = init_bounds(c, {0})
+    bs = BoundState(c, {0})
     assert bs.root_bounds() == (0.7, 0.3)
 
 
 def test_assign_two_route_sequence(route_circuit):
-    bs = init_bounds(route_circuit, {0, 1})
+    bs = BoundState(route_circuit, {0, 1})
     assert bs.assign(0, True, 1) == (0.2, 0.0)
     assert bs.assign(1, False, 2) == (0.1, 0.1)
 
 
 def test_assign_single_leaf():
     c = parse_pc("pc 1 1\nl 0 0.3 0.7")
-    bs = init_bounds(c, {0})
+    bs = BoundState(c, {0})
     assert bs.assign(0, True, 1) == (0.3, 0.3)
 
 
 def test_assign_rejects_invalid(route_circuit):
-    bs = init_bounds(route_circuit, {0, 1})
+    bs = BoundState(route_circuit, {0, 1})
     with pytest.raises(ValueError):
         bs.assign(2, True, 1)  # latent
     bs.assign(0, True, 1)
@@ -242,7 +242,7 @@ def test_assign_rejects_invalid(route_circuit):
 
 
 def test_backtrack_restores_exactly(route_circuit):
-    bs = init_bounds(route_circuit, {0, 1})
+    bs = BoundState(route_circuit, {0, 1})
     before_ub, before_lb = list(bs.ub), list(bs.lb)
     bs.assign(0, True, 1)
     bs.backtrack_bounds(0)
@@ -256,7 +256,7 @@ def test_backtrack_interleaved_replay():
         c = random_circuit(seed + 50, n)
         shared = set(range(n))
         rng = random.Random(seed)
-        bs = init_bounds(c, shared)
+        bs = BoundState(c, shared)
         order = list(range(n))
         rng.shuffle(order)
         values = [rng.random() < 0.5 for _ in order]
@@ -265,7 +265,7 @@ def test_backtrack_interleaved_replay():
         keep = rng.randint(0, n - 1)
         bs.backtrack_bounds(keep)
         # replay oracle: fresh init + re-assign the kept prefix
-        fresh = init_bounds(c, shared)
+        fresh = BoundState(c, shared)
         for level, (v, val) in enumerate(zip(order[:keep], values[:keep]), start=1):
             fresh.assign(v, val, level)
         assert bs.ub == fresh.ub
@@ -273,7 +273,7 @@ def test_backtrack_interleaved_replay():
 
 
 def test_backtrack_empty_trail_noop(route_circuit):
-    bs = init_bounds(route_circuit, {0, 1})
+    bs = BoundState(route_circuit, {0, 1})
     before = bs.root_bounds()
     bs.backtrack_bounds(0)
     assert bs.root_bounds() == before
@@ -286,7 +286,7 @@ def test_bounds_sandwich_and_tightness_fuzz():
         n = rng.randint(2, 8)
         c = random_circuit(seed + 300, n)
         shared = set(rng.sample(range(n), rng.randint(1, min(n, 5))))
-        bs = init_bounds(c, shared)
+        bs = BoundState(c, shared)
         partial: dict[int, bool] = {}
         order = sorted(shared)
         rng.shuffle(order)
@@ -313,8 +313,8 @@ def test_bounds_log_mode_consistent():
         n = 5
         c = random_circuit(seed + 900, n)
         shared = {0, 2, 4}
-        lin = init_bounds(c, shared)
-        log = init_bounds(c, shared, NumericMode.LOG)
+        lin = BoundState(c, shared)
+        log = BoundState(c, shared, NumericMode.LOG)
         rng = random.Random(seed)
         for level, v in enumerate(sorted(shared), start=1):
             val = rng.random() < 0.5
@@ -328,7 +328,7 @@ def test_bounds_log_mode_consistent():
 
 
 def test_assigned_vars_tracking(route_circuit):
-    bs = init_bounds(route_circuit, {0, 1})
+    bs = BoundState(route_circuit, {0, 1})
     bs.assign(1, False, 1)
     bs.assign(0, True, 2)
     assert bs.assigned_vars() == [1, 0]

@@ -2,17 +2,7 @@ import random
 
 import pytest
 
-from smcsat.formula import (
-    ClauseState,
-    CnfFormula,
-    DimacsError,
-    FormulaState,
-    PartialAssignment,
-    clause_status,
-    eval_formula,
-    parse_dimacs,
-    write_dimacs,
-)
+from smcsat.formula import CnfFormula, DimacsError, PartialAssignment, parse_dimacs, write_dimacs
 from util import random_cnf
 
 
@@ -70,27 +60,6 @@ def test_parse_drops_tautology_and_duplicates():
 def test_parse_empty_clause_is_falsified_formula():
     f = parse_dimacs("p cnf 1 1\n0")
     assert f.clauses == ((),)
-    assert eval_formula(f, PartialAssignment(1)) is FormulaState.FALSIFIED
-
-
-def test_clause_status_examples():
-    a = PartialAssignment.from_dict(2, {1: True})
-    assert clause_status((1, -2), a) == (ClauseState.SATISFIED, None)
-    a = PartialAssignment.from_dict(2, {1: False, 2: True})
-    assert clause_status((1, -2), a) == (ClauseState.FALSIFIED, None)
-    a = PartialAssignment.from_dict(2, {1: False})
-    assert clause_status((1, -2), a) == (ClauseState.UNIT, -2)
-    assert clause_status((1, -2), PartialAssignment(2)) == (ClauseState.UNRESOLVED, None)
-
-
-def test_eval_formula_examples():
-    empty = CnfFormula(2, ())
-    assert eval_formula(empty, PartialAssignment(2)) is FormulaState.SATISFIED
-    f = CnfFormula(1, ((1,), (-1,)))
-    a = PartialAssignment.from_dict(1, {1: True})
-    assert eval_formula(f, a) is FormulaState.FALSIFIED
-    g = CnfFormula(2, ((1, 2),))
-    assert eval_formula(g, PartialAssignment(2)) is FormulaState.UNKNOWN
 
 
 def test_write_examples():
@@ -105,39 +74,6 @@ def test_roundtrip_random_formulas():
         # generator may produce duplicate-free clauses already; parse normalizes
         f = parse_dimacs(write_dimacs(f))
         assert parse_dimacs(write_dimacs(f)) == f
-
-
-def test_clause_status_monotone_under_extension():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(2, 6)
-        clause = tuple(
-            v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(1, n))
-        )
-        a = PartialAssignment(n)
-        assigned = set()
-        prev_state, _ = clause_status(clause, a)
-        order = list(range(1, n + 1))
-        rng.shuffle(order)
-        for var in order:
-            a.assign(var if rng.random() < 0.5 else -var)
-            assigned.add(var)
-            state, unit = clause_status(clause, a)
-            if prev_state in (ClauseState.SATISFIED, ClauseState.FALSIFIED):
-                assert state is prev_state
-            prev_state = state
-
-
-def test_unit_literal_behaviour():
-    # assigning the unit literal satisfies; its negation falsifies
-    a = PartialAssignment.from_dict(3, {1: False, 2: True})
-    clause = (1, -2, 3)
-    state, lit = clause_status(clause, a)
-    assert state is ClauseState.UNIT and lit == 3
-    sat = PartialAssignment.from_dict(3, {1: False, 2: True, 3: True})
-    assert clause_status(clause, sat)[0] is ClauseState.SATISFIED
-    fal = PartialAssignment.from_dict(3, {1: False, 2: True, 3: False})
-    assert clause_status(clause, fal)[0] is ClauseState.FALSIFIED
 
 
 def test_partial_assignment_trail_and_backtrack():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import permutations
@@ -27,7 +28,7 @@ from smcsat.problems import (
     shuffle_variables,
 )
 from smcsat.solver import SmcProblem
-from util import TWO_ROUTE_CIRCUIT_TEXT, rel_close
+from util import MALFORMED_MANIFESTS, TWO_ROUTE_CIRCUIT_TEXT, rel_close
 
 
 def count_models(formula) -> int:
@@ -319,3 +320,17 @@ def test_manifest_bad_cmp(tmp_path):
             [{"circuit": "route.pc", "shared": {}, "cmp": "eq", "threshold": 0.5}],
             base_dir=tmp_path,
         )
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_MANIFESTS)
+def test_manifest_malformed_rejected_on_read_and_write(tmp_path, doc, message):
+    _write_route_files(tmp_path)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=message):
+        load_manifest(path)
+    with pytest.raises(ManifestError, match=message):
+        save_manifest(doc, tmp_path / "out.json")
+    if isinstance(doc, dict):
+        with pytest.raises(ManifestError, match=message):
+            build_manifest(doc["cnf"], doc["predicates"], base_dir=tmp_path)

@@ -283,8 +283,8 @@ def test_ulw_ablation_dominance():
 def test_determinism_repeated_runs():
     for seed in (3, 11):
         problem = _random_instance(seed)
-        a = solve(problem, SolverConfig(seed=seed))
-        b = solve(problem, SolverConfig(seed=seed))
+        a = solve(problem, SolverConfig())
+        b = solve(problem, SolverConfig())
         assert a.status is b.status
         assert a.model == b.model
         da, db = a.stats.as_dict(), b.stats.as_dict()

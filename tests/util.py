@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import pytest
+
 from smcsat.circuit import (
     BernoulliLeaf,
     Circuit,
@@ -18,6 +20,26 @@ from smcsat.circuit import (
 )
 from smcsat.formula import CnfFormula
 from smcsat.solver import Comparator, PredicateSpec, SmcProblem
+
+
+def _route_doc(**fields) -> dict:
+    """A one-predicate manifest over route.cnf/route.pc; a None field is dropped."""
+    pred = {"circuit": "route.pc", "shared": {"0": 1, "1": 2}, "b": 5, "cmp": "ge", "threshold": 0.5}
+    pred.update(fields)
+    return {"cnf": "route.cnf", "predicates": [{k: v for k, v in pred.items() if v is not None}]}
+
+
+# Malformed manifest documents with a fragment of the error each must raise.
+MALFORMED_MANIFESTS = [
+    pytest.param(_route_doc(threshold=None), "missing 'threshold'", id="missing-threshold"),
+    pytest.param(_route_doc(b=1.5), "'b' must be a nonzero integer", id="float-b"),
+    pytest.param(_route_doc(b=True), "'b' must be a nonzero integer", id="bool-b"),
+    pytest.param(_route_doc(shared=[[0, 1]]), "'shared' must be an object", id="shared-list"),
+    pytest.param(5, "manifest must be a JSON object", id="non-object"),
+    pytest.param(_route_doc(uai="route.uai"), "exactly one of 'circuit' or 'uai'", id="circuit-and-uai"),
+    pytest.param(_route_doc(circuit=None, uai="route.uai", order=3), "'order' must be a list", id="order-not-list"),
+]
+
 
 # The worked 4-variable example circuit: two weighted routes over x1..x4,
 # indicator leaves for both polarities of x1/x2, true-only leaves for x3/x4.
