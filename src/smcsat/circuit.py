@@ -9,6 +9,14 @@ the total mass plays the role of the partition function.
 ``BoundState`` maintains, per node, an upper and lower bound on the marginal
 mass under a partial assignment of the shared (decision) variables, updating
 incrementally along leaf-to-root paths and undoing by decision level.
+
+Evaluation and bound tracking read one node table per numeric mode, with
+weights already in the mode's value space: entry ``nid`` is ``(var, value if
+true, value if false, summed-out mass)`` for a leaf (``var`` is -1 for a
+constant) and ``(children, sum weights or None)`` for a product or sum. One
+leaf rule and one combine function per mode, each folding left to right from
+the identity, are the only node logic, so a fully assigned ``BoundState``
+reproduces ``marginal`` bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -61,6 +70,10 @@ class SumNode:
 Node = Union[BernoulliLeaf, IndicatorLeaf, ConstantLeaf, ProductNode, SumNode]
 
 
+_Combine = Callable[[tuple, tuple | None, list], float]
+_Pick = Callable[[float, float], float]
+
+
 class NumericMode(enum.Enum):
     LINEAR = "linear"
     LOG = "log"
@@ -75,29 +88,30 @@ def _log_add(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-class _Arith:
-    """Commutative-semiring primitives for one numeric mode."""
-
-    def __init__(self, mode: NumericMode):
-        self.mode = mode
-        if mode is NumericMode.LINEAR:
-            self.zero = 0.0
-            self.one = 1.0
-            self.add: Callable[[float, float], float] = lambda a, b: a + b
-            self.mul: Callable[[float, float], float] = lambda a, b: a * b
-        else:
-            self.zero = -math.inf
-            self.one = 0.0
-            self.add = _log_add
-            self.mul = lambda a, b: a + b
-
-    def weight(self, w: float) -> float:
-        if self.mode is NumericMode.LINEAR:
-            return w
-        return math.log(w) if w > 0.0 else -math.inf
+def _combine_linear(children: tuple[int, ...], weights: tuple | None, values: list[float]) -> float:
+    """Product (``weights is None``) or weighted sum of child values."""
+    if weights is None:
+        acc = 1.0
+        for child in children:
+            acc *= values[child]
+        return acc
+    acc = 0.0
+    for w, child in zip(weights, children):
+        acc += w * values[child]
+    return acc
 
 
-_ARITH = {mode: _Arith(mode) for mode in NumericMode}
+def _combine_log(children: tuple[int, ...], weights: tuple | None, values: list[float]) -> float:
+    """``_combine_linear`` with log-space values and weights."""
+    if weights is None:
+        acc = 0.0
+        for child in children:
+            acc += values[child]
+        return acc
+    acc = -math.inf
+    for w, child in zip(weights, children):
+        acc = _log_add(acc, w + values[child])
+    return acc
 
 
 def node_children(node: Node) -> tuple[int, ...]:
@@ -151,6 +165,7 @@ class Circuit:
             v: tuple(ids) for v, ids in leaves.items()
         }
         self._report: ValidationReport | None = None
+        self._tables: dict[NumericMode, tuple[tuple[tuple, ...], _Combine]] = {}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -161,9 +176,6 @@ class Circuit:
 
     def __repr__(self) -> str:
         return f"Circuit(num_vars={self.num_vars}, num_nodes={len(self.nodes)})"
-
-    def scope(self, nid: int) -> frozenset[CircuitVar]:
-        return self.scopes[nid]
 
     def require_valid(self) -> None:
         report = validate(self)
@@ -199,37 +211,60 @@ def validate(c: Circuit) -> ValidationReport:
     return report
 
 
-def _inner_value(node: Node, values: list[float], ar: _Arith) -> float:
-    """Combine child values for a product/sum node.
+def _node_table(c: Circuit, mode: NumericMode) -> tuple[tuple[tuple, ...], _Combine]:
+    """The circuit's node table for `mode` (see the module docstring) and the
+    mode's combine function; built on first use and cached on the circuit."""
+    table = c._tables.get(mode)
+    if table is not None:
+        return table
+    log = mode is NumericMode.LOG
+    zero, one = (-math.inf, 0.0) if log else (0.0, 1.0)
+    add, combine = (_log_add, _combine_log) if log else (operator.add, _combine_linear)
 
-    Shared by batch evaluation and incremental bound updates so that a
-    fully assigned bound state reproduces marginal() bit-for-bit.
-    """
-    if isinstance(node, ProductNode):
-        acc = ar.one
-        for child in node.children:
-            acc = ar.mul(acc, values[child])
-        return acc
-    assert isinstance(node, SumNode)
-    acc = ar.zero
-    for w, child in node.children:
-        acc = ar.add(acc, ar.mul(ar.weight(w), values[child]))
-    return acc
+    def weight(w: float) -> float:
+        return (math.log(w) if w > 0.0 else -math.inf) if log else w
+
+    nodes: list[tuple] = []
+    for node in c.nodes:
+        if isinstance(node, ProductNode):
+            nodes.append((node.children, None))
+        elif isinstance(node, SumNode):
+            nodes.append((node_children(node), tuple(weight(w) for w, _ in node.children)))
+        elif isinstance(node, ConstantLeaf):
+            v = weight(node.value)
+            nodes.append((-1, v, v, v))
+        else:
+            if isinstance(node, BernoulliLeaf):
+                t, f = weight(node.w_true), weight(node.w_false)
+            else:
+                t, f = (one, zero) if node.sign else (zero, one)
+            nodes.append((node.var, t, f, add(t, f)))
+    table = c._tables[mode] = (tuple(nodes), combine)
+    return table
 
 
-def _leaf_marginal_value(node: Node, assignment: dict[CircuitVar, bool], ar: _Arith) -> float:
-    if isinstance(node, ConstantLeaf):
-        return ar.weight(node.value)
-    if isinstance(node, BernoulliLeaf):
-        val = assignment.get(node.var)
-        if val is None:
-            return ar.add(ar.weight(node.w_true), ar.weight(node.w_false))
-        return ar.weight(node.w_true if val else node.w_false)
-    assert isinstance(node, IndicatorLeaf)
-    val = assignment.get(node.var)
+def _leaf_value(leaf: tuple, assignment: dict, free: frozenset, pick: _Pick) -> float:
+    """An assigned leaf takes its weight; an unassigned one takes `pick` of
+    its two weights if its variable is `free`, else its summed-out mass."""
+    var, t, f, mass = leaf
+    val = assignment.get(var)
     if val is None:
-        return ar.one
-    return ar.one if val == node.sign else ar.zero
+        return pick(t, f) if var in free else mass
+    return t if val else f
+
+
+def _evaluate(
+    c: Circuit, mode: NumericMode, assignment: dict, free: frozenset = frozenset(), pick: _Pick = max
+) -> list[float]:
+    """Value of every node in one bottom-up pass over the mode's node table."""
+    nodes, combine = _node_table(c, mode)
+    values = [0.0] * len(nodes)
+    for nid, entry in enumerate(nodes):
+        if len(entry) == 2:  # (children, weights): a product or sum
+            values[nid] = combine(*entry, values)
+        else:
+            values[nid] = _leaf_value(entry, assignment, free, pick)
+    return values
 
 
 def evaluate_joint(
@@ -251,15 +286,7 @@ def marginal(
 ) -> float:
     """Marginal mass of a partial assignment; unassigned variables are summed out."""
     c.require_valid()
-    assignment = assignment or {}
-    ar = _ARITH[mode]
-    values = [ar.zero] * len(c.nodes)
-    for nid, node in enumerate(c.nodes):
-        if isinstance(node, (ProductNode, SumNode)):
-            values[nid] = _inner_value(node, values, ar)
-        else:
-            values[nid] = _leaf_marginal_value(node, assignment, ar)
-    return values[c.root]
+    return _evaluate(c, mode, assignment or {})[c.root]
 
 
 def partition(c: Circuit, mode: NumericMode = NumericMode.LINEAR) -> float:
@@ -289,42 +316,11 @@ class BoundState:
             if var < 0 or var >= circuit.num_vars:
                 raise ValueError(f"shared variable {var} out of range")
         self.mode = mode
-        self._ar = _ARITH[mode]
         self.status: dict[CircuitVar, bool | None] = {v: None for v in self.shared}
-        self.ub: list[float] = [0.0] * len(circuit.nodes)
-        self.lb: list[float] = [0.0] * len(circuit.nodes)
+        self.ub: list[float] = _evaluate(circuit, mode, self.status, self.shared, max)
+        self.lb: list[float] = _evaluate(circuit, mode, self.status, self.shared, min)
         # frames: (level, var, [(node id, previous ub, previous lb), ...])
         self._frames: list[tuple[int, CircuitVar, list[tuple[int, float, float]]]] = []
-        for nid, node in enumerate(circuit.nodes):
-            u, l = self._node_bounds(nid, node)
-            self.ub[nid] = u
-            self.lb[nid] = l
-
-    def _leaf_weights(self, node: Node) -> tuple[float, float]:
-        ar = self._ar
-        if isinstance(node, BernoulliLeaf):
-            return ar.weight(node.w_true), ar.weight(node.w_false)
-        assert isinstance(node, IndicatorLeaf)
-        return (ar.one, ar.zero) if node.sign else (ar.zero, ar.one)
-
-    def _node_bounds(self, nid: int, node: Node) -> tuple[float, float]:
-        ar = self._ar
-        if isinstance(node, ConstantLeaf):
-            v = ar.weight(node.value)
-            return v, v
-        if isinstance(node, (BernoulliLeaf, IndicatorLeaf)):
-            wt, wf = self._leaf_weights(node)
-            if node.var not in self.shared:
-                mass = ar.add(wt, wf)
-                return mass, mass
-            val = self.status[node.var]
-            if val is None:
-                return max(wt, wf), min(wt, wf)
-            w = wt if val else wf
-            return w, w
-        u = _inner_value(node, self.ub, ar)
-        l = _inner_value(node, self.lb, ar)
-        return u, l
 
     def assign(self, var: CircuitVar, val: bool, level: int) -> tuple[float, float]:
         """Fix a shared variable; returns the new (root ub, root lb)."""
@@ -335,29 +331,32 @@ class BoundState:
         saved: list[tuple[int, float, float]] = []
         self._frames.append((level, var, saved))
         self.status[var] = val
+        (nodes, combine), ub, lb = _node_table(self.circuit, self.mode), self.ub, self.lb
         pending: list[int] = []
         queued: set[int] = set()
 
         def touch(nid: int, u: float, l: float) -> None:
-            saved.append((nid, self.ub[nid], self.lb[nid]))
-            self.ub[nid] = u
-            self.lb[nid] = l
+            saved.append((nid, ub[nid], lb[nid]))
+            ub[nid] = u
+            lb[nid] = l
             for parent in self.circuit.parents[nid]:
                 if parent not in queued:
                     queued.add(parent)
                     heapq.heappush(pending, parent)
 
         for nid in self.circuit.leaves_of_var.get(var, ()):
-            u, l = self._node_bounds(nid, self.circuit.nodes[nid])
-            if u != self.ub[nid] or l != self.lb[nid]:
+            u = _leaf_value(nodes[nid], self.status, self.shared, max)
+            l = _leaf_value(nodes[nid], self.status, self.shared, min)
+            if u != ub[nid] or l != lb[nid]:
                 touch(nid, u, l)
         # Ascending id order guarantees all updated children of a node settle
         # before the node itself is recomputed (ids are topological, and new
         # work is only ever pushed above the id being processed).
         while pending:
             nid = heapq.heappop(pending)
-            u, l = self._node_bounds(nid, self.circuit.nodes[nid])
-            if u == self.ub[nid] and l == self.lb[nid]:
+            u = combine(*nodes[nid], ub)
+            l = combine(*nodes[nid], lb)
+            if u == ub[nid] and l == lb[nid]:
                 continue
             touch(nid, u, l)
         return self.root_bounds()
@@ -446,11 +445,6 @@ def parse_pc(text: str) -> Circuit:
                 raise PcFormatError(f"node {nid}: unknown node tag {tag!r}")
         except ValueError as exc:
             raise PcFormatError(f"node {nid}: {exc}") from exc
-        for child in node_children(node):
-            if child >= nid:
-                raise PcFormatError(f"node {nid}: forward or self child reference {child}")
-            if child < 0:
-                raise PcFormatError(f"node {nid}: negative child id {child}")
         nodes.append(node)
     return Circuit(num_vars, nodes)
 

@@ -78,14 +78,18 @@ def _print_result(result: SolveResult, show_stats: bool, out) -> int:
     if result.status is SolveStatus.SAT:
         print("s SATISFIABLE", file=out)
         assert result.model is not None
-        lits = [v if result.model[v] else -v for v in sorted(result.model)]
-        print("v " + " ".join(str(l) for l in lits) + " 0", file=out)
+        _print_model(result.model, out)
         return EXIT_SAT
     if result.status is SolveStatus.UNSAT:
         print("s UNSATISFIABLE", file=out)
         return EXIT_UNSAT
     print("s UNKNOWN", file=out)
     return EXIT_BUDGET
+
+
+def _print_model(model: dict[int, bool], out) -> None:
+    lits = [v if model[v] else -v for v in sorted(model)]
+    print("v " + " ".join(str(l) for l in lits) + " 0", file=out)
 
 
 def _read_model_file(path: str) -> dict[int, bool]:
@@ -143,9 +147,7 @@ def cmd_oracle(args: argparse.Namespace, out) -> int:
     print(f"c models {result.model_count}", file=out)
     if result.status is SolveStatus.SAT:
         print("s SATISFIABLE", file=out)
-        model = result.models[0]
-        lits = [v if model[v] else -v for v in sorted(model)]
-        print("v " + " ".join(str(l) for l in lits) + " 0", file=out)
+        _print_model(result.models[0], out)
         return EXIT_SAT
     print("s UNSATISFIABLE", file=out)
     return EXIT_UNSAT
@@ -289,8 +291,7 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
         return EXIT_UNSAT
     print(f"best threshold {result.best_threshold}", file=out)
     assert result.best_model is not None
-    lits = [v if result.best_model[v] else -v for v in sorted(result.best_model)]
-    print("v " + " ".join(str(l) for l in lits) + " 0", file=out)
+    _print_model(result.best_model, out)
     return 0
 
 

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 from .circuit import NumericMode, marginal
 from .formula import Var
-from .solver import Comparator, PredicateSpec, SmcProblem, SolveStatus, cmp_holds
+from .solver import Comparator, SmcProblem, SolveStatus, cmp_holds
 
 MarginalFn = Callable[[dict[int, bool]], float]
 
@@ -48,21 +48,6 @@ class VerificationReport:
         return out
 
 
-def _predicate_truth(
-    pred: PredicateSpec,
-    model: dict[Var, bool],
-    resolved_q: float,
-    mode: NumericMode,
-    marginal_fn: MarginalFn | None,
-) -> tuple[float, bool]:
-    values = {cvar: model[fvar] for cvar, fvar in pred.shared_map.items()}
-    if marginal_fn is not None:
-        m = marginal_fn(values)
-    else:
-        m = marginal(pred.circuit, values, mode)
-    return m, cmp_holds(pred.cmp, m, resolved_q)
-
-
 def verify(
     p: SmcProblem,
     model: dict[Var, bool],
@@ -78,14 +63,17 @@ def verify(
     )
     checks = []
     for i, pred in enumerate(p.predicates):
+        q = pred.resolved_threshold(mode)
+        values = {cvar: model[fvar] for cvar, fvar in pred.shared_map.items()}
         fn = marginal_fns[i] if marginal_fns is not None else None
-        m, holds = _predicate_truth(pred, model, pred.resolved_threshold(mode), mode, fn)
+        m = fn(values) if fn is not None else marginal(pred.circuit, values, mode)
+        holds = cmp_holds(pred.cmp, m, q)
         b_value = True if pred.b is None else model[abs(pred.b)] == (pred.b > 0)
         checks.append(
             PredicateCheck(
                 index=i,
                 marginal=m,
-                resolved_threshold=pred.resolved_threshold(mode),
+                resolved_threshold=q,
                 cmp=pred.cmp,
                 holds=holds,
                 b_value=b_value,

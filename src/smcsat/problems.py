@@ -446,20 +446,26 @@ def load_manifest(path: str | Path) -> SmcProblem:
         raise ManifestError(f"{path}: {exc}") from None
     cnf = parse_dimacs((base / doc["cnf"]).read_text())
     predicates = []
-    for entry in doc["predicates"]:
-        if "circuit" in entry:
-            circuit = parse_pc((base / entry["circuit"]).read_text())
-        else:
-            fg = parse_uai((base / entry["uai"]).read_text())
-            circuit = compile_factor_graph(fg, order=entry.get("order"))
-        predicates.append(
-            PredicateSpec(
-                circuit=circuit,
-                shared_map={int(k): v for k, v in entry["shared"].items()},
-                cmp=Comparator(entry["cmp"]),
-                threshold=entry["threshold"],
-                threshold_mode=ThresholdMode(entry["threshold_mode"]),
-                b=entry.get("b"),
+    for i, entry in enumerate(doc["predicates"]):
+        try:
+            if "circuit" in entry:
+                circuit = parse_pc((base / entry["circuit"]).read_text())
+            else:
+                fg = parse_uai((base / entry["uai"]).read_text())
+                circuit = compile_factor_graph(fg, order=entry.get("order"))
+            predicates.append(
+                PredicateSpec(
+                    circuit=circuit,
+                    shared_map={int(k): v for k, v in entry["shared"].items()},
+                    cmp=Comparator(entry["cmp"]),
+                    threshold=entry["threshold"],
+                    threshold_mode=ThresholdMode(entry["threshold_mode"]),
+                    b=entry.get("b"),
+                )
             )
-        )
-    return SmcProblem(cnf=cnf, predicates=tuple(predicates))
+        except ValueError as exc:
+            raise ManifestError(f"{path}: predicate {i}: {exc}") from exc
+    try:
+        return SmcProblem(cnf=cnf, predicates=tuple(predicates))
+    except ValueError as exc:  # its messages name the predicate
+        raise ManifestError(f"{path}: {exc}") from exc

@@ -83,6 +83,29 @@ def test_solve_malformed_manifest(route_manifest, tmp_path, capsys, doc, message
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        pytest.param({"shared": {"-1": 3}}, "shared circuit variable -1 out of range", id="negative-shared-key"),
+        pytest.param({"circuit": None, "uai": "pair.uai", "order": [0, 7]}, "order must be a permutation", id="bad-order"),
+        pytest.param({"shared": {"2": 9}}, "formula variable 9 out of range", id="shared-formula-var"),
+        pytest.param({"b": 9}, "b literal 9 out of range", id="b-out-of-range"),
+    ],
+)
+def test_solve_manifest_range_error_names_file_and_predicate(route_manifest, tmp_path, capsys, fault, message):
+    route_manifest(0.5)
+    (tmp_path / "pair.uai").write_text("MARKOV\n2\n2 2\n1\n2 0 1\n4\n0.1 0.2 0.3 0.4\n")
+    good = {"circuit": "route.pc", "shared": {"0": 1, "1": 2}, "b": 5, "cmp": "ge", "threshold": 0.5}
+    bad = {"circuit": "route.pc", "shared": {"2": 3}, "b": 6, "cmp": "ge", "threshold": 0.5}
+    bad.update(fault)
+    manifest = tmp_path / "bad.json"
+    manifest.write_text(json.dumps({"cnf": "route.cnf", "predicates": [good, {k: v for k, v in bad.items() if v is not None}]}))
+    code, out = run_cli("solve", str(manifest))
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {manifest}: predicate 1: ") and message in err[0]
+
+
 def test_solve_deterministic_output(route_manifest):
     path = route_manifest(0.5)
     assert run_cli("solve", str(path)) == run_cli("solve", str(path))
