@@ -7,8 +7,9 @@ make marginal queries a single bottom-up pass. Circuits may be unnormalized;
 the total mass plays the role of the partition function.
 
 ``BoundState`` maintains, per node, an upper and lower bound on the marginal
-mass under a partial assignment of the shared (decision) variables, updating
-incrementally along leaf-to-root paths and undoing by decision level.
+mass under a partial assignment of the shared (decision) variables. Assigning
+a variable recomputes its cone, the ascending ids of its leaves and all their
+ancestors, in one pass; backtracking undoes by decision level.
 
 Evaluation and bound tracking read one node table per numeric mode, with
 weights already in the mode's value space: entry ``nid`` is ``(var, value if
@@ -22,7 +23,6 @@ reproduces ``marginal`` bit for bit.
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -134,7 +134,8 @@ class ValidationReport:
 
 
 class Circuit:
-    """Immutable probabilistic circuit with precomputed scopes and parents."""
+    """Immutable probabilistic circuit with precomputed scopes; cones and node
+    tables are built on first use."""
 
     def __init__(self, num_vars: int, nodes: Iterable[Node]):
         self.num_vars = num_vars
@@ -143,14 +144,11 @@ class Circuit:
             raise PcFormatError("circuit has no nodes")
         self.root = len(self.nodes) - 1
         self.scopes: list[frozenset[CircuitVar]] = []
-        self.parents: list[list[int]] = [[] for _ in self.nodes]
-        leaves: dict[CircuitVar, list[int]] = {}
         for nid, node in enumerate(self.nodes):
             if isinstance(node, (BernoulliLeaf, IndicatorLeaf)):
                 if node.var < 0 or node.var >= num_vars:
                     raise PcFormatError(f"node {nid}: variable {node.var} out of range")
                 self.scopes.append(frozenset((node.var,)))
-                leaves.setdefault(node.var, []).append(nid)
             elif isinstance(node, ConstantLeaf):
                 self.scopes.append(frozenset())
             else:
@@ -159,12 +157,9 @@ class Circuit:
                     if child < 0 or child >= nid:
                         raise PcFormatError(f"node {nid}: child {child} is not an earlier node")
                     scope |= self.scopes[child]
-                    self.parents[child].append(nid)
                 self.scopes.append(frozenset(scope))
-        self.leaves_of_var: dict[CircuitVar, tuple[int, ...]] = {
-            v: tuple(ids) for v, ids in leaves.items()
-        }
         self._report: ValidationReport | None = None
+        self._cones: list[list[int]] | None = None
         self._tables: dict[NumericMode, tuple[tuple[tuple, ...], _Combine]] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -243,6 +238,18 @@ def _node_table(c: Circuit, mode: NumericMode) -> tuple[tuple[tuple, ...], _Comb
     return table
 
 
+def _cones(c: Circuit) -> list[list[int]]:
+    """Per variable, the ascending ids of the nodes whose scope contains it;
+    built on first use and cached on the circuit."""
+    if c._cones is None:
+        cones: list[list[int]] = [[] for _ in range(c.num_vars)]
+        for nid, scope in enumerate(c.scopes):
+            for var in scope:
+                cones[var].append(nid)
+        c._cones = cones
+    return c._cones
+
+
 def _leaf_value(leaf: tuple, assignment: dict, free: frozenset, pick: _Pick) -> float:
     """An assigned leaf takes its weight; an unassigned one takes `pick` of
     its two weights if its variable is `free`, else its summed-out mass."""
@@ -273,8 +280,8 @@ def evaluate_joint(
     mode: NumericMode = NumericMode.LINEAR,
 ) -> float:
     """Evaluate the root at a full assignment of the circuit variables."""
-    for var in c.leaves_of_var:
-        if var not in assignment:
+    for var, cone in enumerate(_cones(c)):
+        if cone and var not in assignment:
             raise ValueError(f"variable {var} unassigned in joint query")
     return marginal(c, assignment, mode)
 
@@ -298,9 +305,10 @@ class BoundState:
     """Per-node upper/lower bounds on the root marginal under partial assignment.
 
     Variables in `shared` may be assigned True/False one at a time; all other
-    variables are latent and always marginalized. Each assignment updates only
-    the nodes on paths from the touched leaves to the root and records their
-    previous bounds in a trail frame so backtracking restores them bit-exactly.
+    variables are latent and always marginalized. Each assignment recomputes
+    the variable's cone in ascending id order and records the previous bounds
+    of every node that changed in a trail frame, so backtracking restores them
+    bit-exactly.
     """
 
     def __init__(
@@ -332,33 +340,18 @@ class BoundState:
         self._frames.append((level, var, saved))
         self.status[var] = val
         (nodes, combine), ub, lb = _node_table(self.circuit, self.mode), self.ub, self.lb
-        pending: list[int] = []
-        queued: set[int] = set()
-
-        def touch(nid: int, u: float, l: float) -> None:
-            saved.append((nid, ub[nid], lb[nid]))
-            ub[nid] = u
-            lb[nid] = l
-            for parent in self.circuit.parents[nid]:
-                if parent not in queued:
-                    queued.add(parent)
-                    heapq.heappush(pending, parent)
-
-        for nid in self.circuit.leaves_of_var.get(var, ()):
-            u = _leaf_value(nodes[nid], self.status, self.shared, max)
-            l = _leaf_value(nodes[nid], self.status, self.shared, min)
+        # Ids are topological: each child in the cone settles before its parent.
+        for nid in _cones(self.circuit)[var]:
+            entry = nodes[nid]
+            if len(entry) == 2:  # (children, weights): a product or sum
+                u = combine(*entry, ub)
+                l = combine(*entry, lb)
+            else:  # a leaf of `var`
+                u = l = entry[1] if val else entry[2]
             if u != ub[nid] or l != lb[nid]:
-                touch(nid, u, l)
-        # Ascending id order guarantees all updated children of a node settle
-        # before the node itself is recomputed (ids are topological, and new
-        # work is only ever pushed above the id being processed).
-        while pending:
-            nid = heapq.heappop(pending)
-            u = combine(*nodes[nid], ub)
-            l = combine(*nodes[nid], lb)
-            if u == ub[nid] and l == lb[nid]:
-                continue
-            touch(nid, u, l)
+                saved.append((nid, ub[nid], lb[nid]))
+                ub[nid] = u
+                lb[nid] = l
         return self.root_bounds()
 
     def backtrack_bounds(self, level: int) -> None:

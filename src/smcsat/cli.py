@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import circuit as pc
@@ -56,24 +57,23 @@ BENCH_COLUMNS = [
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(
-        ulw_enabled=not getattr(args, "no_ulw", False),
-        numeric_mode=NumericMode(getattr(args, "mode", "linear")),
-        max_conflicts=getattr(args, "budget_conflicts", None),
-        max_seconds=getattr(args, "budget_seconds", None),
+        ulw_enabled=not args.no_ulw,
+        numeric_mode=NumericMode(args.mode),
+        max_conflicts=args.budget_conflicts,
+        max_seconds=args.budget_seconds,
     )
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-ulw", action="store_true", help="disable bound propagation")
     parser.add_argument("--mode", choices=["linear", "log"], default="linear")
-    parser.add_argument("--stats", action="store_true", help="print c stat lines")
     parser.add_argument("--budget-conflicts", type=int, default=None)
     parser.add_argument("--budget-seconds", type=float, default=None)
 
 
 def _print_result(result: SolveResult, show_stats: bool, out) -> int:
     if show_stats:
-        for name, value in result.stats.as_dict().items():
+        for name, value in asdict(result.stats).items():
             print(f"c stat {name} {value}", file=out)
     if result.status is SolveStatus.SAT:
         print("s SATISFIABLE", file=out)
@@ -369,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve an SMC manifest")
     p_solve.add_argument("manifest")
     _add_solver_flags(p_solve)
+    p_solve.add_argument("--stats", action="store_true", help="print c stat lines")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a model against a manifest")
@@ -453,14 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a directory of manifests")
     p_bench.add_argument("suite")
-    mode_group = p_bench.add_mutually_exclusive_group()
-    mode_group.add_argument("--with-ulw", dest="no_ulw", action="store_false")
-    mode_group.add_argument("--without-ulw", dest="no_ulw", action="store_true")
-    p_bench.set_defaults(no_ulw=False)
     p_bench.add_argument("--csv", default=None)
-    p_bench.add_argument("--mode", choices=["linear", "log"], default="linear")
-    p_bench.add_argument("--budget-conflicts", dest="budget_conflicts", type=int, default=None)
-    p_bench.add_argument("--budget-seconds", dest="budget_seconds", type=float, default=None)
+    _add_solver_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_pc = sub.add_parser("pc", help="circuit utilities")

@@ -444,7 +444,10 @@ def load_manifest(path: str | Path) -> SmcProblem:
         raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
     except ManifestError as exc:
         raise ManifestError(f"{path}: {exc}") from None
-    cnf = parse_dimacs((base / doc["cnf"]).read_text())
+    try:
+        cnf = parse_dimacs((base / doc["cnf"]).read_text())
+    except ValueError as exc:
+        raise ManifestError(f"{path}: {doc['cnf']}: {exc}") from exc
     predicates = []
     for i, entry in enumerate(doc["predicates"]):
         try:

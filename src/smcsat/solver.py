@@ -87,6 +87,10 @@ class SmcProblem:
                 raise ValueError(f"predicate {i}: b literal {pred.b} out of range")
 
 
+# VSIDS: the activity bump grows by 1/decay after each conflict.
+_ACTIVITY_DECAY = 0.95
+
+
 class SolveStatus(enum.Enum):
     SAT = "sat"
     UNSAT = "unsat"
@@ -97,14 +101,11 @@ class SolveStatus(enum.Enum):
 class SolverConfig:
     ulw_enabled: bool = True
     numeric_mode: NumericMode = NumericMode.LINEAR
-    activity_decay: float = 0.95
     restart_base: int = 100
     max_conflicts: int | None = None
     max_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.activity_decay <= 1.0:
-            raise ValueError("activity decay must be in (0, 1]")
         if self.restart_base < 1:
             raise ValueError("restart base must be positive")
         if self.max_conflicts is not None and self.max_conflicts < 0:
@@ -129,32 +130,12 @@ class Stats:
     def conflicts(self) -> int:
         return self.boolean_conflicts + self.prob_conflicts
 
-    def as_dict(self) -> dict:
-        return {
-            "decisions": self.decisions,
-            "boolean_propagations": self.boolean_propagations,
-            "boolean_conflicts": self.boolean_conflicts,
-            "prob_conflicts": self.prob_conflicts,
-            "prob_entailments": self.prob_entailments,
-            "learned_clauses": self.learned_clauses,
-            "restarts": self.restarts,
-            "max_decision_level": self.max_decision_level,
-            "wall_time": self.wall_time,
-        }
-
 
 @dataclass
 class SolveResult:
     status: SolveStatus
     model: dict[Var, bool] | None
     stats: Stats
-
-
-class PredicateEval(enum.Enum):
-    ENTAILED_TRUE = "entailed-true"
-    ENTAILED_FALSE = "entailed-false"
-    UNDECIDED = "undecided"
-    CONFLICT = "conflict"
 
 
 def cmp_holds(cmp: Comparator, value: float, threshold: float) -> bool:
@@ -191,27 +172,6 @@ def inequality_status(cmp: Comparator, threshold: float, lb: float, ub: float) -
         if lb >= threshold:
             return False
     return None
-
-
-def evaluate_predicate(
-    cmp: Comparator,
-    threshold: float,
-    lb: float,
-    ub: float,
-    b_value: bool | None,
-) -> PredicateEval:
-    """Combine bound entailment with the current b status.
-
-    Hard predicates pass b_value=True. An entailment that contradicts an
-    assigned b is a conflict; one matching or deciding b is reported so the
-    caller can propagate b and mark the predicate settled.
-    """
-    status = inequality_status(cmp, threshold, lb, ub)
-    if status is None:
-        return PredicateEval.UNDECIDED
-    if b_value is not None and b_value != status:
-        return PredicateEval.CONFLICT
-    return PredicateEval.ENTAILED_TRUE if status else PredicateEval.ENTAILED_FALSE
 
 
 def probabilistic_clause(implied: Lit | None, assigned_shared: Iterable[Lit]) -> list[Lit]:
@@ -397,11 +357,6 @@ class CdclSolver:
                 out.append(fvar if val else -fvar)
         return out
 
-    def _b_value(self, ps: _PredState) -> bool | None:
-        if ps.spec.b is None:
-            return True
-        return self.pa.lit_value(ps.spec.b)
-
     def propagate(self) -> list[Lit] | None:
         """Run Boolean and predicate propagation to fixpoint.
 
@@ -435,25 +390,19 @@ class CdclSolver:
                 if bounds is None:
                     continue
                 ub, lb = bounds
-                outcome = evaluate_predicate(
-                    ps.spec.cmp, ps.resolved_q, lb, ub, self._b_value(ps)
-                )
-                if outcome is PredicateEval.UNDECIDED:
+                status = inequality_status(ps.spec.cmp, ps.resolved_q, lb, ub)
+                if status is None:
                     continue
-                if outcome is PredicateEval.CONFLICT:
+                b = ps.spec.b
+                implied = None if b is None else (b if status else -b)
+                # A hard predicate (no b) must hold; a soft one conflicts when
+                # b is already assigned against the bounds' verdict.
+                b_value = True if b is None else self.pa.lit_value(b)
+                if b_value is not None and b_value != status:
                     self.stats.prob_conflicts += 1
-                    implied = None
-                    if ps.spec.b is not None:
-                        status = inequality_status(ps.spec.cmp, ps.resolved_q, lb, ub)
-                        implied = ps.spec.b if status else -ps.spec.b
                     return probabilistic_clause(implied, self._assigned_shared_lits(ps))
                 ps.decided_level = self.pa.current_level
-                if ps.spec.b is not None and self.pa.lit_value(ps.spec.b) is None:
-                    implied = (
-                        ps.spec.b
-                        if outcome is PredicateEval.ENTAILED_TRUE
-                        else -ps.spec.b
-                    )
+                if b_value is None:
                     reason = probabilistic_clause(implied, self._assigned_shared_lits(ps))
                     key = tuple(reason)
                     idx = ps.reason_cache.get(key)
@@ -582,15 +531,10 @@ class CdclSolver:
                     return SolveStatus.UNSAT, None
                 learned, backjump = self.analyze(conflict)
                 self.backtrack(backjump)
-                if len(learned) == 1:
-                    self.clauses.append(learned)
-                    self.stats.learned_clauses += 1
-                    idx = len(self.clauses) - 1
-                else:
-                    idx = self._add_derived(learned)
+                idx = self._add_derived(learned)
                 assigned = self._enqueue(learned[0], idx)
                 assert assigned
-                self.var_inc /= self.cfg.activity_decay
+                self.var_inc /= _ACTIVITY_DECAY
                 conflicts_since_restart += 1
                 if self._out_of_budget(start):
                     return SolveStatus.BUDGET, None

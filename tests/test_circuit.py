@@ -9,10 +9,13 @@ from smcsat.circuit import (
     BoundState,
     Circuit,
     CircuitStructureError,
+    ConstantLeaf,
+    IndicatorLeaf,
     NumericMode,
     PcFormatError,
     ProductNode,
     SumNode,
+    _evaluate,
     evaluate_joint,
     marginal,
     parse_pc,
@@ -308,6 +311,41 @@ def test_bounds_sandwich_and_tightness_fuzz():
             prev_ub, prev_lb = ub, lb
         # a fully assigned bound state is the marginal, to the bit
         assert bs.root_bounds() == (marginal(c, partial, mode),) * 2
+
+
+def _dag_with_unreachable_nodes() -> Circuit:
+    """Leaf 0 has three parents; nodes 6 and 7 cannot be reached from the root."""
+    return Circuit(
+        3,
+        [
+            BernoulliLeaf(0, 0.3, 0.7),
+            IndicatorLeaf(1, True),
+            IndicatorLeaf(1, False),
+            ConstantLeaf(2.0),
+            ProductNode((0, 1, 3)),
+            ProductNode((0, 2)),
+            BernoulliLeaf(2, 0.5, 1.5),
+            SumNode(((1.5, 0),)),
+            SumNode(((0.4, 4), (0.6, 5))),
+        ],
+    )
+
+
+def test_bounds_equal_full_pass_after_every_update():
+    # every node, not just the root, matches a fresh bottom-up pass
+    circuits = [_dag_with_unreachable_nodes()] + [random_circuit(seed + 700, 2 + seed % 5) for seed in range(20)]
+    for mode, (i, c) in itertools.product(NumericMode, enumerate(circuits)):
+        rng = random.Random(i)
+        shared = set(rng.sample(range(c.num_vars), rng.randint(1, c.num_vars)))
+        bs = BoundState(c, shared, mode)
+        for level in range(1, 4 * c.num_vars):
+            free = [v for v in sorted(shared) if bs.status[v] is None]
+            if free and rng.random() < 0.7:
+                bs.assign(rng.choice(free), rng.random() < 0.5, level)
+            else:
+                bs.backtrack_bounds(rng.randint(0, level - 1))
+            assert bs.ub == _evaluate(c, mode, bs.status, bs.shared, max)
+            assert bs.lb == _evaluate(c, mode, bs.status, bs.shared, min)
 
 
 def test_bounds_log_mode_consistent():

@@ -106,6 +106,17 @@ def test_solve_manifest_range_error_names_file_and_predicate(route_manifest, tmp
     assert len(err) == 1 and err[0].startswith(f"error: {manifest}: predicate 1: ") and message in err[0]
 
 
+def test_solve_manifest_cnf_error_names_manifest_and_cnf(route_manifest, tmp_path, capsys):
+    route_manifest(0.5)
+    (tmp_path / "bad.cnf").write_text("p cnf 6 1\n1 x 0\n")
+    manifest = tmp_path / "bad.json"
+    manifest.write_text(json.dumps({"cnf": "bad.cnf", "predicates": [{"circuit": "route.pc", "threshold": 0.5}]}))
+    code, out = run_cli("solve", str(manifest))
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {manifest}: bad.cnf: bad token 'x'"]
+
+
 def test_solve_deterministic_output(route_manifest):
     path = route_manifest(0.5)
     assert run_cli("solve", str(path)) == run_cli("solve", str(path))
@@ -222,6 +233,12 @@ def test_gen_supply_bundle_and_sweep(tmp_path):
     assert statuses[-1] == "unsat" and all(s == "sat" for s in statuses[:-1])
 
 
+def test_sweep_rejects_stats(route_manifest):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", str(route_manifest(0.5)), "--stats")
+    assert exc.value.code == 2
+
+
 def test_bench_csv(route_manifest, tmp_path):
     route_manifest(0.5)
     route_manifest(1.5)
@@ -231,6 +248,20 @@ def test_bench_csv(route_manifest, tmp_path):
     lines = csv_file.read_text().strip().splitlines()
     assert lines[0] == "instance,q,status,decisions,propagations,bool_conflicts,prob_conflicts,learned,restarts,wall_ms"
     assert len(lines) == 3
+
+
+def test_bench_no_ulw_same_verdicts(route_manifest, tmp_path):
+    route_manifest(0.5)
+    route_manifest(1.5)
+
+    def verdicts(*flags):
+        code, out = run_cli("bench", str(tmp_path), *flags)
+        assert code == 0
+        return [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
+
+    with_ulw = verdicts()
+    assert [status for _, _, status in with_ulw] == ["sat", "unsat"]
+    assert verdicts("--no-ulw") == verdicts("--mode", "log") == with_ulw
 
 
 def test_bench_empty_suite(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -15,13 +16,11 @@ from smcsat.problems import (
 from smcsat.solver import (
     CdclSolver,
     Comparator,
-    PredicateEval,
     PredicateSpec,
     SmcProblem,
     SolveStatus,
     SolverConfig,
     ThresholdMode,
-    evaluate_predicate,
     inequality_status,
     luby,
     probabilistic_clause,
@@ -49,16 +48,6 @@ def test_inequality_status_strictness():
     assert inequality_status(LT, 0.5, 0.0, 0.5) is None
     assert inequality_status(LT, 0.5, 0.0, 0.49) is True
     assert inequality_status(LT, 0.5, 0.5, 1.0) is False
-
-
-def test_evaluate_predicate_examples():
-    GE = Comparator.GE
-    assert evaluate_predicate(GE, 0.5, 0.6, 1.0, None) is PredicateEval.ENTAILED_TRUE
-    assert evaluate_predicate(GE, 0.5, 0.0, 0.2, True) is PredicateEval.CONFLICT
-    assert evaluate_predicate(GE, 0.5, 0.0, 1.0, False) is PredicateEval.UNDECIDED
-    assert evaluate_predicate(GE, 0.5, 0.6, 1.0, True) is PredicateEval.ENTAILED_TRUE
-    assert evaluate_predicate(GE, 0.5, 0.6, 1.0, False) is PredicateEval.CONFLICT
-    assert evaluate_predicate(GE, 0.5, 0.0, 0.2, None) is PredicateEval.ENTAILED_FALSE
 
 
 def test_probabilistic_clause_shapes():
@@ -287,7 +276,7 @@ def test_determinism_repeated_runs():
         b = solve(problem, SolverConfig())
         assert a.status is b.status
         assert a.model == b.model
-        da, db = a.stats.as_dict(), b.stats.as_dict()
+        da, db = asdict(a.stats), asdict(b.stats)
         da.pop("wall_time"), db.pop("wall_time")
         assert da == db
 
@@ -326,7 +315,7 @@ def test_restarts_preserve_completeness():
 def test_stats_counters_nonnegative_and_coherent():
     problem = motivating_problem(0.5)
     stats = solve(problem).stats
-    for value in stats.as_dict().values():
+    for value in asdict(stats).values():
         assert value >= 0
     assert stats.conflicts == stats.boolean_conflicts + stats.prob_conflicts
 
