@@ -6,18 +6,26 @@ share a scope) and decomposability (product children have disjoint scopes)
 make marginal queries a single bottom-up pass. Circuits may be unnormalized;
 the total mass plays the role of the partition function.
 
-``BoundState`` maintains, per node, an upper and lower bound on the marginal
-mass under a partial assignment of the shared (decision) variables. Assigning
-a variable recomputes its cone, the ascending ids of its leaves and all their
-ancestors, in one pass; backtracking undoes by decision level.
-
 Evaluation and bound tracking read one node table per numeric mode, with
 weights already in the mode's value space: entry ``nid`` is ``(var, value if
 true, value if false, summed-out mass)`` for a leaf (``var`` is -1 for a
-constant) and ``(children, sum weights or None)`` for a product or sum. One
-leaf rule and one combine function per mode, each folding left to right from
-the identity, are the only node logic, so a fully assigned ``BoundState``
-reproduces ``marginal`` bit for bit.
+constant) and ``(children, sum weights or None)`` for a product or sum.
+``marginal`` and ``partition`` evaluate it with one leaf rule and one combine
+function per mode.
+
+``BoundState`` maintains, per node, an upper and lower bound on the marginal
+mass under a partial assignment of the shared (decision) variables. Its work
+is done by one update kernel per mode, which walks ``(nid, children, weights
+or None)`` plan entries in ascending id order and computes a node's upper
+and lower bound together, with the combine function inlined. Each circuit
+caches, per mode, the entries of all its inner nodes and, per variable on
+its first assignment, a plan: the ids of the variable's leaves and the
+entries of their ancestors.
+Initialisation sets every leaf once and runs the kernel over all inner nodes;
+assigning a variable sets its leaves and runs the kernel over its plan;
+backtracking undoes by decision level. The kernels fold left to right from
+the same identity as the combine functions, so a fully assigned
+``BoundState`` reproduces ``marginal`` bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -72,6 +81,15 @@ Node = Union[BernoulliLeaf, IndicatorLeaf, ConstantLeaf, ProductNode, SumNode]
 
 _Combine = Callable[[tuple, tuple | None, list], float]
 _Pick = Callable[[float, float], float]
+# A plan entry: an inner node's id, children and sum weights (None for a product).
+_Step = tuple[int, tuple[int, ...], Union[tuple, None]]
+# A variable's plan: the ids of its leaves and the entries of their ancestors.
+_VarPlan = tuple[list[int], list[_Step]]
+# All leaf ids, all inner-node entries, and per variable its plan or None.
+_Plans = tuple[list[int], list[_Step], list[Union[_VarPlan, None]]]
+_Saved = list[tuple[int, float, float]]
+# Where a kernel appends each changed node's old ``(nid, ub, lb)``.
+_Sink = Union[_Saved, deque]
 
 
 class NumericMode(enum.Enum):
@@ -114,6 +132,59 @@ def _combine_log(children: tuple[int, ...], weights: tuple | None, values: list[
     return acc
 
 
+def _update_linear(steps: list[_Step], ub: list[float], lb: list[float], saved: _Sink) -> None:
+    """Recompute the bounds of each node of `steps` in order, as
+    ``_combine_linear`` over `ub` and over `lb`; a node whose bounds change
+    is written and its old ``(nid, ub, lb)`` appended to `saved`."""
+    for nid, children, weights in steps:
+        if weights is None:
+            u = l = 1.0
+            for child in children:
+                u *= ub[child]
+                l *= lb[child]
+        else:
+            u = l = 0.0
+            for w, child in zip(weights, children):
+                u += w * ub[child]
+                l += w * lb[child]
+        if u != ub[nid] or l != lb[nid]:
+            saved.append((nid, ub[nid], lb[nid]))
+            ub[nid] = u
+            lb[nid] = l
+
+
+def _update_log(steps: list[_Step], ub: list[float], lb: list[float], saved: _Sink) -> None:
+    """``_update_linear`` with ``_combine_log``; ``_log_add`` is inlined with
+    its branches unchanged, so every result is the same float."""
+    neg_inf, log1p, exp = -math.inf, math.log1p, math.exp
+    for nid, children, weights in steps:
+        if weights is None:
+            u = l = 0.0
+            for child in children:
+                u += ub[child]
+                l += lb[child]
+        else:
+            u = l = neg_inf
+            for w, child in zip(weights, children):
+                x = w + ub[child]
+                if u == neg_inf:
+                    u = x
+                elif x != neg_inf:
+                    u = u + log1p(exp(x - u)) if u >= x else x + log1p(exp(u - x))
+                x = w + lb[child]
+                if l == neg_inf:
+                    l = x
+                elif x != neg_inf:
+                    l = l + log1p(exp(x - l)) if l >= x else x + log1p(exp(l - x))
+        if u != ub[nid] or l != lb[nid]:
+            saved.append((nid, ub[nid], lb[nid]))
+            ub[nid] = u
+            lb[nid] = l
+
+
+_KERNELS = {NumericMode.LINEAR: _update_linear, NumericMode.LOG: _update_log}
+
+
 def node_children(node: Node) -> tuple[int, ...]:
     if isinstance(node, ProductNode):
         return node.children
@@ -134,8 +205,8 @@ class ValidationReport:
 
 
 class Circuit:
-    """Immutable probabilistic circuit with precomputed scopes; cones and node
-    tables are built on first use."""
+    """Immutable probabilistic circuit with precomputed scopes; node tables
+    and bound-update plans are built on first use."""
 
     def __init__(self, num_vars: int, nodes: Iterable[Node]):
         self.num_vars = num_vars
@@ -159,8 +230,8 @@ class Circuit:
                     scope |= self.scopes[child]
                 self.scopes.append(frozenset(scope))
         self._report: ValidationReport | None = None
-        self._cones: list[list[int]] | None = None
         self._tables: dict[NumericMode, tuple[tuple[tuple, ...], _Combine]] = {}
+        self._plans: dict[NumericMode, _Plans] = {}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -238,16 +309,32 @@ def _node_table(c: Circuit, mode: NumericMode) -> tuple[tuple[tuple, ...], _Comb
     return table
 
 
-def _cones(c: Circuit) -> list[list[int]]:
-    """Per variable, the ascending ids of the nodes whose scope contains it;
-    built on first use and cached on the circuit."""
-    if c._cones is None:
-        cones: list[list[int]] = [[] for _ in range(c.num_vars)]
-        for nid, scope in enumerate(c.scopes):
-            for var in scope:
-                cones[var].append(nid)
-        c._cones = cones
-    return c._cones
+def _plans(c: Circuit, mode: NumericMode) -> _Plans:
+    """The circuit's bound-update plans for `mode`: the ids of all leaves, the
+    entries of all inner nodes, and per variable its plan once `_var_plan`
+    has built it. Entries are ascending by id; built on first use and cached
+    on the circuit."""
+    plans = c._plans.get(mode)
+    if plans is None:
+        nodes = _node_table(c, mode)[0]
+        leaves = [nid for nid, entry in enumerate(nodes) if len(entry) == 4]
+        steps = [(nid, *entry) for nid, entry in enumerate(nodes) if len(entry) == 2]
+        plans = c._plans[mode] = (leaves, steps, [None] * c.num_vars)
+    return plans
+
+
+def _var_plan(c: Circuit, mode: NumericMode, var: CircuitVar) -> _VarPlan:
+    """Plan of `var`: its leaves and the entries of the inner nodes whose
+    scope contains it, sharing the entries of `_plans`; built on first use."""
+    leaves, steps, by_var = _plans(c, mode)
+    plan = by_var[var]
+    if plan is None:
+        nodes, scopes = _node_table(c, mode)[0], c.scopes
+        plan = by_var[var] = (
+            [nid for nid in leaves if nodes[nid][0] == var],
+            [step for step in steps if var in scopes[step[0]]],
+        )
+    return plan
 
 
 def _leaf_value(leaf: tuple, assignment: dict, free: frozenset, pick: _Pick) -> float:
@@ -280,9 +367,9 @@ def evaluate_joint(
     mode: NumericMode = NumericMode.LINEAR,
 ) -> float:
     """Evaluate the root at a full assignment of the circuit variables."""
-    for var, cone in enumerate(_cones(c)):
-        if cone and var not in assignment:
-            raise ValueError(f"variable {var} unassigned in joint query")
+    missing = {n.var for n in c.nodes if isinstance(n, (BernoulliLeaf, IndicatorLeaf))} - assignment.keys()
+    if missing:
+        raise ValueError(f"variable {min(missing)} unassigned in joint query")
     return marginal(c, assignment, mode)
 
 
@@ -305,10 +392,13 @@ class BoundState:
     """Per-node upper/lower bounds on the root marginal under partial assignment.
 
     Variables in `shared` may be assigned True/False one at a time; all other
-    variables are latent and always marginalized. Each assignment recomputes
-    the variable's cone in ascending id order and records the previous bounds
-    of every node that changed in a trail frame, so backtracking restores them
-    bit-exactly.
+    variables are latent and always marginalized. Construction sets every
+    leaf (the larger and smaller weight of a free shared variable, the
+    summed-out mass otherwise) and runs the mode's update kernel once over
+    all inner nodes. Each assignment sets the variable's leaves and runs the
+    kernel over the variable's cached plan in ascending id order, recording
+    the previous bounds of every node that changed in a trail frame, so
+    backtracking restores them bit-exactly.
     """
 
     def __init__(
@@ -325,10 +415,23 @@ class BoundState:
                 raise ValueError(f"shared variable {var} out of range")
         self.mode = mode
         self.status: dict[CircuitVar, bool | None] = {v: None for v in self.shared}
-        self.ub: list[float] = _evaluate(circuit, mode, self.status, self.shared, max)
-        self.lb: list[float] = _evaluate(circuit, mode, self.status, self.shared, min)
+        self._nodes = nodes = _node_table(circuit, mode)[0]
+        leaves, steps, self._var_plans = _plans(circuit, mode)
+        self._update = _KERNELS[mode]
+        # Inner nodes start as NaN, unequal to every value, so the kernel
+        # writes each of them. The zero-length deque frees each saved entry
+        # at once, so the pass leaves no per-node garbage for the collector.
+        self.ub: list[float] = [math.nan] * len(nodes)
+        self.lb: list[float] = [math.nan] * len(nodes)
+        for nid in leaves:
+            var, t, f, mass = nodes[nid]
+            if var in self.shared:
+                self.ub[nid], self.lb[nid] = max(t, f), min(t, f)
+            else:
+                self.ub[nid] = self.lb[nid] = mass
+        self._update(steps, self.ub, self.lb, deque(maxlen=0))
         # frames: (level, var, [(node id, previous ub, previous lb), ...])
-        self._frames: list[tuple[int, CircuitVar, list[tuple[int, float, float]]]] = []
+        self._frames: list[tuple[int, CircuitVar, _Saved]] = []
 
     def assign(self, var: CircuitVar, val: bool, level: int) -> tuple[float, float]:
         """Fix a shared variable; returns the new (root ub, root lb)."""
@@ -336,22 +439,18 @@ class BoundState:
             raise ValueError(f"variable {var} is not shared")
         if self.status[var] is not None:
             raise ValueError(f"variable {var} already assigned")
-        saved: list[tuple[int, float, float]] = []
+        saved: _Saved = []
         self._frames.append((level, var, saved))
         self.status[var] = val
-        (nodes, combine), ub, lb = _node_table(self.circuit, self.mode), self.ub, self.lb
-        # Ids are topological: each child in the cone settles before its parent.
-        for nid in _cones(self.circuit)[var]:
-            entry = nodes[nid]
-            if len(entry) == 2:  # (children, weights): a product or sum
-                u = combine(*entry, ub)
-                l = combine(*entry, lb)
-            else:  # a leaf of `var`
-                u = l = entry[1] if val else entry[2]
-            if u != ub[nid] or l != lb[nid]:
+        leaves, steps = self._var_plans[var] or _var_plan(self.circuit, self.mode, var)
+        nodes, ub, lb, pos = self._nodes, self.ub, self.lb, 1 if val else 2
+        for nid in leaves:
+            x = nodes[nid][pos]
+            if x != ub[nid] or x != lb[nid]:
                 saved.append((nid, ub[nid], lb[nid]))
-                ub[nid] = u
-                lb[nid] = l
+                ub[nid] = lb[nid] = x
+        # Ids are topological: each child in the plan settles before its parent.
+        self._update(steps, ub, lb, saved)
         return self.root_bounds()
 
     def backtrack_bounds(self, level: int) -> None:

@@ -92,19 +92,31 @@ def _print_model(model: dict[int, bool], out) -> None:
     print("v " + " ".join(str(l) for l in lits) + " 0", file=out)
 
 
-def _read_model_file(path: str) -> dict[int, bool]:
+def _read_model_file(path: str, num_vars: int) -> dict[int, bool]:
+    """The model on the ``v`` lines of `path`: every token an integer literal
+    over variables 1..num_vars, each variable assigned exactly one value."""
     model: dict[int, bool] = {}
     for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line.startswith("v"):
+        tokens = line.split()
+        if not tokens or tokens[0] != "v":
             continue
-        for tok in line[1:].split():
-            lit = int(tok)
+        for tok in tokens[1:]:
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise ValueError(f"{path}: bad literal {tok!r}") from None
             if lit == 0:
                 continue
-            model[abs(lit)] = lit > 0
+            var = abs(lit)
+            if var > num_vars:
+                raise ValueError(f"{path}: variable {var} out of range 1..{num_vars}")
+            if model.setdefault(var, lit > 0) != (lit > 0):
+                raise ValueError(f"{path}: variable {var} assigned both values")
     if not model:
-        raise ValueError(f"no v-lines found in {path}")
+        raise ValueError(f"{path}: no v-lines found")
+    for var in range(1, num_vars + 1):
+        if var not in model:
+            raise ValueError(f"{path}: model does not assign variable {var}")
     return model
 
 
@@ -121,7 +133,7 @@ def cmd_solve(args: argparse.Namespace, out) -> int:
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
     problem = load_manifest(args.manifest)
-    model = _read_model_file(args.model)
+    model = _read_model_file(args.model, problem.cnf.num_vars)
     mode = NumericMode(args.mode)
     report = verify(problem, model, mode)
     for i, ok in enumerate(report.clause_ok):

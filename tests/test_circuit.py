@@ -23,6 +23,8 @@ from smcsat.circuit import (
     validate,
     write_pc,
 )
+from smcsat.factorgraph import compile_factor_graph
+from smcsat.problems import gen_random_bn
 from util import (
     brute_joint_sum,
     brute_minmax_over_shared,
@@ -334,10 +336,14 @@ def _dag_with_unreachable_nodes() -> Circuit:
 def test_bounds_equal_full_pass_after_every_update():
     # every node, not just the root, matches a fresh bottom-up pass
     circuits = [_dag_with_unreachable_nodes()] + [random_circuit(seed + 700, 2 + seed % 5) for seed in range(20)]
+    # compiled BNs: 3-ary products of an indicator, a constant and a sub-circuit
+    circuits += [compile_factor_graph(gen_random_bn(n, max_parents=2, seed=n)) for n in (6, 7)]
     for mode, (i, c) in itertools.product(NumericMode, enumerate(circuits)):
         rng = random.Random(i)
         shared = set(rng.sample(range(c.num_vars), rng.randint(1, c.num_vars)))
         bs = BoundState(c, shared, mode)
+        assert bs.ub == _evaluate(c, mode, bs.status, bs.shared, max)
+        assert bs.lb == _evaluate(c, mode, bs.status, bs.shared, min)
         for level in range(1, 4 * c.num_vars):
             free = [v for v in sorted(shared) if bs.status[v] is None]
             if free and rng.random() < 0.7:

@@ -1,11 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import smcsat
 from smcsat.circuit import parse_pc, partition
 from smcsat.cli import main
 from smcsat.factorgraph import enumerate_marginal, parse_uai
@@ -147,6 +149,25 @@ def test_verify_malformed_model(route_manifest, tmp_path, capsys):
     bad.write_text("no model here\n")
     code, _ = run_cli("verify", str(manifest), str(bad))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("v 1 x 0\n", "bad literal 'x'", id="bad-token"),
+        pytest.param("v 1 2 3 4 5 6 99 0\n", "variable 99 out of range 1..6", id="unknown-var"),
+        pytest.param("v 1 0\n", "model does not assign variable 2", id="missing-var"),
+        pytest.param("v 1 2 3 4 5 6 -1 0\n", "variable 1 assigned both values", id="contradiction"),
+        pytest.param("verdict PASS\n", "no v-lines found", id="no-v-line"),
+    ],
+)
+def test_verify_model_file_errors(route_manifest, tmp_path, capsys, text, message):
+    manifest = route_manifest(0.5)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code, out = run_cli("verify", str(manifest), str(bad))
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def test_oracle_reports_count(route_manifest):
@@ -296,10 +317,14 @@ def test_budget_exit_code(tmp_path):
 
 def test_module_entry_point(route_manifest):
     manifest = route_manifest(0.5)
+    # The child imports the package under test, wherever pytest found it.
+    src = str(Path(smcsat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "smcsat.cli", "solve", str(manifest)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 10
     assert "s SATISFIABLE" in proc.stdout

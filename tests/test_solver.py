@@ -281,6 +281,46 @@ def test_determinism_repeated_runs():
         assert da == db
 
 
+def _pinned_instance(seed: int, cmp: Comparator, frac: float, soft: bool) -> SmcProblem:
+    """A 3-coloured 4x4 grid against a compiled 12-variable BN, all shared."""
+    rng = random.Random(seed)
+    cnf = gen_kcolor(GridSpec(4, 4, 3), shuffle_seed=seed)
+    circuit = compile_factor_graph(gen_random_bn(12, max_parents=2, seed=seed))
+    shared = dict(zip(range(12), rng.sample(range(1, cnf.num_vars + 1), 12)))
+    b = rng.randint(1, cnf.num_vars) if soft else None
+    pred = PredicateSpec(circuit, shared, cmp, frac, ThresholdMode.PARTITION_FRACTION, b=b)
+    return SmcProblem(cnf, (pred,))
+
+
+_COUNTER_NAMES = (
+    "decisions",
+    "boolean_propagations",
+    "boolean_conflicts",
+    "prob_conflicts",
+    "prob_entailments",
+    "learned_clauses",
+    "restarts",
+    "max_decision_level",
+)
+_PINNED_COUNTERS = [
+    ((1, Comparator.GE, 0.002, False), NumericMode.LINEAR, SolveStatus.UNSAT, (25, 193, 2, 18, 0, 19, 0, 14)),
+    ((2, Comparator.GE, 0.0005, False), NumericMode.LOG, SolveStatus.SAT, (24, 162, 0, 15, 0, 15, 0, 9)),
+    ((1, Comparator.LE, 0.002, True), NumericMode.LINEAR, SolveStatus.SAT, (36, 229, 2, 17, 0, 19, 0, 14)),
+    ((0, Comparator.LE, 0.05, True), NumericMode.LOG, SolveStatus.SAT, (13, 62, 0, 2, 1, 3, 0, 11)),
+]
+
+
+@pytest.mark.parametrize("instance, mode, status, counters", _PINNED_COUNTERS)
+def test_search_counters_pinned(instance, mode, status, counters):
+    # A change meant only to speed up bound tracking must leave the search,
+    # and so every counter, exactly as it was.
+    result = solve(_pinned_instance(*instance), SolverConfig(numeric_mode=mode))
+    stats = asdict(result.stats)
+    stats.pop("wall_time")
+    assert result.status is status
+    assert stats == dict(zip(_COUNTER_NAMES, counters))
+
+
 # ----------------------------------------------------------------- budget
 
 def test_conflict_budget_exhaustion():
