@@ -1,14 +1,9 @@
 """Exact satisfiability-modulo-counting solving over probabilistic circuits."""
 
 from .circuit import (
-    BernoulliLeaf,
     BoundState,
     Circuit,
-    ConstantLeaf,
-    IndicatorLeaf,
     NumericMode,
-    ProductNode,
-    SumNode,
     evaluate_joint,
     marginal,
     parse_pc,
@@ -36,24 +31,19 @@ from .sweep import SweepResult, sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliLeaf",
     "BoundState",
     "Circuit",
     "CnfFormula",
     "Comparator",
-    "ConstantLeaf",
     "FactorGraph",
-    "IndicatorLeaf",
     "NumericMode",
     "PartialAssignment",
     "PredicateSpec",
-    "ProductNode",
     "SmcProblem",
     "SolveResult",
     "SolveStatus",
     "SolverConfig",
     "Stats",
-    "SumNode",
     "SweepResult",
     "ThresholdMode",
     "brute_solve",

@@ -1,17 +1,25 @@
 """Probabilistic circuits: file format, validation, inference, bound tracking.
 
-A circuit is a DAG of leaf, product and sum nodes in topological file order
+A circuit is a DAG of leaf, product and sum nodes in topological order
 (children precede parents, root is the last node). Smoothness (sum children
 share a scope) and decomposability (product children have disjoint scopes)
 make marginal queries a single bottom-up pass. Circuits may be unnormalized;
 the total mass plays the role of the partition function.
 
-Evaluation and bound tracking read one node table per numeric mode, with
-weights already in the mode's value space: entry ``nid`` is ``(var, value if
-true, value if false, summed-out mass)`` for a leaf (``var`` is -1 for a
-constant) and ``(children, sum weights or None)`` for a product or sum.
-``marginal`` and ``partition`` evaluate it with one leaf rule and one combine
-function per mode.
+A circuit is stored once, as one row per node with weights in linear value
+space:
+
+- a leaf is ``(var, w_true, w_false)``. An indicator is ``(var, 1.0, 0.0)``
+  or ``(var, 0.0, 1.0)``, and a constant ``v`` is ``(-1, v, 0.0)``. An
+  unassigned leaf contributes its summed-out mass, the sum of its weights;
+- a product is ``(children, None)`` and a sum ``(children, weights)``.
+
+``Circuit.scopes`` holds each node's scope as an ``int`` bitmask, bit ``v``
+set for variable ``v``. Linear mode reads the rows as they are; log mode
+reads a copy with every weight mapped through ``math.log`` (zero to
+``-inf``), built on first use and cached on the circuit. ``marginal`` and
+``partition`` evaluate the rows with one leaf rule and one combine function
+per mode.
 
 ``BoundState`` maintains, per node, an upper and lower bound on the marginal
 mass under a partial assignment of the shared (decision) variables. Its work
@@ -48,37 +56,7 @@ class CircuitStructureError(ValueError):
     """Raised when an operation requires smoothness/decomposability and it fails."""
 
 
-@dataclass(frozen=True)
-class BernoulliLeaf:
-    var: CircuitVar
-    w_true: float
-    w_false: float
-
-
-@dataclass(frozen=True)
-class IndicatorLeaf:
-    var: CircuitVar
-    sign: bool
-
-
-@dataclass(frozen=True)
-class ConstantLeaf:
-    value: float
-
-
-@dataclass(frozen=True)
-class ProductNode:
-    children: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SumNode:
-    children: tuple[tuple[float, int], ...]  # (weight, child id)
-
-
-Node = Union[BernoulliLeaf, IndicatorLeaf, ConstantLeaf, ProductNode, SumNode]
-
-
+_Add = Callable[[float, float], float]
 _Combine = Callable[[tuple, tuple | None, list], float]
 _Pick = Callable[[float, float], float]
 # A plan entry: an inner node's id, children and sum weights (None for a product).
@@ -104,6 +82,10 @@ def _log_add(a: float, b: float) -> float:
         return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
+
+
+def _log_weight(w: float) -> float:
+    return math.log(w) if w > 0.0 else -math.inf
 
 
 def _combine_linear(children: tuple[int, ...], weights: tuple | None, values: list[float]) -> float:
@@ -182,15 +164,12 @@ def _update_log(steps: list[_Step], ub: list[float], lb: list[float], saved: _Si
             lb[nid] = l
 
 
-_KERNELS = {NumericMode.LINEAR: _update_linear, NumericMode.LOG: _update_log}
-
-
-def node_children(node: Node) -> tuple[int, ...]:
-    if isinstance(node, ProductNode):
-        return node.children
-    if isinstance(node, SumNode):
-        return tuple(c for _, c in node.children)
-    return ()
+# Per mode: how a leaf's weights sum out, how an inner node combines its
+# children's values, and the fused bound-update kernel.
+_OPS: dict[NumericMode, tuple[_Add, _Combine, Callable]] = {
+    NumericMode.LINEAR: (operator.add, _combine_linear, _update_linear),
+    NumericMode.LOG: (_log_add, _combine_log, _update_log),
+}
 
 
 @dataclass(frozen=True)
@@ -205,32 +184,38 @@ class ValidationReport:
 
 
 class Circuit:
-    """Immutable probabilistic circuit with precomputed scopes; node tables
-    and bound-update plans are built on first use."""
+    """Immutable probabilistic circuit: its rows (see the module docstring)
+    and the bitmask scope of every node. Log-weight rows and bound-update
+    plans are built on first use."""
 
-    def __init__(self, num_vars: int, nodes: Iterable[Node]):
+    def __init__(self, num_vars: int, nodes: Iterable[tuple]):
         self.num_vars = num_vars
-        self.nodes: tuple[Node, ...] = tuple(nodes)
+        self.nodes: tuple[tuple, ...] = tuple(nodes)
         if not self.nodes:
             raise PcFormatError("circuit has no nodes")
         self.root = len(self.nodes) - 1
-        self.scopes: list[frozenset[CircuitVar]] = []
-        for nid, node in enumerate(self.nodes):
-            if isinstance(node, (BernoulliLeaf, IndicatorLeaf)):
-                if node.var < 0 or node.var >= num_vars:
-                    raise PcFormatError(f"node {nid}: variable {node.var} out of range")
-                self.scopes.append(frozenset((node.var,)))
-            elif isinstance(node, ConstantLeaf):
-                self.scopes.append(frozenset())
-            else:
-                scope: set[CircuitVar] = set()
-                for child in node_children(node):
-                    if child < 0 or child >= nid:
-                        raise PcFormatError(f"node {nid}: child {child} is not an earlier node")
-                    scope |= self.scopes[child]
-                self.scopes.append(frozenset(scope))
+        self.scopes: list[int] = []
+        for nid, row in enumerate(self.nodes):
+            if len(row) == 3:
+                var = row[0]
+                if 0 <= var < num_vars:
+                    self.scopes.append(1 << var)
+                elif var == -1 and row[2] == 0.0:
+                    self.scopes.append(0)
+                else:
+                    raise PcFormatError(f"node {nid}: variable {var} out of range")
+                continue
+            children, weights = row
+            if weights is not None and len(weights) != len(children):
+                raise PcFormatError(f"node {nid}: {len(weights)} weights for {len(children)} children")
+            scope = 0
+            for child in children:
+                if child < 0 or child >= nid:
+                    raise PcFormatError(f"node {nid}: child {child} is not an earlier node")
+                scope |= self.scopes[child]
+            self.scopes.append(scope)
         self._report: ValidationReport | None = None
-        self._tables: dict[NumericMode, tuple[tuple[tuple, ...], _Combine]] = {}
+        self._log_nodes: tuple[tuple, ...] | None = None
         self._plans: dict[NumericMode, _Plans] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -256,57 +241,36 @@ def validate(c: Circuit) -> ValidationReport:
     if c._report is not None:
         return c._report
     violations: list[tuple[str, int]] = []
-    smooth = True
-    decomposable = True
-    for nid, node in enumerate(c.nodes):
-        if isinstance(node, SumNode):
-            child_scopes = {c.scopes[child] for _, child in node.children}
-            if len(child_scopes) > 1:
-                smooth = False
-                violations.append(("smoothness", nid))
-        elif isinstance(node, ProductNode):
-            seen: set[CircuitVar] = set()
-            for child in node.children:
-                if seen & c.scopes[child]:
-                    decomposable = False
-                    violations.append(("decomposability", nid))
-                    break
-                seen |= c.scopes[child]
-    report = ValidationReport(smooth, decomposable, tuple(violations))
+    for nid, row in enumerate(c.nodes):
+        if len(row) == 3:
+            continue
+        children, weights = row
+        scope = c.scopes[nid]
+        if weights is None:
+            # Disjoint child scopes have as many variables as their union.
+            if sum(c.scopes[child].bit_count() for child in children) != scope.bit_count():
+                violations.append(("decomposability", nid))
+        elif any(c.scopes[child] != scope for child in children):
+            violations.append(("smoothness", nid))
+    kinds = {kind for kind, _ in violations}
+    report = ValidationReport("smoothness" not in kinds, "decomposability" not in kinds, tuple(violations))
     c._report = report
     return report
 
 
-def _node_table(c: Circuit, mode: NumericMode) -> tuple[tuple[tuple, ...], _Combine]:
-    """The circuit's node table for `mode` (see the module docstring) and the
-    mode's combine function; built on first use and cached on the circuit."""
-    table = c._tables.get(mode)
-    if table is not None:
-        return table
-    log = mode is NumericMode.LOG
-    zero, one = (-math.inf, 0.0) if log else (0.0, 1.0)
-    add, combine = (_log_add, _combine_log) if log else (operator.add, _combine_linear)
-
-    def weight(w: float) -> float:
-        return (math.log(w) if w > 0.0 else -math.inf) if log else w
-
-    nodes: list[tuple] = []
-    for node in c.nodes:
-        if isinstance(node, ProductNode):
-            nodes.append((node.children, None))
-        elif isinstance(node, SumNode):
-            nodes.append((node_children(node), tuple(weight(w) for w, _ in node.children)))
-        elif isinstance(node, ConstantLeaf):
-            v = weight(node.value)
-            nodes.append((-1, v, v, v))
-        else:
-            if isinstance(node, BernoulliLeaf):
-                t, f = weight(node.w_true), weight(node.w_false)
-            else:
-                t, f = (one, zero) if node.sign else (zero, one)
-            nodes.append((node.var, t, f, add(t, f)))
-    table = c._tables[mode] = (tuple(nodes), combine)
-    return table
+def _rows(c: Circuit, mode: NumericMode) -> tuple[tuple, ...]:
+    """The circuit's rows with weights in `mode`'s value space; the log rows
+    are built on first use and cached on the circuit."""
+    if mode is NumericMode.LINEAR:
+        return c.nodes
+    if c._log_nodes is None:
+        c._log_nodes = tuple(
+            (row[0], _log_weight(row[1]), _log_weight(row[2]))
+            if len(row) == 3
+            else (row[0], None if row[1] is None else tuple(map(_log_weight, row[1])))
+            for row in c.nodes
+        )
+    return c._log_nodes
 
 
 def _plans(c: Circuit, mode: NumericMode) -> _Plans:
@@ -316,9 +280,9 @@ def _plans(c: Circuit, mode: NumericMode) -> _Plans:
     on the circuit."""
     plans = c._plans.get(mode)
     if plans is None:
-        nodes = _node_table(c, mode)[0]
-        leaves = [nid for nid, entry in enumerate(nodes) if len(entry) == 4]
-        steps = [(nid, *entry) for nid, entry in enumerate(nodes) if len(entry) == 2]
+        nodes = _rows(c, mode)
+        leaves = [nid for nid, row in enumerate(nodes) if len(row) == 3]
+        steps = [(nid, *row) for nid, row in enumerate(nodes) if len(row) == 2]
         plans = c._plans[mode] = (leaves, steps, [None] * c.num_vars)
     return plans
 
@@ -329,35 +293,36 @@ def _var_plan(c: Circuit, mode: NumericMode, var: CircuitVar) -> _VarPlan:
     leaves, steps, by_var = _plans(c, mode)
     plan = by_var[var]
     if plan is None:
-        nodes, scopes = _node_table(c, mode)[0], c.scopes
+        nodes, scopes, bit = c.nodes, c.scopes, 1 << var
         plan = by_var[var] = (
             [nid for nid in leaves if nodes[nid][0] == var],
-            [step for step in steps if var in scopes[step[0]]],
+            [step for step in steps if scopes[step[0]] & bit],
         )
     return plan
 
 
-def _leaf_value(leaf: tuple, assignment: dict, free: frozenset, pick: _Pick) -> float:
+def _leaf_value(leaf: tuple, assignment: dict, free: frozenset, pick: _Pick, add: _Add) -> float:
     """An assigned leaf takes its weight; an unassigned one takes `pick` of
     its two weights if its variable is `free`, else its summed-out mass."""
-    var, t, f, mass = leaf
+    var, t, f = leaf
     val = assignment.get(var)
     if val is None:
-        return pick(t, f) if var in free else mass
+        return pick(t, f) if var in free else add(t, f)
     return t if val else f
 
 
 def _evaluate(
     c: Circuit, mode: NumericMode, assignment: dict, free: frozenset = frozenset(), pick: _Pick = max
 ) -> list[float]:
-    """Value of every node in one bottom-up pass over the mode's node table."""
-    nodes, combine = _node_table(c, mode)
+    """Value of every node in one bottom-up pass over the mode's rows."""
+    nodes = _rows(c, mode)
+    add, combine, _ = _OPS[mode]
     values = [0.0] * len(nodes)
-    for nid, entry in enumerate(nodes):
-        if len(entry) == 2:  # (children, weights): a product or sum
-            values[nid] = combine(*entry, values)
+    for nid, row in enumerate(nodes):
+        if len(row) == 2:
+            values[nid] = combine(*row, values)
         else:
-            values[nid] = _leaf_value(entry, assignment, free, pick)
+            values[nid] = _leaf_value(row, assignment, free, pick, add)
     return values
 
 
@@ -367,7 +332,7 @@ def evaluate_joint(
     mode: NumericMode = NumericMode.LINEAR,
 ) -> float:
     """Evaluate the root at a full assignment of the circuit variables."""
-    missing = {n.var for n in c.nodes if isinstance(n, (BernoulliLeaf, IndicatorLeaf))} - assignment.keys()
+    missing = {row[0] for row in c.nodes if len(row) == 3 and row[0] >= 0} - assignment.keys()
     if missing:
         raise ValueError(f"variable {min(missing)} unassigned in joint query")
     return marginal(c, assignment, mode)
@@ -415,20 +380,20 @@ class BoundState:
                 raise ValueError(f"shared variable {var} out of range")
         self.mode = mode
         self.status: dict[CircuitVar, bool | None] = {v: None for v in self.shared}
-        self._nodes = nodes = _node_table(circuit, mode)[0]
+        self._nodes = nodes = _rows(circuit, mode)
+        add, _, self._update = _OPS[mode]
         leaves, steps, self._var_plans = _plans(circuit, mode)
-        self._update = _KERNELS[mode]
         # Inner nodes start as NaN, unequal to every value, so the kernel
         # writes each of them. The zero-length deque frees each saved entry
         # at once, so the pass leaves no per-node garbage for the collector.
         self.ub: list[float] = [math.nan] * len(nodes)
         self.lb: list[float] = [math.nan] * len(nodes)
         for nid in leaves:
-            var, t, f, mass = nodes[nid]
+            var, t, f = nodes[nid]
             if var in self.shared:
                 self.ub[nid], self.lb[nid] = max(t, f), min(t, f)
             else:
-                self.ub[nid] = self.lb[nid] = mass
+                self.ub[nid] = self.lb[nid] = add(t, f)
         self._update(steps, self.ub, self.lb, deque(maxlen=0))
         # frames: (level, var, [(node id, previous ub, previous lb), ...])
         self._frames: list[tuple[int, CircuitVar, _Saved]] = []
@@ -469,11 +434,63 @@ class BoundState:
         return [var for _, var, _ in self._frames]
 
 
+# The syntax of each PC node line, keyed by its tag.
+_PC_LINES = {
+    "l": "l <var> <w_true> <w_false>",
+    "i": "i <var> <sign>",
+    "c": "c <value>",
+    "p": "p <k> <c1> ... <ck>",
+    "s": "s <k> <w1> <c1> ... <wk> <ck>",
+}
+
+
+def _pc_weight(tok: str) -> float:
+    try:
+        w = float(tok)
+    except ValueError:
+        raise PcFormatError(f"bad number {tok!r}") from None
+    if not math.isfinite(w) or w < 0.0:
+        raise PcFormatError(f"negative or non-finite weight {tok}")
+    return w
+
+
+def _pc_var(tok: str) -> CircuitVar:
+    var = int(tok)
+    if var < 0:  # -1 would read as a constant; the upper range is the circuit's check
+        raise PcFormatError(f"variable {var} out of range")
+    return var
+
+
+def _pc_row(tag: str, args: list[str]) -> tuple:
+    """The row of one PC node line, split into its tag and arguments."""
+    if tag == "l" and len(args) == 3:
+        return (_pc_var(args[0]), _pc_weight(args[1]), _pc_weight(args[2]))
+    if tag == "i" and len(args) == 2:
+        if args[1] not in ("0", "1"):
+            raise PcFormatError(f"indicator sign must be 0 or 1, got {args[1]!r}")
+        var = _pc_var(args[0])
+        return (var, 1.0, 0.0) if args[1] == "1" else (var, 0.0, 1.0)
+    if tag == "c" and len(args) == 1:
+        return (-1, _pc_weight(args[0]), 0.0)
+    if tag == "p" and args:
+        if len(args) - 1 != int(args[0]):
+            raise PcFormatError("product child count mismatch")
+        return (tuple(int(t) for t in args[1:]), None)
+    if tag == "s" and args:
+        if len(args) - 1 != 2 * int(args[0]):
+            raise PcFormatError("sum arity mismatch")
+        return (tuple(int(t) for t in args[2::2]), tuple(_pc_weight(t) for t in args[1::2]))
+    if tag in _PC_LINES:
+        raise PcFormatError(f"expected '{_PC_LINES[tag]}'")
+    raise PcFormatError(f"unknown node tag {tag!r}")
+
+
 def parse_pc(text: str) -> Circuit:
-    """Parse the PC text format.
+    """Parse the PC text format into circuit rows.
 
     Header ``pc <num_nodes> <num_vars>``, then one node per line in
-    topological order: ``l <var> <w_true> <w_false>``, ``i <var> <sign>``,
+    topological order: ``l <var> <w_true> <w_false>``, ``i <var> <sign>``
+    (sign 1 or 0; read as ``l <var> 1.0 0.0`` or ``l <var> 0.0 1.0``),
     ``c <value>``, ``p <k> <c1> ... <ck>``, ``s <k> <w1> <c1> ... <wk> <ck>``.
     Blank lines and ``#`` comments are ignored.
     """
@@ -490,73 +507,28 @@ def parse_pc(text: str) -> Circuit:
         raise PcFormatError(f"malformed header: {lines[0]!r}") from exc
     if len(lines) - 1 != num_nodes:
         raise PcFormatError(f"header declares {num_nodes} nodes, found {len(lines) - 1}")
-
-    def parse_weight(tok: str, nid: int) -> float:
-        try:
-            w = float(tok)
-        except ValueError as exc:
-            raise PcFormatError(f"node {nid}: bad number {tok!r}") from exc
-        if not math.isfinite(w) or w < 0.0:
-            raise PcFormatError(f"node {nid}: negative or non-finite weight {tok}")
-        return w
-
-    nodes: list[Node] = []
+    nodes: list[tuple] = []
     for nid, line in enumerate(lines[1:]):
-        toks = line.split()
-        tag = toks[0]
+        tag, *args = line.split()
         try:
-            if tag == "l":
-                if len(toks) != 4:
-                    raise PcFormatError(f"node {nid}: expected 'l <var> <w_true> <w_false>'")
-                var = int(toks[1])
-                node: Node = BernoulliLeaf(var, parse_weight(toks[2], nid), parse_weight(toks[3], nid))
-            elif tag == "i":
-                if len(toks) != 3:
-                    raise PcFormatError(f"node {nid}: expected 'i <var> <sign>'")
-                node = IndicatorLeaf(int(toks[1]), toks[2] == "1")
-            elif tag == "c":
-                if len(toks) != 2:
-                    raise PcFormatError(f"node {nid}: expected 'c <value>'")
-                node = ConstantLeaf(parse_weight(toks[1], nid))
-            elif tag == "p":
-                k = int(toks[1])
-                children = [int(t) for t in toks[2:]]
-                if len(children) != k:
-                    raise PcFormatError(f"node {nid}: product child count mismatch")
-                node = ProductNode(tuple(children))
-            elif tag == "s":
-                k = int(toks[1])
-                rest = toks[2:]
-                if len(rest) != 2 * k:
-                    raise PcFormatError(f"node {nid}: sum arity mismatch")
-                pairs = tuple(
-                    (parse_weight(rest[2 * j], nid), int(rest[2 * j + 1])) for j in range(k)
-                )
-                node = SumNode(pairs)
-            else:
-                raise PcFormatError(f"node {nid}: unknown node tag {tag!r}")
+            nodes.append(_pc_row(tag, args))
         except ValueError as exc:
             raise PcFormatError(f"node {nid}: {exc}") from exc
-        nodes.append(node)
     return Circuit(num_vars, nodes)
 
 
 def write_pc(c: Circuit) -> str:
-    """Serialize a circuit; round-trips through parse_pc."""
+    """Serialize a circuit; round-trips through parse_pc. Indicator leaves
+    are written as ``l`` lines."""
     lines = [f"pc {len(c.nodes)} {c.num_vars}"]
-    for node in c.nodes:
-        if isinstance(node, BernoulliLeaf):
-            lines.append(f"l {node.var} {node.w_true!r} {node.w_false!r}")
-        elif isinstance(node, IndicatorLeaf):
-            lines.append(f"i {node.var} {1 if node.sign else 0}")
-        elif isinstance(node, ConstantLeaf):
-            lines.append(f"c {node.value!r}")
-        elif isinstance(node, ProductNode):
-            lines.append("p " + " ".join(str(x) for x in (len(node.children),) + node.children))
+    for row in c.nodes:
+        if len(row) == 3:
+            var, t, f = row
+            lines.append(f"c {t!r}" if var == -1 else f"l {var} {t!r} {f!r}")
+        elif row[1] is None:
+            lines.append(" ".join(["p", str(len(row[0])), *map(str, row[0])]))
         else:
-            parts = [str(len(node.children))]
-            for w, child in node.children:
-                parts.append(repr(w))
-                parts.append(str(child))
-            lines.append("s " + " ".join(parts))
+            children, weights = row
+            pairs = [f"{w!r} {child}" for w, child in zip(weights, children)]
+            lines.append(" ".join(["s", str(len(children)), *pairs]))
     return "\n".join(lines) + "\n"

@@ -15,14 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .circuit import (
-    Circuit,
-    ConstantLeaf,
-    IndicatorLeaf,
-    Node,
-    ProductNode,
-    SumNode,
-)
+from .circuit import Circuit
 
 
 class UaiFormatError(ValueError):
@@ -155,7 +148,6 @@ def enumerate_marginal(
 def compile_factor_graph(
     fg: FactorGraph,
     order: Sequence[int] | None = None,
-    memoize: bool = True,
     cap: int = 20,
 ) -> Circuit:
     """Compile a factor graph into a smooth, decomposable circuit.
@@ -181,45 +173,53 @@ def compile_factor_graph(
     completes_at: dict[int, list[Factor]] = {}
     for factor in fg.factors:
         completes_at.setdefault(max(position[v] for v in factor.scope), []).append(factor)
-    # After finishing step i, a decided variable stays relevant while some
-    # factor completing later mentions it.
-    relevant_after: list[frozenset[int]] = []
-    for depth in range(fg.num_vars + 1):
+    # Step d decides order[d], completes its factors, and keeps the decided
+    # variables that some factor completing at a later step mentions.
+    steps: list[tuple[int, list[Factor], frozenset[int]]] = []
+    for depth, var in enumerate(order):
         keep: set[int] = set()
         for step, facs in completes_at.items():
-            if step >= depth:
+            if step > depth:
                 for factor in facs:
-                    keep.update(v for v in factor.scope if position[v] < depth)
-        relevant_after.append(frozenset(keep))
-
-    nodes: list[Node] = []
-    memo: dict[tuple[int, tuple[tuple[int, bool], ...]], int] = {}
-
-    def emit(node: Node) -> int:
-        nodes.append(node)
-        return len(nodes) - 1
-
-    def build(depth: int, context: dict[int, bool]) -> int:
-        key = (depth, tuple(sorted(context.items())))
-        if memoize and key in memo:
-            return memo[key]
-        var = order[depth]
-        branches: list[tuple[float, int]] = []
-        for val in (True, False):
-            extended = dict(context)
-            extended[var] = val
-            children = [emit(IndicatorLeaf(var, val))]
-            for factor in completes_at.get(depth, ()):
-                children.append(emit(ConstantLeaf(factor.value(extended))))
-            if depth + 1 < fg.num_vars:
-                sub_context = {v: extended[v] for v in relevant_after[depth + 1] if v in extended}
-                children.append(build(depth + 1, sub_context))
-            branches.append((1.0, emit(ProductNode(tuple(children)))))
-        nid = emit(SumNode(tuple(branches)))
-        if memoize:
-            memo[key] = nid
-        return nid
-
-    root = build(0, {})
+                    keep.update(v for v in factor.scope if position[v] <= depth)
+        steps.append((var, completes_at.get(depth, []), frozenset(keep)))
+    nodes: list[tuple] = []
+    root = _expand(steps, 0, {}, nodes, {})
     assert root == len(nodes) - 1
     return Circuit(fg.num_vars, nodes)
+
+
+def _expand(
+    steps: list[tuple[int, list[Factor], frozenset[int]]],
+    depth: int,
+    context: dict[int, bool],
+    nodes: list[tuple],
+    memo: dict[tuple, int],
+) -> int:
+    """Append the circuit rows of `steps[depth:]` under the decided `context`
+    to `nodes` and return the id of their root. Each step is a variable, the
+    factors completed by deciding it, and the decided variables still
+    relevant after it; `memo` maps ``(depth, context)`` to an emitted id.
+    A module-level function, because a nested one that calls itself refers
+    to itself through its closure and leaves each compile as cyclic garbage."""
+    key = (depth, tuple(sorted(context.items())))
+    if key in memo:
+        return memo[key]
+    var, completing, relevant = steps[depth]
+    branches: list[int] = []
+    for val in (True, False):
+        extended = dict(context)
+        extended[var] = val
+        nodes.append((var, 1.0, 0.0) if val else (var, 0.0, 1.0))
+        children = [len(nodes) - 1]
+        for factor in completing:
+            nodes.append((-1, factor.value(extended), 0.0))
+            children.append(len(nodes) - 1)
+        if depth + 1 < len(steps):
+            sub_context = {v: extended[v] for v in relevant if v in extended}
+            children.append(_expand(steps, depth + 1, sub_context, nodes, memo))
+        nodes.append((tuple(children), None))
+        branches.append(len(nodes) - 1)
+    nodes.append((tuple(branches), (1.0, 1.0)))
+    memo[key] = len(nodes) - 1
+    return memo[key]

@@ -10,12 +10,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .circuit import (
-    BernoulliLeaf,
-    Circuit,
-    IndicatorLeaf,
-    parse_pc,
-)
+from .circuit import Circuit, parse_pc
 from .factorgraph import Factor, FactorGraph, compile_factor_graph, parse_uai
 from .formula import CnfFormula, Lit, Var, parse_dimacs
 from .solver import Comparator, PredicateSpec, SmcProblem, ThresholdMode
@@ -286,23 +281,17 @@ def gen_random_bn(
 def marginalize_false_circuit(c: Circuit) -> Circuit:
     """Reinterpret False assignments as "don't care".
 
-    Every leaf keeps its True weight but its False weight becomes the
-    leaf's total mass, so evaluating the result at a selection vector x
+    Every variable leaf keeps its True weight but its False weight becomes
+    the leaf's total mass (constants stay as they are), so evaluating the result at a selection vector x
     yields the original circuit's marginal with evidence v=True for every
     selected v and everything unselected summed out. This turns a
     disaster/survival model over components into a circuit whose joint at
     x is the success probability of the selected component set.
     """
-    nodes = []
-    for node in c.nodes:
-        if isinstance(node, BernoulliLeaf):
-            nodes.append(BernoulliLeaf(node.var, node.w_true, node.w_true + node.w_false))
-        elif isinstance(node, IndicatorLeaf):
-            wt = 1.0 if node.sign else 0.0
-            nodes.append(BernoulliLeaf(node.var, wt, 1.0))
-        else:
-            nodes.append(node)
-    return Circuit(c.num_vars, nodes)
+    return Circuit(
+        c.num_vars,
+        ((row[0], row[1], row[1] + row[2]) if len(row) == 3 and row[0] >= 0 else row for row in c.nodes),
+    )
 
 
 def select_shared_vars(

@@ -5,16 +5,11 @@ import random
 import pytest
 
 from smcsat.circuit import (
-    BernoulliLeaf,
     BoundState,
     Circuit,
     CircuitStructureError,
-    ConstantLeaf,
-    IndicatorLeaf,
     NumericMode,
     PcFormatError,
-    ProductNode,
-    SumNode,
     _evaluate,
     evaluate_joint,
     marginal,
@@ -26,6 +21,7 @@ from smcsat.circuit import (
 from smcsat.factorgraph import compile_factor_graph
 from smcsat.problems import gen_random_bn
 from util import (
+    TWO_ROUTE_CIRCUIT_TEXT,
     brute_joint_sum,
     brute_minmax_over_shared,
     two_route_circuit,
@@ -38,20 +34,31 @@ from util import (
 
 def test_parse_two_route_circuit(route_circuit):
     assert len(route_circuit.nodes) == 15
-    root = route_circuit.nodes[route_circuit.root]
-    assert isinstance(root, SumNode)
-    assert [w for w, _ in root.children] == [0.5, 0.5]
-    assert route_circuit.scopes[route_circuit.root] == frozenset({0, 1, 2, 3})
+    _, weights = route_circuit.nodes[route_circuit.root]
+    assert weights is not None  # a sum
+    assert list(weights) == [0.5, 0.5]
+    assert route_circuit.scopes[route_circuit.root] == 0b1111
 
 
 def test_parse_single_leaf():
     c = parse_pc("pc 1 1\nl 0 0.3 0.7")
-    assert c.nodes == (BernoulliLeaf(0, 0.3, 0.7),)
+    assert c.nodes == ((0, 0.3, 0.7),)
 
 
 def test_parse_forward_reference():
     with pytest.raises(PcFormatError):
         parse_pc("pc 2 1\np 1 1\nl 0 0.5 0.5")
+
+
+def test_circuit_rejects_malformed_rows():
+    for rows in (
+        [(0, 0.5, 0.5), (0, 0.5, 0.5), ((0, 1), (1.0,))],  # one weight for two children
+        [(-1, 0.5, 0.5)],  # a constant's false weight is 0.0
+        [(1, 0.5, 0.5)],  # variable out of range
+        [((1,), None), (0, 0.5, 0.5)],  # child after its parent
+    ):
+        with pytest.raises(PcFormatError):
+            Circuit(1, rows)
 
 
 def test_parse_errors():
@@ -65,12 +72,29 @@ def test_parse_errors():
         parse_pc("pc 2 1\nl 0 0.5 0.5")  # node count mismatch
     with pytest.raises(PcFormatError):
         parse_pc("pc 2 1\nl 0 0.5 0.5\np 1 -1")  # negative child id
+    for line in ("p", "s"):  # no count
+        with pytest.raises(PcFormatError):
+            parse_pc(f"pc 2 1\nl 0 .5 .5\n{line}")
+    for sign in ("2", "x"):  # an indicator sign is 0 or 1
+        with pytest.raises(PcFormatError):
+            parse_pc(f"pc 1 1\ni 0 {sign}")
+    with pytest.raises(PcFormatError) as err:
+        parse_pc("pc 2 1\nl 0 .5 .5\np 2 0")
+    assert str(err.value) == "node 1: product child count mismatch"
+
+
+def test_node_count_is_len_nodes():
+    # perfbench reads circuit size as len(circuit.nodes)
+    assert len(parse_pc(TWO_ROUTE_CIRCUIT_TEXT).nodes) == 15
+    for n, count in ((6, 189), (7, 161), (10, 427)):
+        c = compile_factor_graph(gen_random_bn(n, max_parents=2, seed=n))
+        assert len(c.nodes) == count == int(write_pc(c).split()[1])
 
 
 def test_parse_comments_and_scientific():
     c = parse_pc("# comment\npc 1 1\n\nl 0 3e-1 7e-1\n")
     leaf = c.nodes[0]
-    assert leaf == BernoulliLeaf(0, 0.3, 0.7)
+    assert leaf == (0, 0.3, 0.7)
 
 
 def test_write_roundtrips():
@@ -80,6 +104,12 @@ def test_write_roundtrips():
         parse_pc("pc 1 1\nc 2.5"),
     ):
         assert parse_pc(write_pc(c)) == c
+
+
+def test_write_pc_golden():
+    # perfbench writes its supply-sweep PC files through write_pc
+    c = parse_pc("pc 6 2\nl 0 0.25 0.75\nc 2.5\ni 1 1\np 2 0 2\np 3 0 1 2\ns 2 0.5 3 1e-3 4\n")
+    assert write_pc(c) == "pc 6 2\nl 0 0.25 0.75\nc 2.5\nl 1 1.0 0.0\np 2 0 2\np 3 0 1 2\ns 2 0.5 3 0.001 4\n"
 
 
 def test_write_roundtrip_random():
@@ -96,7 +126,7 @@ def test_validate_two_route_circuit(route_circuit):
 
 
 def test_validate_not_decomposable():
-    c = Circuit(1, [BernoulliLeaf(0, 0.5, 0.5), BernoulliLeaf(0, 0.5, 0.5), ProductNode((0, 1))])
+    c = Circuit(1, [(0, 0.5, 0.5), (0, 0.5, 0.5), ((0, 1), None)])
     report = validate(c)
     assert not report.decomposable
     assert ("decomposability", 2) in report.violations
@@ -106,9 +136,9 @@ def test_validate_not_smooth():
     c = Circuit(
         2,
         [
-            BernoulliLeaf(0, 0.5, 0.5),
-            BernoulliLeaf(1, 0.5, 0.5),
-            SumNode(((1.0, 0), (1.0, 1))),
+            (0, 0.5, 0.5),
+            (1, 0.5, 0.5),
+            ((0, 1), (1.0, 1.0)),
         ],
     )
     report = validate(c)
@@ -120,38 +150,38 @@ def test_validate_flags_planted_violations():
     # mutate random valid circuits and check the violation is caught
     for seed in range(20):
         c = random_circuit(seed, 4)
-        prod_ids = [i for i, n in enumerate(c.nodes) if isinstance(n, ProductNode)]
+        prod_ids = [i for i, n in enumerate(c.nodes) if len(n) == 2 and n[1] is None]
         sum_ids = [
             i
             for i, n in enumerate(c.nodes)
-            if isinstance(n, SumNode) and len({c.scopes[ch] for _, ch in n.children}) == 1
+            if len(n) == 2 and n[1] is not None and len({c.scopes[ch] for ch in n[0]}) == 1
         ]
         rng = random.Random(seed)
         nodes = list(c.nodes)
         if prod_ids:
             # duplicate a child: scope overlap
             nid = rng.choice(prod_ids)
-            node = nodes[nid]
-            nodes[nid] = ProductNode(node.children + (node.children[0],))
+            children, _ = nodes[nid]
+            nodes[nid] = (children + (children[0],), None)
             mutated = Circuit(c.num_vars, nodes)
             assert not validate(mutated).decomposable
         elif sum_ids:
             nid = rng.choice(sum_ids)
-            node = nodes[nid]
+            children, weights = nodes[nid]
             # splice in a child with a different scope
             donor = next(
-                (j for j in range(nid) if c.scopes[j] and c.scopes[j] != c.scopes[node.children[0][1]]),
+                (j for j in range(nid) if c.scopes[j] and c.scopes[j] != c.scopes[children[0]]),
                 None,
             )
             if donor is None:
                 continue
-            nodes[nid] = SumNode(node.children + ((1.0, donor),))
+            nodes[nid] = (children + (donor,), weights + (1.0,))
             mutated = Circuit(c.num_vars, nodes)
             assert not validate(mutated).smooth
 
 
 def test_marginal_requires_validity():
-    bad = Circuit(1, [BernoulliLeaf(0, 0.5, 0.5), BernoulliLeaf(0, 0.5, 0.5), ProductNode((0, 1))])
+    bad = Circuit(1, [(0, 0.5, 0.5), (0, 0.5, 0.5), ((0, 1), None)])
     with pytest.raises(CircuitStructureError):
         marginal(bad, {})
 
@@ -320,15 +350,15 @@ def _dag_with_unreachable_nodes() -> Circuit:
     return Circuit(
         3,
         [
-            BernoulliLeaf(0, 0.3, 0.7),
-            IndicatorLeaf(1, True),
-            IndicatorLeaf(1, False),
-            ConstantLeaf(2.0),
-            ProductNode((0, 1, 3)),
-            ProductNode((0, 2)),
-            BernoulliLeaf(2, 0.5, 1.5),
-            SumNode(((1.5, 0),)),
-            SumNode(((0.4, 4), (0.6, 5))),
+            (0, 0.3, 0.7),
+            (1, 1.0, 0.0),
+            (1, 0.0, 1.0),
+            (-1, 2.0, 0.0),
+            ((0, 1, 3), None),
+            ((0, 2), None),
+            (2, 0.5, 1.5),
+            ((0,), (1.5,)),
+            ((4, 5), (0.4, 0.6)),
         ],
     )
 

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product
 
@@ -13,6 +14,7 @@ from smcsat.factorgraph import (
     parse_uai,
     write_uai,
 )
+from smcsat.problems import gen_random_bn
 from util import rel_close
 
 UNARY = "MARKOV\n1\n2\n1\n1 0\n\n2\n0.3 0.7\n"
@@ -159,16 +161,17 @@ def test_compile_respects_order():
         compile_factor_graph(fg, order=(0, 1))
 
 
-def test_compile_memoization_value_identical():
-    for seed in range(6):
-        fg = random_factor_graph(seed + 40, 6, 4)
-        with_memo = compile_factor_graph(fg, memoize=True)
-        without = compile_factor_graph(fg, memoize=False)
-        rng = random.Random(seed)
-        for _ in range(20):
-            values = {v: rng.random() < 0.5 for v in range(6)}
-            assert evaluate_joint(with_memo, values) == evaluate_joint(without, values)
-        assert len(with_memo.nodes) <= len(without.nodes)
+def test_compile_leaves_no_cyclic_garbage():
+    fg = gen_random_bn(10, max_parents=2, seed=10)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        compile_factor_graph(fg)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_compile_cap():

@@ -7,17 +7,7 @@ from itertools import product
 
 import pytest
 
-from smcsat.circuit import (
-    BernoulliLeaf,
-    Circuit,
-    IndicatorLeaf,
-    Node,
-    ProductNode,
-    SumNode,
-    evaluate_joint,
-    marginal,
-    parse_pc,
-)
+from smcsat.circuit import Circuit, evaluate_joint, marginal, parse_pc
 from smcsat.formula import CnfFormula
 from smcsat.solver import Comparator, PredicateSpec, SmcProblem
 
@@ -88,22 +78,25 @@ def random_circuit(seed: int, num_vars: int, max_nodes: int = 60) -> Circuit:
     """
     for attempt in range(100):
         rng = random.Random(seed * 1009 + attempt)
-        nodes: list[Node] = []
+        nodes: list[tuple] = []
 
-        def emit(node: Node) -> int:
-            nodes.append(node)
+        def emit(row: tuple) -> int:
+            nodes.append(row)
             return len(nodes) - 1
+
+        def indicator(var: int, sign: bool) -> int:
+            return emit((var, 1.0, 0.0) if sign else (var, 0.0, 1.0))
 
         def gen_leaf(var: int) -> int:
             kind = rng.random()
             if kind < 0.6:
-                return emit(BernoulliLeaf(var, rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)))
+                return emit((var, rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)))
             if kind < 0.8:
                 # weighted indicator pair, possibly unnormalized
-                t = emit(IndicatorLeaf(var, True))
-                f = emit(IndicatorLeaf(var, False))
-                return emit(SumNode(((rng.uniform(0.0, 1.5), t), (rng.uniform(0.0, 1.5), f))))
-            return emit(IndicatorLeaf(var, rng.random() < 0.5))
+                t = indicator(var, True)
+                f = indicator(var, False)
+                return emit(((t, f), (rng.uniform(0.0, 1.5), rng.uniform(0.0, 1.5))))
+            return indicator(var, rng.random() < 0.5)
 
         def gen(scope: list[int], sums_left: int = 2) -> int:
             if len(scope) == 1:
@@ -112,11 +105,11 @@ def random_circuit(seed: int, num_vars: int, max_nodes: int = 60) -> Circuit:
                 cut = rng.randint(1, len(scope) - 1)
                 mixed = scope[:]
                 rng.shuffle(mixed)
-                return emit(ProductNode((gen(mixed[:cut]), gen(mixed[cut:]))))
+                return emit(((gen(mixed[:cut]), gen(mixed[cut:])), None))
             k = rng.randint(2, 3)
-            return emit(
-                SumNode(tuple((rng.uniform(0.1, 1.5), gen(scope, sums_left - 1)) for _ in range(k)))
-            )
+            # each branch draws its weight, then its subtree
+            weights, children = zip(*((rng.uniform(0.1, 1.5), gen(scope, sums_left - 1)) for _ in range(k)))
+            return emit((children, weights))
 
         gen(list(range(num_vars)))
         if len(nodes) <= max_nodes:
