@@ -12,7 +12,7 @@ from .circuit import (
     write_pc,
 )
 from .factorgraph import FactorGraph, compile_factor_graph, enumerate_marginal, parse_uai, write_uai
-from .formula import CnfFormula, PartialAssignment, parse_dimacs, write_dimacs
+from .formula import CnfFormula, parse_dimacs, write_dimacs
 from .oracle import brute_solve, verify
 from .problems import build_manifest, load_manifest, save_manifest
 from .solver import (
@@ -37,7 +37,6 @@ __all__ = [
     "Comparator",
     "FactorGraph",
     "NumericMode",
-    "PartialAssignment",
     "PredicateSpec",
     "SmcProblem",
     "SolveResult",

@@ -23,12 +23,12 @@ per mode.
 
 ``BoundState`` maintains, per node, an upper and lower bound on the marginal
 mass under a partial assignment of the shared (decision) variables. Its work
-is done by one update kernel per mode, which walks ``(nid, children, weights
-or None)`` plan entries in ascending id order and computes a node's upper
-and lower bound together, with the combine function inlined. Each circuit
-caches, per mode, the entries of all its inner nodes and, per variable on
-its first assignment, a plan: the ids of the variable's leaves and the
-entries of their ancestors.
+is done by one update kernel per mode, which walks a list of inner-node ids
+in ascending order, reads each node's row in the mode's value space and
+computes its upper and lower bound together, with the combine function
+inlined. Each circuit caches, for every mode alike, the ids of its leaves
+and inner nodes and, per variable on its first assignment, a plan: the ids
+of the variable's leaves and of their ancestors.
 Initialisation sets every leaf once and runs the kernel over all inner nodes;
 assigning a variable sets its leaves and runs the kernel over its plan;
 backtracking undoes by decision level. The kernels fold left to right from
@@ -59,12 +59,8 @@ class CircuitStructureError(ValueError):
 _Add = Callable[[float, float], float]
 _Combine = Callable[[tuple, tuple | None, list], float]
 _Pick = Callable[[float, float], float]
-# A plan entry: an inner node's id, children and sum weights (None for a product).
-_Step = tuple[int, tuple[int, ...], Union[tuple, None]]
-# A variable's plan: the ids of its leaves and the entries of their ancestors.
-_VarPlan = tuple[list[int], list[_Step]]
-# All leaf ids, all inner-node entries, and per variable its plan or None.
-_Plans = tuple[list[int], list[_Step], list[Union[_VarPlan, None]]]
+# A variable's plan: the ids of its leaves and of their ancestors.
+_VarPlan = tuple[list[int], list[int]]
 _Saved = list[tuple[int, float, float]]
 # Where a kernel appends each changed node's old ``(nid, ub, lb)``.
 _Sink = Union[_Saved, deque]
@@ -114,11 +110,13 @@ def _combine_log(children: tuple[int, ...], weights: tuple | None, values: list[
     return acc
 
 
-def _update_linear(steps: list[_Step], ub: list[float], lb: list[float], saved: _Sink) -> None:
-    """Recompute the bounds of each node of `steps` in order, as
-    ``_combine_linear`` over `ub` and over `lb`; a node whose bounds change
-    is written and its old ``(nid, ub, lb)`` appended to `saved`."""
-    for nid, children, weights in steps:
+def _update_linear(ids: list[int], rows: tuple, ub: list[float], lb: list[float], saved: _Sink) -> None:
+    """Recompute the bounds of each inner node of `ids` in order, as
+    ``_combine_linear`` of its row over `ub` and over `lb`; a node whose
+    bounds change is written and its old ``(nid, ub, lb)`` appended to
+    `saved`."""
+    for nid in ids:
+        children, weights = rows[nid]
         if weights is None:
             u = l = 1.0
             for child in children:
@@ -135,11 +133,12 @@ def _update_linear(steps: list[_Step], ub: list[float], lb: list[float], saved: 
             lb[nid] = l
 
 
-def _update_log(steps: list[_Step], ub: list[float], lb: list[float], saved: _Sink) -> None:
+def _update_log(ids: list[int], rows: tuple, ub: list[float], lb: list[float], saved: _Sink) -> None:
     """``_update_linear`` with ``_combine_log``; ``_log_add`` is inlined with
     its branches unchanged, so every result is the same float."""
     neg_inf, log1p, exp = -math.inf, math.log1p, math.exp
-    for nid, children, weights in steps:
+    for nid in ids:
+        children, weights = rows[nid]
         if weights is None:
             u = l = 0.0
             for child in children:
@@ -216,7 +215,7 @@ class Circuit:
             self.scopes.append(scope)
         self._report: ValidationReport | None = None
         self._log_nodes: tuple[tuple, ...] | None = None
-        self._plans: dict[NumericMode, _Plans] = {}
+        self._plans: tuple | None = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -273,30 +272,28 @@ def _rows(c: Circuit, mode: NumericMode) -> tuple[tuple, ...]:
     return c._log_nodes
 
 
-def _plans(c: Circuit, mode: NumericMode) -> _Plans:
-    """The circuit's bound-update plans for `mode`: the ids of all leaves, the
-    entries of all inner nodes, and per variable its plan once `_var_plan`
-    has built it. Entries are ascending by id; built on first use and cached
-    on the circuit."""
-    plans = c._plans.get(mode)
-    if plans is None:
-        nodes = _rows(c, mode)
-        leaves = [nid for nid, row in enumerate(nodes) if len(row) == 3]
-        steps = [(nid, *row) for nid, row in enumerate(nodes) if len(row) == 2]
-        plans = c._plans[mode] = (leaves, steps, [None] * c.num_vars)
-    return plans
+def _plans(c: Circuit) -> tuple[list[int], list[int], list[_VarPlan | None]]:
+    """The circuit's bound-update plans, the same in every mode: the ids of
+    all leaves, the ids of all inner nodes, and per variable its plan once
+    `_var_plan` has built it. Ids are ascending; built on first use and
+    cached on the circuit."""
+    if c._plans is None:
+        leaves = [nid for nid, row in enumerate(c.nodes) if len(row) == 3]
+        inner = [nid for nid, row in enumerate(c.nodes) if len(row) == 2]
+        c._plans = (leaves, inner, [None] * c.num_vars)
+    return c._plans
 
 
-def _var_plan(c: Circuit, mode: NumericMode, var: CircuitVar) -> _VarPlan:
-    """Plan of `var`: its leaves and the entries of the inner nodes whose
-    scope contains it, sharing the entries of `_plans`; built on first use."""
-    leaves, steps, by_var = _plans(c, mode)
+def _var_plan(c: Circuit, var: CircuitVar) -> _VarPlan:
+    """Plan of `var`: the ids of its leaves and of the inner nodes whose
+    scope contains it; built on first use."""
+    leaves, inner, by_var = _plans(c)
     plan = by_var[var]
     if plan is None:
         nodes, scopes, bit = c.nodes, c.scopes, 1 << var
         plan = by_var[var] = (
             [nid for nid in leaves if nodes[nid][0] == var],
-            [step for step in steps if scopes[step[0]] & bit],
+            [nid for nid in inner if scopes[nid] & bit],
         )
     return plan
 
@@ -382,7 +379,7 @@ class BoundState:
         self.status: dict[CircuitVar, bool | None] = {v: None for v in self.shared}
         self._nodes = nodes = _rows(circuit, mode)
         add, _, self._update = _OPS[mode]
-        leaves, steps, self._var_plans = _plans(circuit, mode)
+        leaves, inner, self._var_plans = _plans(circuit)
         # Inner nodes start as NaN, unequal to every value, so the kernel
         # writes each of them. The zero-length deque frees each saved entry
         # at once, so the pass leaves no per-node garbage for the collector.
@@ -394,7 +391,7 @@ class BoundState:
                 self.ub[nid], self.lb[nid] = max(t, f), min(t, f)
             else:
                 self.ub[nid] = self.lb[nid] = add(t, f)
-        self._update(steps, self.ub, self.lb, deque(maxlen=0))
+        self._update(inner, nodes, self.ub, self.lb, deque(maxlen=0))
         # frames: (level, var, [(node id, previous ub, previous lb), ...])
         self._frames: list[tuple[int, CircuitVar, _Saved]] = []
 
@@ -407,7 +404,7 @@ class BoundState:
         saved: _Saved = []
         self._frames.append((level, var, saved))
         self.status[var] = val
-        leaves, steps = self._var_plans[var] or _var_plan(self.circuit, self.mode, var)
+        leaves, inner = self._var_plans[var] or _var_plan(self.circuit, var)
         nodes, ub, lb, pos = self._nodes, self.ub, self.lb, 1 if val else 2
         for nid in leaves:
             x = nodes[nid][pos]
@@ -415,7 +412,7 @@ class BoundState:
                 saved.append((nid, ub[nid], lb[nid]))
                 ub[nid] = lb[nid] = x
         # Ids are topological: each child in the plan settles before its parent.
-        self._update(steps, ub, lb, saved)
+        self._update(inner, nodes, ub, lb, saved)
         return self.root_bounds()
 
     def backtrack_bounds(self, level: int) -> None:

@@ -266,7 +266,10 @@ def _gen_smc(args: argparse.Namespace, out) -> int:
 
 def cmd_compile(args: argparse.Namespace, out) -> int:
     fg = parse_uai(Path(args.uai).read_text())
-    order = [int(x) for x in args.order.split(",")] if args.order else None
+    try:
+        order = [int(x) for x in args.order.split(",")] if args.order else None
+    except ValueError:
+        raise ValueError(f"--order: {args.order!r} is not a comma-separated list of integers") from None
     circ = compile_factor_graph(fg, order=order)
     _write_text(args.output, pc.write_pc(circ))
     print(f"wrote {args.output} ({len(circ.nodes)} nodes)", file=out)
@@ -343,13 +346,27 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _parse_assignment(spec: str) -> dict[int, bool]:
+# The spellings that `--assign` accepts for each value.
+_TRUTH = {
+    **dict.fromkeys(("1", "true", "True", "t"), True),
+    **dict.fromkeys(("0", "false", "False", "f"), False),
+}
+
+
+def _parse_assignment(spec: str, num_vars: int) -> dict[int, bool]:
+    """Parse ``--assign``: comma-separated ``<var>=0|1``, each variable once."""
     values: dict[int, bool] = {}
-    if not spec:
-        return values
-    for item in spec.split(","):
+    for item in spec.split(",") if spec else ():
         var, _, val = item.partition("=")
-        values[int(var)] = val.strip() in ("1", "true", "True", "t")
+        try:
+            v, truth = int(var), _TRUTH[val.strip()]
+        except (ValueError, KeyError):
+            raise ValueError(f"--assign: {item!r} is not <var>=0|1") from None
+        if not 0 <= v < num_vars:
+            raise ValueError(f"--assign: variable {v} out of range for {num_vars} variables")
+        if v in values:
+            raise ValueError(f"--assign: variable {v} given twice")
+        values[v] = truth
     return values
 
 
@@ -366,7 +383,7 @@ def cmd_pc(args: argparse.Namespace, out) -> int:
     if args.action == "partition":
         print(repr(pc.partition(circ, mode)), file=out)
         return 0
-    assignment = _parse_assignment(args.assign or "")
+    assignment = _parse_assignment(args.assign or "", circ.num_vars)
     if args.action == "eval":
         print(repr(pc.evaluate_joint(circ, assignment, mode)), file=out)
     else:
@@ -473,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pc = sub.add_parser("pc", help="circuit utilities")
     p_pc.add_argument("action", choices=["validate", "eval", "marginal", "partition"])
     p_pc.add_argument("file")
-    p_pc.add_argument("--assign", default=None, help="e.g. 0=1,3=0")
+    p_pc.add_argument("--assign", default=None, help="<var>=0|1,..., e.g. 0=1,3=0")
     p_pc.add_argument("--mode", choices=["linear", "log"], default="linear")
     p_pc.set_defaults(func=cmd_pc)
 

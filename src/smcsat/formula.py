@@ -1,4 +1,4 @@
-"""CNF formulas, literals, clauses and partial assignments.
+"""CNF formulas, literals and clauses, with DIMACS I/O.
 
 Literals are DIMACS-style signed integers: ``7`` is variable 7 set to True,
 ``-7`` is variable 7 set to False. Variable indices are 1-based externally.
@@ -37,70 +37,6 @@ class CnfFormula:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-
-class PartialAssignment:
-    """Mutable variable assignment with a trail and decision levels.
-
-    Owned by a single search at a time; the trail records literals in
-    assignment order and ``trail_lim`` marks where each decision level
-    starts.
-    """
-
-    def __init__(self, num_vars: int):
-        self.num_vars = num_vars
-        self._value: list[bool | None] = [None] * (num_vars + 1)
-        self._level: list[int] = [0] * (num_vars + 1)
-        self.trail: list[Lit] = []
-        self.trail_lim: list[int] = []
-
-    @property
-    def current_level(self) -> int:
-        return len(self.trail_lim)
-
-    def value(self, var: Var) -> bool | None:
-        return self._value[var]
-
-    def lit_value(self, lit: Lit) -> bool | None:
-        v = self._value[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def level(self, var: Var) -> int:
-        return self._level[var]
-
-    def num_assigned(self) -> int:
-        return len(self.trail)
-
-    def new_decision_level(self) -> int:
-        self.trail_lim.append(len(self.trail))
-        return self.current_level
-
-    def assign(self, lit: Lit) -> None:
-        var = abs(lit)
-        if self._value[var] is not None:
-            raise ValueError(f"variable {var} already assigned")
-        self._value[var] = lit > 0
-        self._level[var] = self.current_level
-        self.trail.append(lit)
-
-    def backtrack_to(self, level: int) -> list[Lit]:
-        """Undo all assignments above `level`; returns the removed literals."""
-        if level >= self.current_level:
-            return []
-        cut = self.trail_lim[level]
-        removed = self.trail[cut:]
-        for lit in removed:
-            self._value[abs(lit)] = None
-        del self.trail[cut:]
-        del self.trail_lim[level:]
-        return removed
-
-    def as_model(self) -> dict[Var, bool]:
-        if len(self.trail) != self.num_vars:
-            raise ValueError("assignment is not complete")
-        return {v: self._value[v] for v in range(1, self.num_vars + 1)}  # type: ignore[misc]
 
 
 def _clean_clause(lits: list[Lit]) -> tuple[Lit, ...] | None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .circuit import BoundState, Circuit, NumericMode, marginal, partition
-from .formula import CnfFormula, Lit, PartialAssignment, Var
+from .formula import CnfFormula, Lit, Var
 
 
 class Comparator(enum.Enum):
@@ -217,7 +217,16 @@ class _PredState:
 
 
 class CdclSolver:
-    """Single-use solver instance; build one per solve call."""
+    """Single-use solver instance; build one per solve call.
+
+    The assignment is kept in plain lists, as in MiniSat. ``value`` and
+    ``watches`` are indexed by literal: slot ``v`` for the literal ``v`` and,
+    through Python's negative indexing, slot ``-v`` for ``-v``, so
+    ``value[lit]`` is the literal's truth value (None while unassigned).
+    ``level`` and ``reason`` are indexed by variable; ``trail`` lists the
+    assigned literals in order and ``trail_lim`` where each decision level
+    starts on it.
+    """
 
     def __init__(self, problem: SmcProblem, config: SolverConfig | None = None):
         self.problem = problem
@@ -225,13 +234,13 @@ class CdclSolver:
         self.mode = self.cfg.numeric_mode
         nv = problem.cnf.num_vars
         self.num_vars = nv
-        self.pa = PartialAssignment(nv)
+        self.value: list[bool | None] = [None] * (2 * nv + 1)
+        self.level = [0] * (nv + 1)
         self.reason: list[int | None] = [None] * (nv + 1)
+        self.trail: list[Lit] = []
+        self.trail_lim: list[int] = []
         self.clauses: list[list[Lit]] = []
-        self.watches: dict[Lit, list[int]] = {}
-        for v in range(1, nv + 1):
-            self.watches[v] = []
-            self.watches[-v] = []
+        self.watches: list[list[int]] = [[] for _ in range(2 * nv + 1)]
         self.activity = [0.0] * (nv + 1)
         self.var_inc = 1.0
         self.phase = [False] * (nv + 1)
@@ -282,7 +291,7 @@ class CdclSolver:
         self.clauses.append(lits)
         self.stats.learned_clauses += 1
         if len(lits) >= 2:
-            deepest = max(range(1, len(lits)), key=lambda i: self.pa.level(abs(lits[i])))
+            deepest = max(range(1, len(lits)), key=lambda i: self.level[abs(lits[i])])
             lits[1], lits[deepest] = lits[deepest], lits[1]
             self.watches[lits[0]].append(idx)
             self.watches[lits[1]].append(idx)
@@ -290,50 +299,55 @@ class CdclSolver:
 
     # --------------------------------------------------------- propagation
 
+    def _assign(self, lit: Lit, reason_idx: int | None) -> None:
+        """Make `lit` true at the current decision level."""
+        var = abs(lit)
+        assert self.value[lit] is None, f"variable {var} already assigned"
+        self.value[lit] = True
+        self.value[-lit] = False
+        self.level[var] = len(self.trail_lim)
+        self.reason[var] = reason_idx
+        self.trail.append(lit)
+
     def _enqueue(self, lit: Lit, reason_idx: int | None) -> bool:
-        val = self.pa.lit_value(lit)
-        if val is True:
+        """Assign `lit` unless it is set; False when it is already false."""
+        val = self.value[lit]
+        if val is None:
+            self._assign(lit, reason_idx)
             return True
-        if val is False:
-            return False
-        self.pa.assign(lit)
-        self.reason[abs(lit)] = reason_idx
-        return True
+        return val
 
     def _propagate_bool(self) -> int | None:
         """Watched-literal unit propagation; returns a falsified clause index."""
-        while self.qhead < len(self.pa.trail):
-            p = self.pa.trail[self.qhead]
+        value, clauses, watches, trail = self.value, self.clauses, self.watches, self.trail
+        while self.qhead < len(trail):
+            false_lit = -trail[self.qhead]
             self.qhead += 1
-            old = self.watches[-p]
+            old = watches[false_lit]
             kept: list[int] = []
             for pos, idx in enumerate(old):
-                cl = self.clauses[idx]
-                if cl[0] == -p:
+                cl = clauses[idx]
+                if cl[0] == false_lit:
                     cl[0], cl[1] = cl[1], cl[0]
-                first = self.pa.lit_value(cl[0])
+                first = value[cl[0]]
                 if first is True:
                     kept.append(idx)
                     continue
-                moved = False
                 for k in range(2, len(cl)):
-                    if self.pa.lit_value(cl[k]) is not False:
+                    if value[cl[k]] is not False:
                         cl[1], cl[k] = cl[k], cl[1]
-                        self.watches[cl[1]].append(idx)
-                        moved = True
+                        watches[cl[1]].append(idx)
                         break
-                if moved:
-                    continue
-                kept.append(idx)
-                if first is False:
-                    kept.extend(old[pos + 1 :])
-                    self.watches[-p] = kept
-                    self.qhead = len(self.pa.trail)
-                    return idx
-                self.pa.assign(cl[0])
-                self.reason[abs(cl[0])] = idx
-                self.stats.boolean_propagations += 1
-            self.watches[-p] = kept
+                else:
+                    kept.append(idx)
+                    if first is False:
+                        kept.extend(old[pos + 1 :])
+                        watches[false_lit] = kept
+                        self.qhead = len(trail)
+                        return idx
+                    self._assign(cl[0], idx)
+                    self.stats.boolean_propagations += 1
+            watches[false_lit] = kept
         return None
 
     def _pred_bounds(self, ps: _PredState) -> tuple[float, float] | None:
@@ -342,7 +356,7 @@ class CdclSolver:
             return ps.bounds.root_bounds()
         values: dict[int, bool] = {}
         for cvar, fvar in ps.shared_items:
-            val = self.pa.value(fvar)
+            val = self.value[fvar]
             if val is None:
                 return None
             values[cvar] = val
@@ -352,7 +366,7 @@ class CdclSolver:
     def _assigned_shared_lits(self, ps: _PredState) -> list[Lit]:
         out = []
         for _, fvar in ps.shared_items:
-            val = self.pa.value(fvar)
+            val = self.value[fvar]
             if val is not None:
                 out.append(fvar if val else -fvar)
         return out
@@ -371,15 +385,15 @@ class CdclSolver:
                 return list(self.clauses[confl])
             if not self.preds:
                 return None
-            while self.pred_qhead < len(self.pa.trail):
-                lit = self.pa.trail[self.pred_qhead]
+            while self.pred_qhead < len(self.trail):
+                lit = self.trail[self.pred_qhead]
                 self.pred_qhead += 1
                 for pi, cvar in self.shared_occ.get(abs(lit), ()):
                     ps = self.preds[pi]
                     if ps.decided_level is not None:
                         continue
                     if ps.bounds is not None and ps.bounds.status[cvar] is None:
-                        ps.bounds.assign(cvar, lit > 0, self.pa.current_level)
+                        ps.bounds.assign(cvar, lit > 0, len(self.trail_lim))
                     ps.dirty = True
             progressed = False
             for ps in self.preds:
@@ -397,11 +411,11 @@ class CdclSolver:
                 implied = None if b is None else (b if status else -b)
                 # A hard predicate (no b) must hold; a soft one conflicts when
                 # b is already assigned against the bounds' verdict.
-                b_value = True if b is None else self.pa.lit_value(b)
+                b_value = True if b is None else self.value[b]
                 if b_value is not None and b_value != status:
                     self.stats.prob_conflicts += 1
                     return probabilistic_clause(implied, self._assigned_shared_lits(ps))
-                ps.decided_level = self.pa.current_level
+                ps.decided_level = len(self.trail_lim)
                 if b_value is None:
                     reason = probabilistic_clause(implied, self._assigned_shared_lits(ps))
                     key = tuple(reason)
@@ -431,28 +445,28 @@ class CdclSolver:
         The learned clause's first literal is the asserting one. Must only
         be called for conflicts above decision level 0.
         """
-        level = self.pa.current_level
+        level = len(self.trail_lim)
         seen = [False] * (self.num_vars + 1)
         tail: list[Lit] = []
         counter = 0
         reason_lits: Sequence[Lit] = conflict
         p: Lit | None = None
-        idx = len(self.pa.trail) - 1
+        idx = len(self.trail) - 1
         while True:
             for q in reason_lits:
                 if p is not None and q == p:
                     continue
                 v = abs(q)
-                if not seen[v] and self.pa.level(v) > 0:
+                if not seen[v] and self.level[v] > 0:
                     seen[v] = True
                     self._bump(v)
-                    if self.pa.level(v) >= level:
+                    if self.level[v] >= level:
                         counter += 1
                     else:
                         tail.append(q)
-            while not seen[abs(self.pa.trail[idx])]:
+            while not seen[abs(self.trail[idx])]:
                 idx -= 1
-            p = self.pa.trail[idx]
+            p = self.trail[idx]
             idx -= 1
             counter -= 1
             if counter == 0:
@@ -463,18 +477,20 @@ class CdclSolver:
         learned = [-p] + tail
         backjump = 0
         if tail:
-            backjump = max(self.pa.level(abs(q)) for q in tail)
+            backjump = max(self.level[abs(q)] for q in tail)
         return learned, backjump
 
     def backtrack(self, level: int) -> None:
         """Undo assignments, bound updates and settled flags above `level`."""
-        removed = self.pa.backtrack_to(level)
-        for lit in removed:
-            var = abs(lit)
-            self.phase[var] = lit > 0
-            self.reason[var] = None
-        self.qhead = min(self.qhead, len(self.pa.trail))
-        self.pred_qhead = min(self.pred_qhead, len(self.pa.trail))
+        if level < len(self.trail_lim):
+            cut = self.trail_lim[level]
+            for lit in self.trail[cut:]:
+                self.value[lit] = self.value[-lit] = None
+                self.phase[abs(lit)] = lit > 0
+            del self.trail[cut:]
+            del self.trail_lim[level:]
+        self.qhead = min(self.qhead, len(self.trail))
+        self.pred_qhead = min(self.pred_qhead, len(self.trail))
         for ps in self.preds:
             if ps.bounds is not None:
                 ps.bounds.backtrack_bounds(level)
@@ -487,16 +503,15 @@ class CdclSolver:
         best: Var | None = None
         best_act = -1.0
         for v in range(1, self.num_vars + 1):
-            if self.pa.value(v) is None and self.activity[v] > best_act:
+            if self.value[v] is None and self.activity[v] > best_act:
                 best = v
                 best_act = self.activity[v]
         assert best is not None
         lit = best if self.phase[best] else -best
-        self.pa.new_decision_level()
-        self.pa.assign(lit)
-        self.reason[best] = None
+        self.trail_lim.append(len(self.trail))
+        self._assign(lit, None)
         self.stats.decisions += 1
-        self.stats.max_decision_level = max(self.stats.max_decision_level, self.pa.current_level)
+        self.stats.max_decision_level = max(self.stats.max_decision_level, len(self.trail_lim))
         return lit
 
     # ---------------------------------------------------------------- main
@@ -527,7 +542,7 @@ class CdclSolver:
         while True:
             conflict = self.propagate()
             if conflict is not None:
-                if self.pa.current_level == 0:
+                if not self.trail_lim:
                     return SolveStatus.UNSAT, None
                 learned, backjump = self.analyze(conflict)
                 self.backtrack(backjump)
@@ -539,17 +554,17 @@ class CdclSolver:
                 if self._out_of_budget(start):
                     return SolveStatus.BUDGET, None
                 continue
-            if self.pa.num_assigned() == self.num_vars:
+            if len(self.trail) == self.num_vars:
                 for ps in self.preds:
                     assert ps.decided_level is not None, "predicate unsettled at full assignment"
-                return SolveStatus.SAT, self.pa.as_model()
+                return SolveStatus.SAT, {v: self.value[v] for v in range(1, self.num_vars + 1)}
             if self._out_of_budget(start):
                 return SolveStatus.BUDGET, None
             if conflicts_since_restart >= restart_limit:
                 self.stats.restarts += 1
                 conflicts_since_restart = 0
                 restart_limit = self.cfg.restart_base * luby(self.stats.restarts + 1)
-                if self.pa.current_level > 0:
+                if self.trail_lim:
                     self.backtrack(0)
             self.decide()
 

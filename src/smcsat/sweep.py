@@ -2,12 +2,17 @@
 
 Re-solves the problem at evenly spaced thresholds, stopping at the first
 infeasible point; the last feasible threshold and its model are the "best
-plan". Every step is a fresh solve: learned clauses from probabilistic
-conflicts depend on the threshold, so reuse across steps would be unsound.
+plan". Every step is a fresh solve. Reusing learned clauses across steps is
+unsound for a soft predicate, whose entailment clauses depend on the
+threshold, and for a sweep that loosens the threshold. For a hard predicate
+that the sweep tightens (``ge`` going up, ``le`` going down), each step's
+models are a subset of the last step's, so earlier clauses would stay valid;
+the sweep does not exploit that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .solver import SmcProblem, SolveResult, SolveStatus, SolverConfig, Stats, solve
@@ -62,6 +67,8 @@ def sweep(
     predicate; "down" mirrors from hi. The threshold is interpreted in the
     predicate's own threshold mode at every step.
     """
+    if not all(math.isfinite(x) for x in (step, lo, hi)):
+        raise ValueError("step, lo and hi must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     if lo >= hi:
@@ -71,11 +78,12 @@ def sweep(
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
-    n_steps = int((hi - lo) / step + 1e-9)
+    # Generated one at a time: a fine step must not build the grid up front.
+    steps = range(int((hi - lo) / step + 1e-9) + 1)
     if direction == "up":
-        thresholds = [lo + i * step for i in range(n_steps + 1)]
+        thresholds = (lo + i * step for i in steps)
     else:
-        thresholds = [hi - i * step for i in range(n_steps + 1)]
+        thresholds = (hi - i * step for i in steps)
 
     best_q: float | None = None
     best_model: dict[Var, bool] | None = None

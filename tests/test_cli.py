@@ -223,6 +223,35 @@ def test_gen_compile_and_pc_utilities(tmp_path):
     assert 0.0 <= float(out.strip()) <= 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("--assign", "0=2"), "--assign: '0=2' is not <var>=0|1", id="value-2"),
+        pytest.param(("--assign", "0=yes"), "--assign: '0=yes' is not <var>=0|1", id="value-yes"),
+        pytest.param(("--assign", "0"), "--assign: '0' is not <var>=0|1", id="bare-var"),
+        pytest.param(("--assign", "x=1"), "--assign: 'x=1' is not <var>=0|1", id="var-x"),
+        pytest.param(("--assign", "5=1"), "--assign: variable 5 out of range for 4 variables", id="var-5"),
+        pytest.param(("--assign", "0=1,-1=0"), "--assign: variable -1 out of range for 4 variables", id="var-neg"),
+        pytest.param(("--assign", "0=1,0=0"), "--assign: variable 0 given twice", id="duplicate"),
+        pytest.param(("--order", "1,x"), "--order: '1,x' is not a comma-separated list of integers", id="order-x"),
+        pytest.param(("--order", "0,,1"), "--order: '0,,1' is not a comma-separated list of integers", id="order-empty"),
+        pytest.param(("--order", "0,1"), "order must be a permutation of all variables", id="order-short"),
+    ],
+)
+def test_assign_and_order_parse_strictly(tmp_path, capsys, argv, message):
+    if argv[0] == "--assign":
+        pc_file = tmp_path / "route.pc"
+        pc_file.write_text(TWO_ROUTE_CIRCUIT_TEXT)
+        argv = ("pc", "marginal", str(pc_file), *argv)
+    else:
+        uai = tmp_path / "net.uai"
+        run_cli("gen", "bn", "-n", "3", "--seed", "1", "-o", str(uai))
+        argv = ("compile", str(uai), "-o", str(tmp_path / "net.pc"), *argv)
+    code, _ = run_cli(*argv)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_gen_hampath_smc_chain(tmp_path):
     edges = tmp_path / "k3.edges"
     edges.write_text("0 1\n1 2\n0 2\n")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from smcsat.formula import CnfFormula, DimacsError, PartialAssignment, parse_dimacs, write_dimacs
+from smcsat.formula import CnfFormula, DimacsError, parse_dimacs, write_dimacs
 from util import random_cnf
 
 
@@ -74,26 +74,3 @@ def test_roundtrip_random_formulas():
         # generator may produce duplicate-free clauses already; parse normalizes
         f = parse_dimacs(write_dimacs(f))
         assert parse_dimacs(write_dimacs(f)) == f
-
-
-def test_partial_assignment_trail_and_backtrack():
-    a = PartialAssignment(4)
-    a.assign(1)
-    a.new_decision_level()
-    a.assign(-2)
-    a.new_decision_level()
-    a.assign(3)
-    assert a.trail == [1, -2, 3]
-    assert a.level(3) == 2
-    removed = a.backtrack_to(1)
-    assert removed == [3]
-    assert a.value(3) is None
-    assert a.value(2) is False
-    assert a.current_level == 1
-
-
-def test_partial_assignment_rejects_double_assign():
-    a = PartialAssignment(2)
-    a.assign(1)
-    with pytest.raises(ValueError):
-        a.assign(-1)

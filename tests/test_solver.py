@@ -59,6 +59,36 @@ def test_probabilistic_clause_shapes():
     assert probabilistic_clause(None, []) == []
 
 
+# ------------------------------------------------------------ assignment
+
+def test_trail_levels_and_backtrack():
+    solver = CdclSolver(SmcProblem(CnfFormula(4, ())))
+    solver._assign(1, None)
+    solver.trail_lim.append(len(solver.trail))
+    solver._assign(-2, None)
+    solver.trail_lim.append(len(solver.trail))
+    solver._assign(3, None)
+    assert solver.trail == [1, -2, 3]
+    assert solver.level[1:4] == [0, 1, 2]
+    assert (solver.value[-2], solver.value[2]) == (True, False)
+    solver.backtrack(1)
+    assert solver.trail == [1, -2]
+    assert solver.trail_lim == [1]
+    assert solver.value[3] is None and solver.value[-3] is None
+    assert (solver.value[2], solver.value[-2]) == (False, True)
+    assert solver.phase[3] is True  # saved phase of the undone literal
+
+
+def test_assign_rejects_double_assign():
+    solver = CdclSolver(SmcProblem(CnfFormula(2, ())))
+    solver._assign(1, None)
+    with pytest.raises(AssertionError):
+        solver._assign(-1, None)
+    with pytest.raises(AssertionError):
+        solver._assign(1, None)
+    assert solver.trail == [1]
+
+
 # ----------------------------------------------------- motivating example
 
 def test_route_problem_sat():
@@ -98,11 +128,11 @@ def test_early_conflict_before_second_shared_var():
     p2 = PredicateSpec(c, {2: 3, 3: 4}, Comparator.GE, 0.5, b=6)
     solver = CdclSolver(SmcProblem(cnf, (p1, p2)))
     assert solver.propagate() is None
-    solver.pa.new_decision_level()
-    solver.pa.assign(5)  # decide b1 = True
+    solver.trail_lim.append(len(solver.trail))
+    solver._assign(5, None)  # decide b1 = True
     conflict = solver.propagate()
     assert conflict is not None
-    assert solver.pa.value(2) is None  # x2 untouched
+    assert solver.value[2] is None  # x2 untouched
     assert set(conflict) == {-5, -1}
     assert solver.stats.prob_conflicts == 1
 
@@ -399,6 +429,33 @@ def test_agreement_under_aggressive_restarts():
         assert result.status is expected.status, f"seed {seed}"
         if result.status is SolveStatus.SAT:
             assert verify(problem, result.model).passed
+
+
+class _BacktrackCheckingSolver(CdclSolver):
+    """Checks both polarity slots of every variable after each backtrack."""
+
+    backtracks = 0
+
+    def backtrack(self, level: int) -> None:
+        super().backtrack(level)
+        self.backtracks += 1
+        on_trail = {abs(lit) for lit in self.trail}
+        for lit in self.trail:
+            assert self.value[lit] is True and self.value[-lit] is False
+        for v in range(1, self.num_vars + 1):
+            if v not in on_trail:
+                assert self.value[v] is None and self.value[-v] is None
+
+
+def test_backtrack_clears_both_polarity_slots():
+    # Restarting after every conflict backtracks often, to level 0 and above.
+    backtracks = 0
+    for instance, mode, status, _ in _PINNED_COUNTERS:
+        config = SolverConfig(numeric_mode=mode, restart_base=1)
+        solver = _BacktrackCheckingSolver(_pinned_instance(*instance), config)
+        assert solver.solve().status is status
+        backtracks += solver.backtracks
+    assert backtracks > 20
 
 
 def test_sat_instance_beyond_oracle_cap():

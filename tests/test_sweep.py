@@ -1,5 +1,9 @@
+import math
+import tracemalloc
+
 import pytest
 
+from smcsat.circuit import parse_pc
 from smcsat.factorgraph import compile_factor_graph, enumerate_marginal
 from smcsat.formula import CnfFormula
 from smcsat.oracle import brute_solve
@@ -83,6 +87,25 @@ def test_sweep_validates_arguments():
         sweep(problem, 5)
     with pytest.raises(ValueError):
         sweep(problem, 1, direction="sideways")
+    for bad in ({"step": math.nan}, {"lo": -math.inf}, {"hi": math.inf}, {"lo": math.nan}):
+        with pytest.raises(ValueError, match="must be finite"):
+            sweep(problem, 1, **bad)
+
+
+def test_sweep_fine_step_builds_no_grid():
+    # marginal 1.0 < q fails at the first step, q = 1.0; a million-step grid
+    # built up front would take about 32 MB
+    c = parse_pc("pc 1 1\nl 0 0.3 0.7")
+    problem = SmcProblem(CnfFormula(1, ()), (PredicateSpec(c, {}, Comparator.LT, 0.5),))
+    tracemalloc.start()
+    try:
+        result = sweep(problem, 0, direction="down", step=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.q for p in result.trace] == [1.0]
+    assert not result.feasible
+    assert peak < 1_000_000
 
 
 def test_sweep_monotone_single_flip_on_ge_hard():
