@@ -14,21 +14,24 @@ space:
   unassigned leaf contributes its summed-out mass, the sum of its weights;
 - a product is ``(children, None)`` and a sum ``(children, weights)``.
 
-``Circuit.scopes`` holds each node's scope as an ``int`` bitmask, bit ``v``
-set for variable ``v``. Linear mode reads the rows as they are; log mode
-reads a copy with every weight mapped through ``math.log`` (zero to
-``-inf``), built on first use and cached on the circuit. ``marginal`` and
-``partition`` evaluate the rows with one leaf rule and one combine function
-per mode.
+The constructor checks the rows in one pass, which also computes each
+node's scope as an ``int`` bitmask (``Circuit.scopes``, bit ``v`` set for
+variable ``v``), the ascending ids of the leaves and of the inner nodes
+(``Circuit.leaves``, ``Circuit.inner``) and the smoothness and
+decomposability verdict that ``validate`` returns. Only two things are
+built later, on first use, and cached on the circuit: the log rows and the
+per-variable plans. Linear mode reads the rows as they are; log mode reads
+a copy with every weight mapped through ``math.log`` (zero to ``-inf``).
+``marginal`` and ``partition`` evaluate the rows with one leaf rule and one
+combine function per mode.
 
 ``BoundState`` maintains, per node, an upper and lower bound on the marginal
 mass under a partial assignment of the shared (decision) variables. Its work
 is done by one update kernel per mode, which walks a list of inner-node ids
 in ascending order, reads each node's row in the mode's value space and
 computes its upper and lower bound together, with the combine function
-inlined. Each circuit caches, for every mode alike, the ids of its leaves
-and inner nodes and, per variable on its first assignment, a plan: the ids
-of the variable's leaves and of their ancestors.
+inlined. A variable's plan, the same in every mode, holds the ids of its
+leaves and of their ancestors.
 Initialisation sets every leaf once and runs the kernel over all inner nodes;
 assigning a variable sets its leaves and runs the kernel over its plan;
 backtracking undoes by decision level. The kernels fold left to right from
@@ -183,9 +186,10 @@ class ValidationReport:
 
 
 class Circuit:
-    """Immutable probabilistic circuit: its rows (see the module docstring)
-    and the bitmask scope of every node. Log-weight rows and bound-update
-    plans are built on first use."""
+    """Immutable probabilistic circuit: its rows (see the module docstring),
+    the bitmask scope of every node, its leaf and inner ids and its
+    validation report. Log-weight rows and per-variable bound-update plans
+    are built on first use."""
 
     def __init__(self, num_vars: int, nodes: Iterable[tuple]):
         self.num_vars = num_vars
@@ -194,28 +198,47 @@ class Circuit:
             raise PcFormatError("circuit has no nodes")
         self.root = len(self.nodes) - 1
         self.scopes: list[int] = []
+        self.leaves: list[int] = []
+        self.inner: list[int] = []
+        scopes, violations = self.scopes, []
         for nid, row in enumerate(self.nodes):
             if len(row) == 3:
                 var = row[0]
                 if 0 <= var < num_vars:
-                    self.scopes.append(1 << var)
+                    scopes.append(1 << var)
                 elif var == -1 and row[2] == 0.0:
-                    self.scopes.append(0)
+                    scopes.append(0)
                 else:
                     raise PcFormatError(f"node {nid}: variable {var} out of range")
+                self.leaves.append(nid)
                 continue
             children, weights = row
             if weights is not None and len(weights) != len(children):
                 raise PcFormatError(f"node {nid}: {len(weights)} weights for {len(children)} children")
-            scope = 0
+            scope = overlap = 0
             for child in children:
                 if child < 0 or child >= nid:
                     raise PcFormatError(f"node {nid}: child {child} is not an earlier node")
-                scope |= self.scopes[child]
-            self.scopes.append(scope)
-        self._report: ValidationReport | None = None
+                # Bits a child shares with the union of its earlier siblings.
+                overlap |= scope & scopes[child]
+                scope |= scopes[child]
+            scopes.append(scope)
+            self.inner.append(nid)
+            if weights is None:
+                if overlap:
+                    violations.append(("decomposability", nid))
+                continue
+            for child in children:
+                if scopes[child] != scope:
+                    violations.append(("smoothness", nid))
+                    break
+        kinds = {kind for kind, _ in violations}
+        self.report = ValidationReport(
+            "smoothness" not in kinds, "decomposability" not in kinds, tuple(violations)
+        )
         self._log_nodes: tuple[tuple, ...] | None = None
-        self._plans: tuple | None = None
+        # Per variable, its bound-update plan once `_var_plan` has built it.
+        self._var_plans: list[_VarPlan | None] = [None] * num_vars
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -236,25 +259,9 @@ class Circuit:
 
 
 def validate(c: Circuit) -> ValidationReport:
-    """Check smoothness and decomposability; reports offending node ids."""
-    if c._report is not None:
-        return c._report
-    violations: list[tuple[str, int]] = []
-    for nid, row in enumerate(c.nodes):
-        if len(row) == 3:
-            continue
-        children, weights = row
-        scope = c.scopes[nid]
-        if weights is None:
-            # Disjoint child scopes have as many variables as their union.
-            if sum(c.scopes[child].bit_count() for child in children) != scope.bit_count():
-                violations.append(("decomposability", nid))
-        elif any(c.scopes[child] != scope for child in children):
-            violations.append(("smoothness", nid))
-    kinds = {kind for kind, _ in violations}
-    report = ValidationReport("smoothness" not in kinds, "decomposability" not in kinds, tuple(violations))
-    c._report = report
-    return report
+    """The smoothness and decomposability verdict that the constructor
+    computed, with the offending node ids."""
+    return c.report
 
 
 def _rows(c: Circuit, mode: NumericMode) -> tuple[tuple, ...]:
@@ -272,29 +279,15 @@ def _rows(c: Circuit, mode: NumericMode) -> tuple[tuple, ...]:
     return c._log_nodes
 
 
-def _plans(c: Circuit) -> tuple[list[int], list[int], list[_VarPlan | None]]:
-    """The circuit's bound-update plans, the same in every mode: the ids of
-    all leaves, the ids of all inner nodes, and per variable its plan once
-    `_var_plan` has built it. Ids are ascending; built on first use and
-    cached on the circuit."""
-    if c._plans is None:
-        leaves = [nid for nid, row in enumerate(c.nodes) if len(row) == 3]
-        inner = [nid for nid, row in enumerate(c.nodes) if len(row) == 2]
-        c._plans = (leaves, inner, [None] * c.num_vars)
-    return c._plans
-
-
 def _var_plan(c: Circuit, var: CircuitVar) -> _VarPlan:
     """Plan of `var`: the ids of its leaves and of the inner nodes whose
-    scope contains it; built on first use."""
-    leaves, inner, by_var = _plans(c)
-    plan = by_var[var]
-    if plan is None:
-        nodes, scopes, bit = c.nodes, c.scopes, 1 << var
-        plan = by_var[var] = (
-            [nid for nid in leaves if nodes[nid][0] == var],
-            [nid for nid in inner if scopes[nid] & bit],
-        )
+    scope contains it, ascending; built on first use and cached on the
+    circuit."""
+    nodes, scopes, bit = c.nodes, c.scopes, 1 << var
+    plan = c._var_plans[var] = (
+        [nid for nid in c.leaves if nodes[nid][0] == var],
+        [nid for nid in c.inner if scopes[nid] & bit],
+    )
     return plan
 
 
@@ -329,7 +322,7 @@ def evaluate_joint(
     mode: NumericMode = NumericMode.LINEAR,
 ) -> float:
     """Evaluate the root at a full assignment of the circuit variables."""
-    missing = {row[0] for row in c.nodes if len(row) == 3 and row[0] >= 0} - assignment.keys()
+    missing = {c.nodes[nid][0] for nid in c.leaves} - {-1} - assignment.keys()
     if missing:
         raise ValueError(f"variable {min(missing)} unassigned in joint query")
     return marginal(c, assignment, mode)
@@ -379,19 +372,19 @@ class BoundState:
         self.status: dict[CircuitVar, bool | None] = {v: None for v in self.shared}
         self._nodes = nodes = _rows(circuit, mode)
         add, _, self._update = _OPS[mode]
-        leaves, inner, self._var_plans = _plans(circuit)
+        self._var_plans = circuit._var_plans
         # Inner nodes start as NaN, unequal to every value, so the kernel
         # writes each of them. The zero-length deque frees each saved entry
         # at once, so the pass leaves no per-node garbage for the collector.
         self.ub: list[float] = [math.nan] * len(nodes)
         self.lb: list[float] = [math.nan] * len(nodes)
-        for nid in leaves:
+        for nid in circuit.leaves:
             var, t, f = nodes[nid]
             if var in self.shared:
                 self.ub[nid], self.lb[nid] = max(t, f), min(t, f)
             else:
                 self.ub[nid] = self.lb[nid] = add(t, f)
-        self._update(inner, nodes, self.ub, self.lb, deque(maxlen=0))
+        self._update(circuit.inner, nodes, self.ub, self.lb, deque(maxlen=0))
         # frames: (level, var, [(node id, previous ub, previous lb), ...])
         self._frames: list[tuple[int, CircuitVar, _Saved]] = []
 

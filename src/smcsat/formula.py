@@ -93,8 +93,6 @@ def parse_dimacs(text: str) -> CnfFormula:
                     clauses.append(cleaned)
                 current = []
             else:
-                if abs(lit) > num_vars:
-                    raise DimacsError(f"literal {lit} exceeds {num_vars} variables")
                 current.append(lit)
 
     if num_vars is None or num_clauses is None:
@@ -103,7 +101,10 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise DimacsError("unterminated clause at end of input")
     if clauses_read != num_clauses:
         raise DimacsError(f"header declares {num_clauses} clauses, found {clauses_read}")
-    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+    try:
+        return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+    except ValueError as exc:  # a literal out of range
+        raise DimacsError(str(exc)) from exc
 
 
 def write_dimacs(f: CnfFormula) -> str:

@@ -58,6 +58,7 @@ class PredicateSpec:
                 raise ValueError(f"shared circuit variable {cvar} out of range")
         if self.b == 0:
             raise ValueError("b literal must be nonzero")
+        self.circuit.require_valid()
 
     def resolved_threshold(self, mode: NumericMode = NumericMode.LINEAR) -> float:
         """Threshold in the numeric mode's value space."""
@@ -203,17 +204,13 @@ def luby(i: int) -> int:
 class _PredState:
     """Solver-side bookkeeping for one predicate."""
 
-    def __init__(self, spec: PredicateSpec, index: int, mode: NumericMode, ulw: bool):
+    def __init__(self, spec: PredicateSpec, mode: NumericMode, ulw: bool):
         self.spec = spec
-        self.index = index
         self.shared_items = sorted((cvar, fvar) for cvar, fvar in spec.shared_map.items())
         self.bounds = BoundState(spec.circuit, spec.shared_map.keys(), mode) if ulw else None
         self.resolved_q = spec.resolved_threshold(mode)
         self.decided_level: int | None = None
         self.dirty = True
-        # re-entailments after backtracking rebuild identical reason clauses;
-        # cache them so the database is not flooded with duplicates
-        self.reason_cache: dict[tuple[Lit, ...], int] = {}
 
 
 class CdclSolver:
@@ -250,17 +247,12 @@ class CdclSolver:
         for clause in problem.cnf.clauses:
             self._add_clause(list(clause))
         self.num_original = len(self.clauses)
-        for pred in problem.predicates:
-            pred.circuit.require_valid()
-        self.preds = [
-            _PredState(p, i, self.mode, self.cfg.ulw_enabled)
-            for i, p in enumerate(problem.predicates)
-        ]
+        self.preds = [_PredState(p, self.mode, self.cfg.ulw_enabled) for p in problem.predicates]
         # formula var -> [(predicate index, circuit var)]
         self.shared_occ: dict[Var, list[tuple[int, int]]] = {}
-        for ps in self.preds:
+        for pi, ps in enumerate(self.preds):
             for cvar, fvar in ps.shared_items:
-                self.shared_occ.setdefault(fvar, []).append((ps.index, cvar))
+                self.shared_occ.setdefault(fvar, []).append((pi, cvar))
         self.qhead = 0
         self.pred_qhead = 0
 
@@ -392,7 +384,7 @@ class CdclSolver:
                     ps = self.preds[pi]
                     if ps.decided_level is not None:
                         continue
-                    if ps.bounds is not None and ps.bounds.status[cvar] is None:
+                    if ps.bounds is not None:
                         ps.bounds.assign(cvar, lit > 0, len(self.trail_lim))
                     ps.dirty = True
             progressed = False
@@ -417,12 +409,7 @@ class CdclSolver:
                     return probabilistic_clause(implied, self._assigned_shared_lits(ps))
                 ps.decided_level = len(self.trail_lim)
                 if b_value is None:
-                    reason = probabilistic_clause(implied, self._assigned_shared_lits(ps))
-                    key = tuple(reason)
-                    idx = ps.reason_cache.get(key)
-                    if idx is None:
-                        idx = self._add_derived(reason)
-                        ps.reason_cache[key] = idx
+                    idx = self._add_derived(probabilistic_clause(implied, self._assigned_shared_lits(ps)))
                     assigned = self._enqueue(implied, idx)
                     assert assigned
                     self.stats.prob_entailments += 1

@@ -10,6 +10,7 @@ from smcsat.circuit import (
     CircuitStructureError,
     NumericMode,
     PcFormatError,
+    ValidationReport,
     _evaluate,
     evaluate_joint,
     marginal,
@@ -178,6 +179,84 @@ def test_validate_flags_planted_violations():
             nodes[nid] = (children + (donor,), weights + (1.0,))
             mutated = Circuit(c.num_vars, nodes)
             assert not validate(mutated).smooth
+
+
+def _expected_report(c: Circuit) -> ValidationReport:
+    """The verdict by definition, from scopes as sets: product child scopes
+    pairwise disjoint, sum child scopes all equal."""
+    scopes: list[frozenset] = []
+    violations = []
+    for nid, row in enumerate(c.nodes):
+        if len(row) == 3:
+            scopes.append(frozenset() if row[0] == -1 else frozenset({row[0]}))
+            continue
+        children, weights = row
+        kids = [scopes[child] for child in children]
+        scopes.append(frozenset().union(*kids))
+        if weights is None:
+            if any(a & b for a, b in itertools.combinations(kids, 2)):
+                violations.append(("decomposability", nid))
+        elif len(set(kids)) > 1:
+            violations.append(("smoothness", nid))
+    assert c.scopes == [sum(1 << v for v in s) for s in scopes]
+    kinds = {kind for kind, _ in violations}
+    return ValidationReport("smoothness" not in kinds, "decomposability" not in kinds, tuple(violations))
+
+
+def _random_rows(rng: random.Random, num_vars: int, size: int) -> list[tuple]:
+    """Random rows with constants, zero- and one-child nodes and repeated
+    children; products draw children from a few vars, so some overlap, and
+    sums mix equal and unequal child scopes."""
+    rows: list[tuple] = []
+    for nid in range(size):
+        if nid == 0 or rng.random() < 0.3:
+            if rng.random() < 0.2:
+                rows.append((-1, rng.uniform(0.0, 2.0), 0.0))
+            else:
+                rows.append((rng.randrange(num_vars), rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)))
+            continue
+        children = tuple(rng.randrange(nid) for _ in range(rng.choice((0, 1, 2, 2, 3))))
+        if rng.random() < 0.5:
+            rows.append((children, None))
+        else:
+            rows.append((children, tuple(rng.uniform(0.1, 1.5) for _ in children)))
+    return rows
+
+
+def test_one_pass_verdict_matches_definition():
+    edge_cases = [
+        [((), None)],  # p 0
+        [((), ())],  # s 0
+        [(0, 0.5, 0.5), ((0, 0), None)],  # a product that repeats one child
+        [(-1, 2.0, 0.0), ((0, 0), None)],  # ... a constant child
+        [(-1, 2.0, 0.0), (0, 0.5, 0.5), ((0, 1), None), ((0, 1), (1.0, 1.0))],  # constants under p and s
+        [(-1, 2.0, 0.0), (-1, 3.0, 0.0), ((0, 1), (1.0, 1.0))],
+        [(1, 0.5, 0.5), ((0,), (1.0,))],  # a single-child sum
+    ]
+    cases = [Circuit(2, rows) for rows in edge_cases]
+    for seed in range(200):
+        rng = random.Random(seed)
+        cases.append(Circuit(3, _random_rows(rng, 3, rng.randint(1, 25))))
+    for seed in range(40):
+        # valid circuits with a planted overlap or an unequal sum appended
+        c = random_circuit(seed, 4)
+        rng = random.Random(seed)
+        nodes = list(c.nodes)
+        for _ in range(3):
+            children = tuple(rng.randrange(len(nodes)) for _ in range(2))
+            nodes.append((children, None if rng.random() < 0.5 else (1.0, 1.0)))
+        cases += [c, Circuit(c.num_vars, nodes)]
+    flagged = set()
+    for c in cases:
+        report = validate(c)
+        assert report == _expected_report(c)
+        flagged.update(kind for kind, _ in report.violations)
+        flagged.add(report.ok)
+        assert c.leaves == [nid for nid, row in enumerate(c.nodes) if len(row) == 3]
+        assert c.inner == [nid for nid, row in enumerate(c.nodes) if len(row) == 2]
+        assert sorted(c.leaves + c.inner) == list(range(len(c.nodes)))
+    assert flagged == {"decomposability", "smoothness", True, False}
+    assert [validate(c).ok for c in cases[: len(edge_cases)]] == [True, True, False, True, False, True, True]
 
 
 def test_marginal_requires_validity():

@@ -130,6 +130,17 @@ def test_solve_manifest_bare_product_line(route_manifest, tmp_path, capsys):
     assert err == [f"error: {manifest}: predicate 0: node 1: expected 'p <k> <c1> ... <ck>'"]
 
 
+def test_solve_manifest_invalid_circuit_names_predicate(route_manifest, tmp_path, capsys):
+    route_manifest(0.5)
+    (tmp_path / "square.pc").write_text("pc 2 1\nl 0 0.3 0.7\np 2 0 0\n")
+    manifest = tmp_path / "bad.json"
+    manifest.write_text(json.dumps({"cnf": "route.cnf", "predicates": [{"circuit": "square.pc", "threshold": 0.5}]}))
+    code, out = run_cli("solve", str(manifest))
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {manifest}: predicate 0: circuit is not smooth+decomposable: [('decomposability', 1)]"]
+
+
 def test_solve_deterministic_output(route_manifest):
     path = route_manifest(0.5)
     assert run_cli("solve", str(path)) == run_cli("solve", str(path))
