@@ -364,12 +364,11 @@ class BoundState:
     ):
         circuit.require_valid()
         self.circuit = circuit
-        self.shared = frozenset(shared)
-        for var in self.shared:
+        # The shared variables, each mapped to its value or None while free.
+        self.status: dict[CircuitVar, bool | None] = dict.fromkeys(shared)
+        for var in self.status:
             if var < 0 or var >= circuit.num_vars:
                 raise ValueError(f"shared variable {var} out of range")
-        self.mode = mode
-        self.status: dict[CircuitVar, bool | None] = {v: None for v in self.shared}
         self._nodes = nodes = _rows(circuit, mode)
         add, _, self._update = _OPS[mode]
         self._var_plans = circuit._var_plans
@@ -380,7 +379,7 @@ class BoundState:
         self.lb: list[float] = [math.nan] * len(nodes)
         for nid in circuit.leaves:
             var, t, f = nodes[nid]
-            if var in self.shared:
+            if var in self.status:
                 self.ub[nid], self.lb[nid] = max(t, f), min(t, f)
             else:
                 self.ub[nid] = self.lb[nid] = add(t, f)
@@ -390,7 +389,7 @@ class BoundState:
 
     def assign(self, var: CircuitVar, val: bool, level: int) -> tuple[float, float]:
         """Fix a shared variable; returns the new (root ub, root lb)."""
-        if var not in self.shared:
+        if var not in self.status:
             raise ValueError(f"variable {var} is not shared")
         if self.status[var] is not None:
             raise ValueError(f"variable {var} already assigned")
@@ -419,9 +418,6 @@ class BoundState:
 
     def root_bounds(self) -> tuple[float, float]:
         return self.ub[self.circuit.root], self.lb[self.circuit.root]
-
-    def assigned_vars(self) -> list[CircuitVar]:
-        return [var for _, var, _ in self._frames]
 
 
 # The syntax of each PC node line, keyed by its tag.

@@ -21,7 +21,6 @@ from .oracle import brute_solve, verify
 from .problems import (
     GridSpec,
     LayeredNetwork,
-    build_manifest,
     encode_hamiltonian_path,
     encode_supply_chain,
     gen_kcolor,
@@ -120,6 +119,14 @@ def _read_model_file(path: str, num_vars: int) -> dict[int, bool]:
     return model
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """Parse a comma-separated list of integers given to `flag`."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag}: {text!r} is not a comma-separated list of integers") from None
+
+
 def _write_text(path: str, text: str) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(text)
@@ -187,8 +194,7 @@ def _relative_to(path: Path, base: Path) -> str:
 
 
 def _gen_supply(args: argparse.Namespace, out) -> int:
-    sizes = tuple(int(x) for x in args.layers.split(","))
-    net = LayeredNetwork(sizes)
+    net = LayeredNetwork(tuple(_int_list("--layers", args.layers)))
     formula = encode_supply_chain(net, args.k_up, args.k_down)
     _write_text(args.output, write_dimacs(formula))
     print(f"wrote {args.output} ({formula.num_vars} edge vars)", file=out)
@@ -204,26 +210,26 @@ def _gen_supply(args: argparse.Namespace, out) -> int:
     pc_path = Path(f"{stem}.pc")
     _write_text(str(pc_path), pc.write_pc(success))
     shared = {cvar: cvar + 1 for cvar in range(net.num_edges)}
-    doc = build_manifest(
-        _relative_to(Path(args.output), manifest_path.parent),
-        [
-            {
-                "circuit": _relative_to(pc_path, manifest_path.parent),
-                "shared": shared,
-                "cmp": args.cmp,
-                "threshold": args.threshold,
-                "threshold_mode": args.threshold_mode,
-            }
-        ],
-        base_dir=manifest_path.parent,
-    )
+    predicate = {
+        "circuit": _relative_to(pc_path, manifest_path.parent),
+        "shared": shared,
+        "cmp": args.cmp,
+        "threshold": args.threshold,
+        "threshold_mode": args.threshold_mode,
+    }
+    doc = {"cnf": _relative_to(Path(args.output), manifest_path.parent), "predicates": [predicate]}
     save_manifest(doc, manifest_path)
     print(f"wrote {uai_path}, {pc_path}, {manifest_path}", file=out)
     return 0
 
 
 def _gen_hampath(args: argparse.Namespace, out) -> int:
-    graph = parse_edge_list(Path(args.graph).read_text(), args.nodes)
+    if args.nodes is not None and args.nodes < 1:
+        raise ValueError(f"--nodes: {args.nodes} is not a positive node count")
+    try:
+        graph = parse_edge_list(Path(args.graph).read_text(), args.nodes)
+    except ValueError as exc:
+        raise ValueError(f"{args.graph}: {exc}") from None
     formula = encode_hamiltonian_path(graph)
     _write_text(args.output, write_dimacs(formula))
     print(f"wrote {args.output} ({graph.n} cities, {formula.num_vars} vars)", file=out)
@@ -231,6 +237,9 @@ def _gen_hampath(args: argparse.Namespace, out) -> int:
 
 
 def _gen_smc(args: argparse.Namespace, out) -> int:
+    order = None if args.order is None else _int_list("--order", args.order)
+    if order is not None and args.circuit is not None:
+        raise ValueError("--order: applies only to a compiled --uai model")
     cnf_path = Path(args.cnf)
     formula = parse_dimacs(cnf_path.read_text())
     manifest_path = Path(args.output)
@@ -241,10 +250,10 @@ def _gen_smc(args: argparse.Namespace, out) -> int:
     else:
         model_path = Path(args.uai)
         fg = parse_uai(model_path.read_text())
-        circ = compile_factor_graph(fg, order=args.order)
+        circ = compile_factor_graph(fg, order=order)
         entry = {"uai": _relative_to(model_path, manifest_path.parent)}
-        if args.order is not None:
-            entry["order"] = args.order
+        if order is not None:
+            entry["order"] = order
     shared = select_shared_vars(circ.num_vars, formula.num_vars, args.seed)
     entry.update(
         {
@@ -256,9 +265,7 @@ def _gen_smc(args: argparse.Namespace, out) -> int:
     )
     if args.b is not None:
         entry["b"] = args.b
-    doc = build_manifest(
-        _relative_to(cnf_path, manifest_path.parent), [entry], base_dir=manifest_path.parent
-    )
+    doc = {"cnf": _relative_to(cnf_path, manifest_path.parent), "predicates": [entry]}
     save_manifest(doc, manifest_path)
     print(f"wrote {manifest_path} ({len(shared)} shared vars)", file=out)
     return 0
@@ -266,10 +273,7 @@ def _gen_smc(args: argparse.Namespace, out) -> int:
 
 def cmd_compile(args: argparse.Namespace, out) -> int:
     fg = parse_uai(Path(args.uai).read_text())
-    try:
-        order = [int(x) for x in args.order.split(",")] if args.order else None
-    except ValueError:
-        raise ValueError(f"--order: {args.order!r} is not a comma-separated list of integers") from None
+    order = None if args.order is None else _int_list("--order", args.order)
     circ = compile_factor_graph(fg, order=order)
     _write_text(args.output, pc.write_pc(circ))
     print(f"wrote {args.output} ({len(circ.nodes)} nodes)", file=out)
@@ -455,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = g_smc.add_mutually_exclusive_group(required=True)
     src.add_argument("--circuit")
     src.add_argument("--uai")
-    g_smc.add_argument("--order", type=int, nargs="*", default=None)
+    g_smc.add_argument("--order", default=None, help="comma-separated variable order (with --uai)")
     g_smc.add_argument("--threshold", type=float, required=True)
     g_smc.add_argument("--threshold-mode", default="partition_fraction")
     g_smc.add_argument("--cmp", default="ge")

@@ -18,6 +18,12 @@ from typing import Sequence
 from .circuit import Circuit
 
 
+# The most variables `enumerate_marginal` sums over and `compile_factor_graph`
+# expands: both take time exponential in them.
+_ENUMERATE_CAP = 24
+_COMPILE_CAP = 20
+
+
 class UaiFormatError(ValueError):
     """Raised on malformed or unsupported UAI input."""
 
@@ -38,7 +44,6 @@ class Factor:
 class FactorGraph:
     kind: str  # MARKOV or BAYES; metadata only, both are factor products
     num_vars: int
-    cardinalities: tuple[int, ...]
     factors: tuple[Factor, ...]
 
 
@@ -78,8 +83,8 @@ def parse_uai(text: str) -> FactorGraph:
     num_vars = next_int("variable count")
     if num_vars < 1:
         raise UaiFormatError("variable count must be positive")
-    cards = tuple(next_int(f"cardinality of variable {i}") for i in range(num_vars))
-    for i, card in enumerate(cards):
+    for i in range(num_vars):
+        card = next_int(f"cardinality of variable {i}")
         if card != 2:
             raise UaiFormatError(f"variable {i} has cardinality {card}; only binary supported")
     num_factors = next_int("factor count")
@@ -106,12 +111,12 @@ def parse_uai(text: str) -> FactorGraph:
         factors.append(Factor(scope, table))
     if pos != len(tokens):
         raise UaiFormatError(f"trailing tokens after factor tables: {tokens[pos]!r}")
-    return FactorGraph(kind, num_vars, cards, tuple(factors))
+    return FactorGraph(kind, num_vars, tuple(factors))
 
 
 def write_uai(fg: FactorGraph) -> str:
     """Serialize a factor graph; round-trips through parse_uai."""
-    lines = [fg.kind, str(fg.num_vars), " ".join(str(c) for c in fg.cardinalities)]
+    lines = [fg.kind, str(fg.num_vars), " ".join(["2"] * fg.num_vars)]
     lines.append(str(len(fg.factors)))
     for factor in fg.factors:
         lines.append(" ".join(str(x) for x in (len(factor.scope),) + factor.scope))
@@ -124,13 +129,12 @@ def write_uai(fg: FactorGraph) -> str:
 def enumerate_marginal(
     fg: FactorGraph,
     assignment: dict[int, bool] | None = None,
-    cap: int = 24,
 ) -> float:
     """Sum of the factor product over all completions of `assignment`."""
     assignment = assignment or {}
     free = [v for v in range(fg.num_vars) if v not in assignment]
-    if len(free) > cap:
-        raise ValueError(f"{len(free)} free variables exceed enumeration cap {cap}")
+    if len(free) > _ENUMERATE_CAP:
+        raise ValueError(f"{len(free)} free variables exceed enumeration cap {_ENUMERATE_CAP}")
     total = 0.0
     values = dict(assignment)
     for mask in range(1 << len(free)):
@@ -148,7 +152,6 @@ def enumerate_marginal(
 def compile_factor_graph(
     fg: FactorGraph,
     order: Sequence[int] | None = None,
-    cap: int = 20,
 ) -> Circuit:
     """Compile a factor graph into a smooth, decomposable circuit.
 
@@ -159,8 +162,8 @@ def compile_factor_graph(
     sub-problems are shared by memoizing on the decided prefix projected
     onto the variables still referenced by pending factors.
     """
-    if fg.num_vars > cap:
-        raise ValueError(f"{fg.num_vars} variables exceed compile cap {cap}")
+    if fg.num_vars > _COMPILE_CAP:
+        raise ValueError(f"{fg.num_vars} variables exceed compile cap {_COMPILE_CAP}")
     if order is None:
         order = tuple(range(fg.num_vars))
     else:

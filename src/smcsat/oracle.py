@@ -52,7 +52,6 @@ def verify(
     p: SmcProblem,
     model: dict[Var, bool],
     mode: NumericMode = NumericMode.LINEAR,
-    marginal_fns: Sequence[MarginalFn | None] | None = None,
 ) -> VerificationReport:
     """Check a full model against every clause and predicate biconditional."""
     for var in range(1, p.cnf.num_vars + 1):
@@ -65,8 +64,7 @@ def verify(
     for i, pred in enumerate(p.predicates):
         q = pred.resolved_threshold(mode)
         values = {cvar: model[fvar] for cvar, fvar in pred.shared_map.items()}
-        fn = marginal_fns[i] if marginal_fns is not None else None
-        m = fn(values) if fn is not None else marginal(pred.circuit, values, mode)
+        m = marginal(pred.circuit, values, mode)
         holds = cmp_holds(pred.cmp, m, q)
         b_value = True if pred.b is None else model[abs(pred.b)] == (pred.b > 0)
         checks.append(

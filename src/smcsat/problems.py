@@ -122,39 +122,28 @@ class LayeredNetwork:
         return [self.edge_var(layer - 1, u, node) for u in range(self.layer_sizes[layer - 1])]
 
 
-def encode_supply_chain(
-    net: LayeredNetwork,
-    k_up: int | None = 2,
-    k_down: int | None = 2,
-) -> CnfFormula:
+def encode_supply_chain(net: LayeredNetwork, k_up: int = 2, k_down: int = 2) -> CnfFormula:
     """Cardinality constraints on trades: every node buys from exactly `k_up`
     upstream suppliers and sells to exactly `k_down` downstream demanders.
 
     The first layer carries no upstream constraint and the last layer no
-    downstream constraint; passing None skips that side entirely.
+    downstream constraint. All upstream clauses come before the downstream ones.
     """
     clauses: list[tuple[Lit, ...]] = []
     sizes = net.layer_sizes
-    for layer in range(1, len(sizes)):
-        if k_up is None:
-            break
-        for node in range(sizes[layer]):
-            edges = net.upstream_edges(layer, node)
-            if len(edges) < k_up:
-                raise ValueError(
-                    f"layer {layer} node {node}: {len(edges)} upstream neighbors < k_up={k_up}"
-                )
-            clauses.extend(exactly_k(edges, k_up))
-    for layer in range(len(sizes) - 1):
-        if k_down is None:
-            break
-        for node in range(sizes[layer]):
-            edges = net.downstream_edges(layer, node)
-            if len(edges) < k_down:
-                raise ValueError(
-                    f"layer {layer} node {node}: {len(edges)} downstream neighbors < k_down={k_down}"
-                )
-            clauses.extend(exactly_k(edges, k_down))
+    sides = (
+        ("upstream", "k_up", k_up, range(1, len(sizes)), net.upstream_edges),
+        ("downstream", "k_down", k_down, range(len(sizes) - 1), net.downstream_edges),
+    )
+    for side, name, k, layers, edges_of in sides:
+        for layer in layers:
+            for node in range(sizes[layer]):
+                edges = edges_of(layer, node)
+                if len(edges) < k:
+                    raise ValueError(
+                        f"layer {layer} node {node}: {len(edges)} {side} neighbors < {name}={k}"
+                    )
+                clauses.extend(exactly_k(edges, k))
     return CnfFormula(net.num_edges, tuple(clauses))
 
 
@@ -184,14 +173,17 @@ def parse_edge_list(text: str, n: int | None = None) -> GraphSpec:
     """Read `u v` edge lines (0-based); n defaults to max index + 1."""
     edges = []
     max_node = -1
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#")[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"bad edge line {raw!r}")
-        u, v = int(parts[0]), int(parts[1])
+            raise ValueError(f"line {lineno}: bad edge line {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: {line!r} is not two integer node ids") from None
         edges.append((u, v))
         max_node = max(max_node, u, v)
     if n is None:
@@ -275,7 +267,7 @@ def gen_random_bn(
                 wt, wf, s = 0.5, 0.5, 1.0
             table.extend((wt / s, wf / s))
         factors.append(Factor(ps + (child,), tuple(table)))
-    return FactorGraph("BAYES", n, (2,) * n, tuple(factors))
+    return FactorGraph("BAYES", n, tuple(factors))
 
 
 def marginalize_false_circuit(c: Circuit) -> Circuit:

@@ -90,6 +90,8 @@ class SmcProblem:
 
 # VSIDS: the activity bump grows by 1/decay after each conflict.
 _ACTIVITY_DECAY = 0.95
+# Restart after this many conflicts times the next Luby term.
+_RESTART_BASE = 100
 
 
 class SolveStatus(enum.Enum):
@@ -102,13 +104,10 @@ class SolveStatus(enum.Enum):
 class SolverConfig:
     ulw_enabled: bool = True
     numeric_mode: NumericMode = NumericMode.LINEAR
-    restart_base: int = 100
     max_conflicts: int | None = None
     max_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.restart_base < 1:
-            raise ValueError("restart base must be positive")
         if self.max_conflicts is not None and self.max_conflicts < 0:
             raise ValueError("conflict budget must be nonnegative")
         if self.max_seconds is not None and self.max_seconds < 0:
@@ -226,7 +225,6 @@ class CdclSolver:
     """
 
     def __init__(self, problem: SmcProblem, config: SolverConfig | None = None):
-        self.problem = problem
         self.cfg = config or SolverConfig()
         self.mode = self.cfg.numeric_mode
         nv = problem.cnf.num_vars
@@ -258,11 +256,11 @@ class CdclSolver:
 
     # ------------------------------------------------------------------ db
 
-    def _add_clause(self, lits: list[Lit]) -> int | None:
-        """Attach an original clause; returns its index (None for empties)."""
+    def _add_clause(self, lits: list[Lit]) -> None:
+        """Attach an original clause; an empty one makes the problem UNSAT."""
         if not lits:
             self.ok = False
-            return None
+            return
         idx = len(self.clauses)
         self.clauses.append(lits)
         if len(lits) == 1:
@@ -270,7 +268,6 @@ class CdclSolver:
         else:
             self.watches[lits[0]].append(idx)
             self.watches[lits[1]].append(idx)
-        return idx
 
     def _add_derived(self, lits: list[Lit]) -> int:
         """Attach a learned or predicate-reason clause.
@@ -525,7 +522,7 @@ class CdclSolver:
             if not self._enqueue(lit, idx):
                 return SolveStatus.UNSAT, None
         conflicts_since_restart = 0
-        restart_limit = self.cfg.restart_base * luby(self.stats.restarts + 1)
+        restart_limit = _RESTART_BASE * luby(self.stats.restarts + 1)
         while True:
             conflict = self.propagate()
             if conflict is not None:
@@ -550,7 +547,7 @@ class CdclSolver:
             if conflicts_since_restart >= restart_limit:
                 self.stats.restarts += 1
                 conflicts_since_restart = 0
-                restart_limit = self.cfg.restart_base * luby(self.stats.restarts + 1)
+                restart_limit = _RESTART_BASE * luby(self.stats.restarts + 1)
                 if self.trail_lim:
                     self.backtrack(0)
             self.decide()

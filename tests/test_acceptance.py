@@ -120,9 +120,10 @@ def _agreement_cnf(rng: random.Random) -> CnfFormula:
         return encode_hamiltonian_path(GraphSpec.from_edges(3, [(0, 1), (1, 2), (0, 2)][: rng.randint(2, 3)]))
     if kind == 2:
         layers = rng.choice(((2, 2), (2, 2, 2), (1, 3)))
-        k_down = 1 if layers != (1, 3) else 2
-        k_up = 1 if layers != (1, 3) else None
-        return encode_supply_chain(LayeredNetwork(layers), k_up, k_down)
+        if layers == (1, 3):
+            # The one source sells to exactly two of its three buyers.
+            return CnfFormula(3, tuple(exactly_k([1, 2, 3], 2)))
+        return encode_supply_chain(LayeredNetwork(layers), 1, 1)
     n = rng.randint(4, 10)
     k = rng.randint(1, n - 1)
     return CnfFormula(n, tuple(exactly_k(list(range(1, n + 1)), k)))

@@ -451,16 +451,16 @@ def test_bounds_equal_full_pass_after_every_update():
         rng = random.Random(i)
         shared = set(rng.sample(range(c.num_vars), rng.randint(1, c.num_vars)))
         bs = BoundState(c, shared, mode)
-        assert bs.ub == _evaluate(c, mode, bs.status, bs.shared, max)
-        assert bs.lb == _evaluate(c, mode, bs.status, bs.shared, min)
+        assert bs.ub == _evaluate(c, mode, bs.status, bs.status, max)
+        assert bs.lb == _evaluate(c, mode, bs.status, bs.status, min)
         for level in range(1, 4 * c.num_vars):
             free = [v for v in sorted(shared) if bs.status[v] is None]
             if free and rng.random() < 0.7:
                 bs.assign(rng.choice(free), rng.random() < 0.5, level)
             else:
                 bs.backtrack_bounds(rng.randint(0, level - 1))
-            assert bs.ub == _evaluate(c, mode, bs.status, bs.shared, max)
-            assert bs.lb == _evaluate(c, mode, bs.status, bs.shared, min)
+            assert bs.ub == _evaluate(c, mode, bs.status, bs.status, max)
+            assert bs.lb == _evaluate(c, mode, bs.status, bs.status, min)
 
 
 def test_bounds_log_mode_consistent():
@@ -480,12 +480,3 @@ def test_bounds_log_mode_consistent():
                     assert logged == -math.inf
                 else:
                     assert rel_close(math.exp(logged), linear, rel=1e-9)
-
-
-def test_assigned_vars_tracking(route_circuit):
-    bs = BoundState(route_circuit, {0, 1})
-    bs.assign(1, False, 1)
-    bs.assign(0, True, 2)
-    assert bs.assigned_vars() == [1, 0]
-    bs.backtrack_bounds(1)
-    assert bs.assigned_vars() == [1]

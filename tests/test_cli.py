@@ -284,6 +284,59 @@ def test_gen_hampath_smc_chain(tmp_path):
     assert solve_code in (10, 20)
 
 
+def test_gen_smc_order_is_comma_separated(tmp_path):
+    cnf = tmp_path / "k.cnf"
+    run_cli("gen", "kcolor", "--rows", "1", "--cols", "2", "-o", str(cnf))
+    uai = tmp_path / "net.uai"
+    run_cli("gen", "bn", "-n", "3", "--seed", "1", "-o", str(uai))
+    manifest = tmp_path / "k.json"
+    code, _ = run_cli(
+        "gen", "smc", "--cnf", str(cnf), "--uai", str(uai), "--order", "2,0,1",
+        "--threshold", "0.5", "-o", str(manifest),
+    )
+    assert code == 0
+    assert json.loads(manifest.read_text())["predicates"][0]["order"] == [2, 0, 1]
+
+
+def test_gen_smc_rejects_order_with_circuit(tmp_path, capsys):
+    cnf = tmp_path / "k.cnf"
+    run_cli("gen", "kcolor", "--rows", "1", "--cols", "2", "-o", str(cnf))
+    pc_file = tmp_path / "route.pc"
+    pc_file.write_text(TWO_ROUTE_CIRCUIT_TEXT)
+    manifest = tmp_path / "k.json"
+    code, _ = run_cli(
+        "gen", "smc", "--cnf", str(cnf), "--circuit", str(pc_file), "--order", "3,2,1,0",
+        "--threshold", "0.5", "-o", str(manifest),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: --order: applies only to a compiled --uai model\n"
+    assert not manifest.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, edges, message",
+    [
+        pytest.param(
+            ("supply", "--layers", "2,x"), None,
+            "--layers: '2,x' is not a comma-separated list of integers", id="layers-x",
+        ),
+        pytest.param((), "0 1\n0 1 2\n", "{graph}: line 2: bad edge line '0 1 2'", id="three-tokens"),
+        pytest.param((), "0 1\n# note\n1 x\n", "{graph}: line 3: '1 x' is not two integer node ids", id="token-x"),
+        pytest.param((), "0 1\n1 1\n", "{graph}: self-loop at node 1", id="self-loop"),
+        pytest.param(("--nodes", "2"), "0 1\n1 5\n", "{graph}: edge (1, 5) out of range", id="out-of-range"),
+        pytest.param(("--nodes", "0"), "0 1\n", "--nodes: 0 is not a positive node count", id="nodes-0"),
+    ],
+)
+def test_gen_input_errors_name_flag_or_file(tmp_path, capsys, argv, edges, message):
+    graph = tmp_path / "g.edges"
+    if edges is not None:
+        graph.write_text(edges)
+        argv = ("hampath", "--graph", str(graph), *argv)
+    code, _ = run_cli("gen", *argv, "-o", str(tmp_path / "out.cnf"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message.format(graph=graph)}\n"
+
+
 def test_gen_supply_bundle_and_sweep(tmp_path):
     cnf = tmp_path / "supply.cnf"
     manifest = tmp_path / "supply.json"

@@ -119,11 +119,6 @@ def test_supply_2x2x2_single_trades():
     assert count_models(f) == 4
 
 
-def test_supply_source_fanout_only():
-    f = encode_supply_chain(LayeredNetwork((1, 3)), k_up=None, k_down=2)
-    assert count_models(f) == 3  # C(3,2)
-
-
 def test_supply_infeasible_cardinality():
     with pytest.raises(ValueError):
         encode_supply_chain(LayeredNetwork((1, 3)), k_up=2, k_down=2)

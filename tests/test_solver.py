@@ -372,13 +372,14 @@ def test_time_budget_exhaustion():
     assert result.status is SolveStatus.BUDGET
 
 
-def test_restarts_preserve_completeness():
+def test_restarts_preserve_completeness(monkeypatch):
+    monkeypatch.setattr("smcsat.solver._RESTART_BASE", 1)
     problem = motivating_problem(0.5)
-    result = solve(problem, SolverConfig(restart_base=1))
+    result = solve(problem)
     assert result.status is SolveStatus.SAT
     assert verify(problem, result.model).passed
     hard = _ablation_instance(2)
-    res = solve(hard, SolverConfig(restart_base=1, ulw_enabled=False))
+    res = solve(hard, SolverConfig(ulw_enabled=False))
     assert res.status is SolveStatus.UNSAT
 
 
@@ -420,11 +421,11 @@ def test_overlapping_shared_vars_and_b_collisions():
             assert verify(problem, result.model).passed
 
 
-def test_agreement_under_aggressive_restarts():
-    config = SolverConfig(restart_base=1)
+def test_agreement_under_aggressive_restarts(monkeypatch):
+    monkeypatch.setattr("smcsat.solver._RESTART_BASE", 1)
     for seed in range(12):
         problem = _random_instance(seed + 2000)
-        result = solve(problem, config)
+        result = solve(problem)
         expected = brute_solve(problem)
         assert result.status is expected.status, f"seed {seed}"
         if result.status is SolveStatus.SAT:
@@ -447,11 +448,12 @@ class _BacktrackCheckingSolver(CdclSolver):
                 assert self.value[v] is None and self.value[-v] is None
 
 
-def test_backtrack_clears_both_polarity_slots():
+def test_backtrack_clears_both_polarity_slots(monkeypatch):
     # Restarting after every conflict backtracks often, to level 0 and above.
+    monkeypatch.setattr("smcsat.solver._RESTART_BASE", 1)
     backtracks = 0
     for instance, mode, status, _ in _PINNED_COUNTERS:
-        config = SolverConfig(numeric_mode=mode, restart_base=1)
+        config = SolverConfig(numeric_mode=mode)
         solver = _BacktrackCheckingSolver(_pinned_instance(*instance), config)
         assert solver.solve().status is status
         backtracks += solver.backtracks
