@@ -32,10 +32,12 @@ in ascending order, reads each node's row in the mode's value space and
 computes its upper and lower bound together, with the combine function
 inlined. A variable's plan, the same in every mode, holds the ids of its
 leaves and of their ancestors.
-Initialisation sets every leaf once and runs the kernel over all inner nodes;
-assigning a variable sets its leaves and runs the kernel over its plan;
-backtracking undoes by decision level. The kernels fold left to right from
-the same identity as the combine functions, so a fully assigned
+Initialisation sets every leaf once and runs the kernel over all inner nodes.
+An assignment is a batch, the shared variables that one propagation round
+fixed: it sets their leaves and runs the kernel once over the union of
+their plans, so each node is recomputed once, from its children's final
+bounds. Backtracking undoes by decision level. The kernels fold left to
+right from the same identity as the combine functions, so a fully assigned
 ``BoundState`` reproduces ``marginal`` bit for bit.
 """
 
@@ -346,14 +348,17 @@ def partition(c: Circuit, mode: NumericMode = NumericMode.LINEAR) -> float:
 class BoundState:
     """Per-node upper/lower bounds on the root marginal under partial assignment.
 
-    Variables in `shared` may be assigned True/False one at a time; all other
+    Variables in `shared` are assigned True/False in batches; all other
     variables are latent and always marginalized. Construction sets every
     leaf (the larger and smaller weight of a free shared variable, the
     summed-out mass otherwise) and runs the mode's update kernel once over
-    all inner nodes. Each assignment sets the variable's leaves and runs the
-    kernel over the variable's cached plan in ascending id order, recording
-    the previous bounds of every node that changed in a trail frame, so
-    backtracking restores them bit-exactly.
+    all inner nodes. Each batch sets its variables' leaves and runs the
+    kernel once, in ascending id order, over the union of their plans (a
+    one-variable batch uses the cached plan), recording the previous bounds
+    of every node that changed in one trail frame, so backtracking restores
+    them bit-exactly. Every inner node's bounds always equal its kernel over
+    its children's bounds, so the result does not depend on how the
+    assignments are split into batches.
     """
 
     def __init__(
@@ -384,37 +389,56 @@ class BoundState:
             else:
                 self.ub[nid] = self.lb[nid] = add(t, f)
         self._update(circuit.inner, nodes, self.ub, self.lb, deque(maxlen=0))
-        # frames: (level, var, [(node id, previous ub, previous lb), ...])
-        self._frames: list[tuple[int, CircuitVar, _Saved]] = []
+        # frames: (level, batch vars, [(node id, previous ub, previous lb), ...])
+        self._frames: list[tuple[int, list[CircuitVar], _Saved]] = []
 
-    def assign(self, var: CircuitVar, val: bool, level: int) -> tuple[float, float]:
-        """Fix a shared variable; returns the new (root ub, root lb)."""
-        if var not in self.status:
-            raise ValueError(f"variable {var} is not shared")
-        if self.status[var] is not None:
-            raise ValueError(f"variable {var} already assigned")
+    def assign(self, items: list[tuple[CircuitVar, bool]], level: int) -> tuple[float, float]:
+        """Fix a batch of shared variables, given as ``(var, value)`` pairs,
+        in one trail frame; returns the new (root ub, root lb). Every item is
+        checked before any bound changes."""
+        status = self.status
+        batch = [var for var, _ in items]
+        for var in batch:
+            if var not in status:
+                raise ValueError(f"variable {var} is not shared")
+            if status[var] is not None:
+                raise ValueError(f"variable {var} already assigned")
+        if len(set(batch)) != len(batch):
+            raise ValueError("variable repeated in one batch")
         saved: _Saved = []
-        self._frames.append((level, var, saved))
-        self.status[var] = val
-        leaves, inner = self._var_plans[var] or _var_plan(self.circuit, var)
-        nodes, ub, lb, pos = self._nodes, self.ub, self.lb, 1 if val else 2
-        for nid in leaves:
-            x = nodes[nid][pos]
-            if x != ub[nid] or x != lb[nid]:
-                saved.append((nid, ub[nid], lb[nid]))
-                ub[nid] = lb[nid] = x
-        # Ids are topological: each child in the plan settles before its parent.
+        self._frames.append((level, batch, saved))
+        c, plans, nodes, ub, lb = self.circuit, self._var_plans, self._nodes, self.ub, self.lb
+        mask = 0
+        for var, val in items:
+            status[var] = val
+            mask |= 1 << var
+            leaves, inner = plans[var] or _var_plan(c, var)
+            pos = 1 if val else 2
+            for nid in leaves:
+                x = nodes[nid][pos]
+                if x != ub[nid] or x != lb[nid]:
+                    saved.append((nid, ub[nid], lb[nid]))
+                    ub[nid] = lb[nid] = x
+        # The union of the batch's plans, ascending: the inner nodes whose
+        # scope meets the batch (a scope scan measured faster than a sorted
+        # set union of the plans on supply-sweep, and close on grid-bn). Ids
+        # are topological, so each node settles after all its children and
+        # is recomputed once, from their final bounds.
+        if len(batch) != 1:
+            scopes = c.scopes
+            inner = [nid for nid in c.inner if scopes[nid] & mask]
         self._update(inner, nodes, ub, lb, saved)
         return self.root_bounds()
 
     def backtrack_bounds(self, level: int) -> None:
         """Pop all trail frames above `level`, restoring saved bounds exactly."""
         while self._frames and self._frames[-1][0] > level:
-            _, var, saved = self._frames.pop()
+            _, batch, saved = self._frames.pop()
             for nid, old_ub, old_lb in reversed(saved):
                 self.ub[nid] = old_ub
                 self.lb[nid] = old_lb
-            self.status[var] = None
+            for var in batch:
+                self.status[var] = None
 
     def root_bounds(self) -> tuple[float, float]:
         return self.ub[self.circuit.root], self.lb[self.circuit.root]

@@ -21,6 +21,7 @@ from .oracle import brute_solve, verify
 from .problems import (
     GridSpec,
     LayeredNetwork,
+    build_manifest,
     encode_hamiltonian_path,
     encode_supply_chain,
     gen_kcolor,
@@ -196,28 +197,30 @@ def _relative_to(path: Path, base: Path) -> str:
 def _gen_supply(args: argparse.Namespace, out) -> int:
     net = LayeredNetwork(tuple(_int_list("--layers", args.layers)))
     formula = encode_supply_chain(net, args.k_up, args.k_down)
-    _write_text(args.output, write_dimacs(formula))
-    print(f"wrote {args.output} ({formula.num_vars} edge vars)", file=out)
     if args.manifest is None:
+        _write_text(args.output, write_dimacs(formula))
+        print(f"wrote {args.output} ({formula.num_vars} edge vars)", file=out)
         return 0
     # Full bundle: disaster BN over the edges, success circuit, manifest.
+    # All of it is built and checked before the first file is written, so a
+    # failure (too many edges to compile, a bad --cmp) leaves no partial bundle.
     manifest_path = Path(args.manifest)
     stem = manifest_path.with_suffix("")
+    uai_path, pc_path = Path(f"{stem}.uai"), Path(f"{stem}.pc")
     fg = gen_random_bn(net.num_edges, seed=args.disaster_seed)
-    uai_path = Path(f"{stem}.uai")
-    _write_text(str(uai_path), write_uai(fg))
     success = marginalize_false_circuit(compile_factor_graph(fg))
-    pc_path = Path(f"{stem}.pc")
-    _write_text(str(pc_path), pc.write_pc(success))
-    shared = {cvar: cvar + 1 for cvar in range(net.num_edges)}
     predicate = {
         "circuit": _relative_to(pc_path, manifest_path.parent),
-        "shared": shared,
+        "shared": {cvar: cvar + 1 for cvar in range(net.num_edges)},
         "cmp": args.cmp,
         "threshold": args.threshold,
         "threshold_mode": args.threshold_mode,
     }
-    doc = {"cnf": _relative_to(Path(args.output), manifest_path.parent), "predicates": [predicate]}
+    doc = build_manifest(_relative_to(Path(args.output), manifest_path.parent), [predicate])
+    _write_text(args.output, write_dimacs(formula))
+    print(f"wrote {args.output} ({formula.num_vars} edge vars)", file=out)
+    _write_text(str(uai_path), write_uai(fg))
+    _write_text(str(pc_path), pc.write_pc(success))
     save_manifest(doc, manifest_path)
     print(f"wrote {uai_path}, {pc_path}, {manifest_path}", file=out)
     return 0

@@ -3,11 +3,13 @@
 Each predicate links a literal b to an inequality between a circuit's
 marginal mass (shared formula variables fixed, the rest summed out) and a
 threshold. During propagation the solver narrows each predicate's root
-bounds as shared variables get assigned; once the bounds decide the
-inequality it propagates b or raises a conflict, learning a clause over the
-assigned shared variables. With bound tracking disabled, predicates are
-checked exactly and only when fully assigned, which reproduces the naive
-solver-plus-inference loop as an ablation baseline.
+bounds once per round: the shared variables assigned since the last check
+are applied as one batch, over the union of their plans, before the bounds
+are read. Once the bounds decide the inequality it propagates b or raises a
+conflict, learning a clause over the assigned shared variables. With bound
+tracking disabled, predicates are checked exactly and only when fully
+assigned, which reproduces the naive solver-plus-inference loop as an
+ablation baseline.
 """
 
 from __future__ import annotations
@@ -210,6 +212,8 @@ class _PredState:
         self.resolved_q = spec.resolved_threshold(mode)
         self.decided_level: int | None = None
         self.dirty = True
+        # (circuit var, value) pairs scanned but not yet applied to `bounds`.
+        self.pending: list[tuple[int, bool]] = []
 
 
 class CdclSolver:
@@ -382,13 +386,17 @@ class CdclSolver:
                     if ps.decided_level is not None:
                         continue
                     if ps.bounds is not None:
-                        ps.bounds.assign(cvar, lit > 0, len(self.trail_lim))
+                        ps.pending.append((cvar, lit > 0))
                     ps.dirty = True
             progressed = False
             for ps in self.preds:
                 if ps.decided_level is not None or not ps.dirty:
                     continue
                 ps.dirty = False
+                if ps.pending:
+                    # Every scanned literal is at the current level.
+                    ps.bounds.assign(ps.pending, len(self.trail_lim))
+                    ps.pending.clear()
                 bounds = self._pred_bounds(ps)
                 if bounds is None:
                     continue
@@ -476,6 +484,8 @@ class CdclSolver:
         self.qhead = min(self.qhead, len(self.trail))
         self.pred_qhead = min(self.pred_qhead, len(self.trail))
         for ps in self.preds:
+            # A conflict can return before a later predicate's batch is applied.
+            ps.pending.clear()
             if ps.bounds is not None:
                 ps.bounds.backtrack_bounds(level)
             if ps.decided_level is not None and ps.decided_level > level:

@@ -101,7 +101,7 @@ def test_criterion_3_bound_soundness_fuzz():
                 assert lb <= lo + 1e-9 * scale
                 assert ub >= hi - 1e-9 * scale
                 partial[var] = rng.random() < 0.5
-                bs.assign(var, partial[var], level)
+                bs.assign([(var, partial[var])], level)
             ub, lb = bs.root_bounds()
             exact = marginal(c, partial)
             assert ub == lb

@@ -339,29 +339,29 @@ def test_init_bounds_single_leaf():
 
 def test_assign_two_route_sequence(route_circuit):
     bs = BoundState(route_circuit, {0, 1})
-    assert bs.assign(0, True, 1) == (0.2, 0.0)
-    assert bs.assign(1, False, 2) == (0.1, 0.1)
+    assert bs.assign([(0, True)], 1) == (0.2, 0.0)
+    assert bs.assign([(1, False)], 2) == (0.1, 0.1)
 
 
 def test_assign_single_leaf():
     c = parse_pc("pc 1 1\nl 0 0.3 0.7")
     bs = BoundState(c, {0})
-    assert bs.assign(0, True, 1) == (0.3, 0.3)
+    assert bs.assign([(0, True)], 1) == (0.3, 0.3)
 
 
 def test_assign_rejects_invalid(route_circuit):
     bs = BoundState(route_circuit, {0, 1})
     with pytest.raises(ValueError):
-        bs.assign(2, True, 1)  # latent
-    bs.assign(0, True, 1)
+        bs.assign([(2, True)], 1)  # latent
+    bs.assign([(0, True)], 1)
     with pytest.raises(ValueError):
-        bs.assign(0, False, 2)  # already assigned
+        bs.assign([(0, False)], 2)  # already assigned
 
 
 def test_backtrack_restores_exactly(route_circuit):
     bs = BoundState(route_circuit, {0, 1})
     before_ub, before_lb = list(bs.ub), list(bs.lb)
-    bs.assign(0, True, 1)
+    bs.assign([(0, True)], 1)
     bs.backtrack_bounds(0)
     assert bs.ub == before_ub and bs.lb == before_lb
     assert bs.status[0] is None
@@ -378,13 +378,13 @@ def test_backtrack_interleaved_replay():
         rng.shuffle(order)
         values = [rng.random() < 0.5 for _ in order]
         for level, (v, val) in enumerate(zip(order, values), start=1):
-            bs.assign(v, val, level)
+            bs.assign([(v, val)], level)
         keep = rng.randint(0, n - 1)
         bs.backtrack_bounds(keep)
         # replay oracle: fresh init + re-assign the kept prefix
         fresh = BoundState(c, shared)
         for level, (v, val) in enumerate(zip(order[:keep], values[:keep]), start=1):
-            fresh.assign(v, val, level)
+            fresh.assign([(v, val)], level)
         assert bs.ub == fresh.ub
         assert bs.lb == fresh.lb
 
@@ -416,7 +416,7 @@ def test_bounds_sandwich_and_tightness_fuzz():
             assert ub >= hi - 1e-9 * max(1.0, abs(hi))
             val = rng.random() < 0.5
             partial[v] = val
-            ub, lb = bs.assign(v, val, level)
+            ub, lb = bs.assign([(v, val)], level)
             # monotone narrowing
             assert ub <= prev_ub and lb >= prev_lb
             prev_ub, prev_lb = ub, lb
@@ -456,11 +456,85 @@ def test_bounds_equal_full_pass_after_every_update():
         for level in range(1, 4 * c.num_vars):
             free = [v for v in sorted(shared) if bs.status[v] is None]
             if free and rng.random() < 0.7:
-                bs.assign(rng.choice(free), rng.random() < 0.5, level)
+                bs.assign([(rng.choice(free), rng.random() < 0.5)], level)
             else:
                 bs.backtrack_bounds(rng.randint(0, level - 1))
             assert bs.ub == _evaluate(c, mode, bs.status, bs.status, max)
             assert bs.lb == _evaluate(c, mode, bs.status, bs.status, min)
+
+
+def _bound_snapshot(bs: BoundState) -> tuple[list[float], list[float], dict]:
+    return list(bs.ub), list(bs.lb), dict(bs.status)
+
+
+def test_batch_assign_equals_single_fold_and_full_pass():
+    # a random assignment order split into random batches, against the same
+    # order assigned one variable per call
+    for mode, seed in itertools.product(NumericMode, range(100)):
+        rng = random.Random(seed + 1100)
+        n = rng.randint(2, 8)
+        c = random_circuit(seed + 1100, n)
+        shared = set(rng.sample(range(n), rng.randint(1, n)))
+        batched = BoundState(c, shared, mode)
+        single = BoundState(c, shared, mode)
+        order = sorted(shared)
+        rng.shuffle(order)
+        items = [(v, rng.random() < 0.5) for v in order]
+        level = 0
+        while items:
+            cut = rng.randint(1, len(items))
+            batch, items = items[:cut], items[cut:]
+            level += 1
+            got = batched.assign(batch, level)
+            for item in batch:
+                single.assign([item], level)
+            assert got == batched.root_bounds() == single.root_bounds()
+            assert batched.ub == single.ub and batched.lb == single.lb
+            assert batched.ub == _evaluate(c, mode, batched.status, batched.status, max)
+            assert batched.lb == _evaluate(c, mode, batched.status, batched.status, min)
+
+
+def test_backtrack_restores_interleaved_batch_frames():
+    for mode, seed in itertools.product(NumericMode, range(100)):
+        rng = random.Random(seed + 1300)
+        n = rng.randint(2, 8)
+        c = random_circuit(seed + 1300, n)
+        shared = set(rng.sample(range(n), rng.randint(1, n)))
+        bs = BoundState(c, shared, mode)
+        # states[k]: the arrays and status with every frame up to level k
+        states = [_bound_snapshot(bs)]
+        for _ in range(4 * n):
+            free = [v for v in sorted(shared) if bs.status[v] is None]
+            if free and rng.random() < 0.6:
+                batch = [(v, rng.random() < 0.5) for v in rng.sample(free, rng.randint(1, len(free)))]
+                bs.assign(batch, len(states))
+                states.append(_bound_snapshot(bs))
+            else:
+                keep = rng.randint(0, len(states) - 1)
+                bs.backtrack_bounds(keep)
+                del states[keep + 1 :]
+                assert _bound_snapshot(bs) == states[-1]
+        bs.backtrack_bounds(0)
+        assert _bound_snapshot(bs) == states[0]
+        assert all(val is None for val in bs.status.values())
+
+
+def test_batch_assign_rejects_before_any_change(route_circuit):
+    bs = BoundState(route_circuit, {0, 1, 2})
+    bs.assign([(2, False)], 1)
+    before = _bound_snapshot(bs)
+    for batch in (
+        [(0, True), (3, True)],  # 3 is latent
+        [(0, True), (2, True)],  # 2 is already assigned
+        [(0, True), (1, False), (0, False)],  # 0 is repeated
+    ):
+        with pytest.raises(ValueError):
+            bs.assign(batch, 2)
+        assert _bound_snapshot(bs) == before
+    bs.backtrack_bounds(1)
+    assert _bound_snapshot(bs) == before
+    bs.backtrack_bounds(0)
+    assert bs.status == {0: None, 1: None, 2: None}
 
 
 def test_bounds_log_mode_consistent():
@@ -473,8 +547,8 @@ def test_bounds_log_mode_consistent():
         rng = random.Random(seed)
         for level, v in enumerate(sorted(shared), start=1):
             val = rng.random() < 0.5
-            lu, ll = lin.assign(v, val, level)
-            gu, gl = log.assign(v, val, level)
+            lu, ll = lin.assign([(v, val)], level)
+            gu, gl = log.assign([(v, val)], level)
             for linear, logged in ((lu, gu), (ll, gl)):
                 if linear == 0.0:
                     assert logged == -math.inf

@@ -358,6 +358,23 @@ def test_gen_supply_bundle_and_sweep(tmp_path):
     assert statuses[-1] == "unsat" and all(s == "sat" for s in statuses[:-1])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("--layers", "4,4,4"), "32 variables exceed compile cap 20", id="compile-cap"),
+        pytest.param(("--layers", "2,2,2", "--cmp", "foo"), "predicate 0: unknown comparator 'foo'", id="bad-cmp"),
+    ],
+)
+def test_gen_supply_bundle_error_writes_nothing(tmp_path, capsys, argv, message):
+    code, out = run_cli(
+        "gen", "supply", *argv, "-o", str(tmp_path / "s.cnf"), "--manifest", str(tmp_path / "m.json")
+    )
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_rejects_stats(route_manifest):
     with pytest.raises(SystemExit) as exc:
         run_cli("sweep", str(route_manifest(0.5)), "--stats")

@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
-from smcsat.circuit import NumericMode, parse_pc, partition
+from smcsat.circuit import BoundState, NumericMode, parse_pc, partition
 from smcsat.factorgraph import compile_factor_graph
 from smcsat.formula import CnfFormula
 from smcsat.oracle import brute_solve, verify
@@ -135,6 +135,70 @@ def test_early_conflict_before_second_shared_var():
     assert solver.value[2] is None  # x2 untouched
     assert set(conflict) == {-5, -1}
     assert solver.stats.prob_conflicts == 1
+
+
+def test_propagate_one_batch_per_dirty_predicate_per_round(monkeypatch):
+    # Each call's items are exactly the predicate's shared variables that the
+    # solver has assigned and the bound state has not yet seen.
+    solver: CdclSolver | None = None
+    rounds = 0
+    calls: list[tuple[int, int]] = []  # (round, predicate index)
+    original_bool, original_assign = CdclSolver._propagate_bool, BoundState.assign
+
+    def counting_bool(self):
+        nonlocal rounds
+        rounds += 1
+        return original_bool(self)
+
+    def checking_assign(self, items, level):
+        pi = next(i for i, ps in enumerate(solver.preds) if ps.bounds is self)
+        want = [
+            (cvar, solver.value[fvar])
+            for cvar, fvar in solver.preds[pi].shared_items
+            if self.status[cvar] is None and solver.value[fvar] is not None
+        ]
+        assert sorted(items) == want
+        assert level == len(solver.trail_lim)
+        calls.append((rounds, pi))
+        return original_assign(self, items, level)
+
+    monkeypatch.setattr(CdclSolver, "_propagate_bool", counting_bool)
+    monkeypatch.setattr(BoundState, "assign", checking_assign)
+    for q in (0.1, 0.3, 0.5):  # 3, 2 and 0 conflicts
+        calls.clear()
+        solver = CdclSolver(motivating_problem(q))
+        assert solver.solve().status is SolveStatus.SAT
+        assert calls and len(set(calls)) == len(calls)
+    # Deciding b2 = True forces x3 and x4 in one round: one call, both items.
+    calls.clear()
+    solver = CdclSolver(motivating_problem(0.5))
+    assert solver.propagate() is None and calls == []
+    solver.trail_lim.append(len(solver.trail))
+    solver._assign(6, None)
+    assert solver.propagate() is None
+    assert calls == [(rounds, 1)]
+    assert solver.preds[1].bounds.status == {2: True, 3: True}
+
+
+def test_backjump_clears_unapplied_batches():
+    # b1 forces all four shared variables; the first predicate (hard)
+    # conflicts before the second one's batch is applied.
+    c = two_route_circuit()
+    cnf = CnfFormula(6, ((-5, 1), (-5, 2), (-5, 3), (-5, 4)))
+    p1 = PredicateSpec(c, {0: 1, 1: 2}, Comparator.GE, 0.5)
+    p2 = PredicateSpec(c, {2: 3, 3: 4}, Comparator.GE, 0.5, b=6)
+    solver = CdclSolver(SmcProblem(cnf, (p1, p2)))
+    assert solver.propagate() is None
+    solver.trail_lim.append(len(solver.trail))
+    solver._assign(5, None)
+    conflict = solver.propagate()
+    assert conflict is not None and solver.stats.prob_conflicts == 1
+    assert solver.preds[1].pending == [(2, True), (3, True)]
+    learned, backjump = solver.analyze(conflict)
+    solver.backtrack(backjump)
+    assert all(ps.pending == [] for ps in solver.preds)
+    assert all(val is None for ps in solver.preds for val in ps.bounds.status.values())
+    assert solve(SmcProblem(cnf, (p1, p2))).status is brute_solve(SmcProblem(cnf, (p1, p2))).status
 
 
 def test_shared_empty_predicate_decided_at_level_zero():
