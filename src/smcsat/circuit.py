@@ -16,12 +16,13 @@ space:
 
 The constructor checks the rows in one pass, which also computes each
 node's scope as an ``int`` bitmask (``Circuit.scopes``, bit ``v`` set for
-variable ``v``), the ascending ids of the leaves and of the inner nodes
-(``Circuit.leaves``, ``Circuit.inner``) and the smoothness and
-decomposability verdict that ``validate`` returns. Only two things are
-built later, on first use, and cached on the circuit: the log rows and the
-per-variable plans. Linear mode reads the rows as they are; log mode reads
-a copy with every weight mapped through ``math.log`` (zero to ``-inf``).
+variable ``v``), the ascending ids of the leaves, of each variable's leaves
+and of the inner nodes (``Circuit.leaves``, ``Circuit.var_leaves``,
+``Circuit.inner``) and the smoothness and decomposability verdict that
+``validate`` returns. Three things are built later, on first use, and
+cached on the circuit: the log rows, each variable's inner plan and the
+decision sums. Linear mode reads the rows as they are; log mode reads a
+copy with every weight mapped through ``math.log`` (zero to ``-inf``).
 ``marginal`` and ``partition`` evaluate the rows with one leaf rule and one
 combine function per mode.
 
@@ -36,9 +37,29 @@ Initialisation sets every leaf once and runs the kernel over all inner nodes.
 An assignment is a batch, the shared variables that one propagation round
 fixed: it sets their leaves and runs the kernel once over the union of
 their plans, so each node is recomputed once, from its children's final
-bounds. Backtracking undoes by decision level. The kernels fold left to
-right from the same identity as the combine functions, so a fully assigned
-``BoundState`` reproduces ``marginal`` bit for bit.
+bounds. Backtracking undoes by decision level.
+
+Most nodes get interval bounds: a product multiplies its children's bounds
+and a sum adds them. A *decision sum* is tighter. It has two product
+children, one holding the indicator ``(v, 1.0, 0.0)`` and the other
+``(v, 0.0, 1.0)`` of one variable ``v``; every sum that
+``compile_factor_graph`` emits has this shape. When ``v`` is shared, every
+completion of the free shared variables sets ``v`` and so zeroes one
+branch: the sum's mass is one weighted branch, never both. So its ub is
+the largest weighted branch ub, and its lb the smallest, over the branches
+whose indicator can still be 1, of the weight times the product of the
+branch's other children's lbs (a free indicator's lb is 0, which would
+zero the product). Both hold for every assignment order and are at least
+as tight as the interval sum; this is the MAP upper bound of Huang, Chavira
+and Darwiche (AAAI 2006) applied to bound tracking. When ``v`` is latent
+its mass is the sum of both branches, so the sum keeps the interval rule.
+With the shared variables compiled first, these bounds are the exact max
+and min over the free shared variables (Oztok, Choi and Darwiche, KR 2016).
+Once ``v`` is assigned, the other branch's indicator is 0.0 (``-inf`` in log
+mode) and its own 1.0 (0.0), so the rule and the interval sum give the same
+float. The kernels fold left to right from the same identity as the
+combine functions, so a fully assigned ``BoundState`` reproduces
+``marginal`` bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +69,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 CircuitVar = int
 
@@ -63,9 +84,11 @@ class CircuitStructureError(ValueError):
 
 _Add = Callable[[float, float], float]
 _Combine = Callable[[tuple, tuple | None, list], float]
-_Pick = Callable[[float, float], float]
-# A variable's plan: the ids of its leaves and of their ancestors.
-_VarPlan = tuple[list[int], list[int]]
+# A decision sum: its id, the variable it decides and the positions of that
+# variable's indicators among the children of its first and second product.
+_Decision = tuple[int, int, int, int]
+# The weights of the two indicator leaves of a variable.
+_INDICATOR_WEIGHTS = ((1.0, 0.0), (0.0, 1.0))
 _Saved = list[tuple[int, float, float]]
 # Where a kernel appends each changed node's old ``(nid, ub, lb)``.
 _Sink = Union[_Saved, deque]
@@ -115,11 +138,15 @@ def _combine_log(children: tuple[int, ...], weights: tuple | None, values: list[
     return acc
 
 
-def _update_linear(ids: list[int], rows: tuple, ub: list[float], lb: list[float], saved: _Sink) -> None:
+def _update_linear(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list[float], saved: _Sink) -> None:
     """Recompute the bounds of each inner node of `ids` in order, as
     ``_combine_linear`` of its row over `ub` and over `lb`; a node whose
     bounds change is written and its old ``(nid, ub, lb)`` appended to
-    `saved`."""
+    `saved`. The row of a decision sum of a shared variable is ``(None,
+    branches)`` (see ``BoundState``): its ub is the largest weighted branch
+    ub, its lb the smallest weighted product of the non-indicator lbs of a
+    branch whose indicator ub is not 0."""
+    inf = math.inf
     for nid in ids:
         children, weights = rows[nid]
         if weights is None:
@@ -127,21 +154,38 @@ def _update_linear(ids: list[int], rows: tuple, ub: list[float], lb: list[float]
             for child in children:
                 u *= ub[child]
                 l *= lb[child]
-        else:
+        elif children is not None:
             u = l = 0.0
             for w, child in zip(weights, children):
                 u += w * ub[child]
                 l += w * lb[child]
+        else:
+            # A decision sum of a shared variable: `weights` holds its
+            # branches, ``(weight, product, indicator, other children)``.
+            # The weight multiplies last, as in the interval sum, so both
+            # give the same float once one branch is left.
+            u, l = 0.0, inf
+            for w, prod, ind, rest in weights:
+                x = w * ub[prod]
+                if x > u:
+                    u = x
+                if ub[ind] > 0.0:
+                    x = 1.0
+                    for child in rest:
+                        x *= lb[child]
+                    x = w * x
+                    if x < l:
+                        l = x
         if u != ub[nid] or l != lb[nid]:
             saved.append((nid, ub[nid], lb[nid]))
             ub[nid] = u
             lb[nid] = l
 
 
-def _update_log(ids: list[int], rows: tuple, ub: list[float], lb: list[float], saved: _Sink) -> None:
+def _update_log(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list[float], saved: _Sink) -> None:
     """``_update_linear`` with ``_combine_log``; ``_log_add`` is inlined with
     its branches unchanged, so every result is the same float."""
-    neg_inf, log1p, exp = -math.inf, math.log1p, math.exp
+    inf, neg_inf, log1p, exp = math.inf, -math.inf, math.log1p, math.exp
     for nid in ids:
         children, weights = rows[nid]
         if weights is None:
@@ -149,7 +193,7 @@ def _update_log(ids: list[int], rows: tuple, ub: list[float], lb: list[float], s
             for child in children:
                 u += ub[child]
                 l += lb[child]
-        else:
+        elif children is not None:
             u = l = neg_inf
             for w, child in zip(weights, children):
                 x = w + ub[child]
@@ -162,6 +206,19 @@ def _update_log(ids: list[int], rows: tuple, ub: list[float], lb: list[float], s
                     l = x
                 elif x != neg_inf:
                     l = l + log1p(exp(x - l)) if l >= x else x + log1p(exp(l - x))
+        else:
+            u, l = neg_inf, inf
+            for w, prod, ind, rest in weights:
+                x = w + ub[prod]
+                if x > u:
+                    u = x
+                if ub[ind] != neg_inf:
+                    x = 0.0
+                    for child in rest:
+                        x += lb[child]
+                    x = w + x
+                    if x < l:
+                        l = x
         if u != ub[nid] or l != lb[nid]:
             saved.append((nid, ub[nid], lb[nid]))
             ub[nid] = u
@@ -202,12 +259,15 @@ class Circuit:
         self.scopes: list[int] = []
         self.leaves: list[int] = []
         self.inner: list[int] = []
-        scopes, violations = self.scopes, []
+        # Per variable, the ascending ids of its leaves.
+        self.var_leaves: list[list[int]] = [[] for _ in range(num_vars)]
+        scopes, var_leaves, violations = self.scopes, self.var_leaves, []
         for nid, row in enumerate(self.nodes):
             if len(row) == 3:
                 var = row[0]
                 if 0 <= var < num_vars:
                     scopes.append(1 << var)
+                    var_leaves[var].append(nid)
                 elif var == -1 and row[2] == 0.0:
                     scopes.append(0)
                 else:
@@ -239,8 +299,10 @@ class Circuit:
             "smoothness" not in kinds, "decomposability" not in kinds, tuple(violations)
         )
         self._log_nodes: tuple[tuple, ...] | None = None
-        # Per variable, its bound-update plan once `_var_plan` has built it.
-        self._var_plans: list[_VarPlan | None] = [None] * num_vars
+        # Per variable, the inner ids of its bound-update plan once
+        # `_inner_plan` has built them.
+        self._inner_plans: list[list[int] | None] = [None] * num_vars
+        self._decisions: list[_Decision] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -281,32 +343,56 @@ def _rows(c: Circuit, mode: NumericMode) -> tuple[tuple, ...]:
     return c._log_nodes
 
 
-def _var_plan(c: Circuit, var: CircuitVar) -> _VarPlan:
-    """Plan of `var`: the ids of its leaves and of the inner nodes whose
-    scope contains it, ascending; built on first use and cached on the
-    circuit."""
-    nodes, scopes, bit = c.nodes, c.scopes, 1 << var
-    plan = c._var_plans[var] = (
-        [nid for nid in c.leaves if nodes[nid][0] == var],
-        [nid for nid in c.inner if scopes[nid] & bit],
-    )
-    return plan
+def _inner_plan(c: Circuit, var: CircuitVar) -> list[int]:
+    """The inner part of `var`'s plan: the ascending ids of the inner nodes
+    whose scope contains it; built on first use and cached on the circuit."""
+    scopes, bit = c.scopes, 1 << var
+    inner = c._inner_plans[var] = [nid for nid in c.inner if scopes[nid] & bit]
+    return inner
 
 
-def _leaf_value(leaf: tuple, assignment: dict, free: frozenset, pick: _Pick, add: _Add) -> float:
-    """An assigned leaf takes its weight; an unassigned one takes `pick` of
-    its two weights if its variable is `free`, else its summed-out mass."""
-    var, t, f = leaf
-    val = assignment.get(var)
-    if val is None:
-        return pick(t, f) if var in free else add(t, f)
-    return t if val else f
+def _opposed_indicators(nodes: tuple, kids_a: tuple, kids_b: tuple) -> tuple[int, int, int] | None:
+    """``(v, i, j)`` for the first indicator ``kids_a[i]`` of a variable
+    ``v`` whose opposite indicator is ``kids_b[j]``, or None."""
+    for i, kid in enumerate(kids_a):
+        leaf = nodes[kid]
+        if len(leaf) != 3 or leaf[0] < 0 or (leaf[1], leaf[2]) not in _INDICATOR_WEIGHTS:
+            continue
+        twin = (leaf[0], leaf[2], leaf[1])
+        for j, other in enumerate(kids_b):
+            if nodes[other] == twin:
+                return leaf[0], i, j
+    return None
 
 
-def _evaluate(
-    c: Circuit, mode: NumericMode, assignment: dict, free: frozenset = frozenset(), pick: _Pick = max
-) -> list[float]:
-    """Value of every node in one bottom-up pass over the mode's rows."""
+def _decision_sums(c: Circuit) -> list[_Decision]:
+    """The decision sums of `c`, ascending, found on first use and cached on
+    the circuit. A decision sum has two product children, one holding the
+    indicator ``(v, 1.0, 0.0)`` and the other ``(v, 0.0, 1.0)`` of the same
+    variable ``v``; where several variables qualify, ``v`` is the first
+    one among the first product's children. Each is recorded as ``(sum id,
+    v, i, j)``: ``v``'s indicators are child ``i`` of the first product and
+    child ``j`` of the second."""
+    if c._decisions is None:
+        nodes, found = c.nodes, []
+        for nid in c.inner:
+            children, weights = nodes[nid]
+            if weights is None or len(children) != 2:
+                continue
+            prod_a, prod_b = children
+            row_a, row_b = nodes[prod_a], nodes[prod_b]
+            if len(row_a) != 2 or row_a[1] is not None or len(row_b) != 2 or row_b[1] is not None:
+                continue
+            match = _opposed_indicators(nodes, row_a[0], row_b[0])
+            if match is not None:
+                found.append((nid, *match))
+        c._decisions = found
+    return c._decisions
+
+
+def _evaluate(c: Circuit, mode: NumericMode, assignment: dict) -> list[float]:
+    """Value of every node in one bottom-up pass over the mode's rows; an
+    unassigned leaf takes its summed-out mass."""
     nodes = _rows(c, mode)
     add, combine, _ = _OPS[mode]
     values = [0.0] * len(nodes)
@@ -314,7 +400,9 @@ def _evaluate(
         if len(row) == 2:
             values[nid] = combine(*row, values)
         else:
-            values[nid] = _leaf_value(row, assignment, free, pick, add)
+            var, t, f = row
+            val = assignment.get(var)
+            values[nid] = add(t, f) if val is None else t if val else f
     return values
 
 
@@ -352,12 +440,17 @@ class BoundState:
     variables are latent and always marginalized. Construction sets every
     leaf (the larger and smaller weight of a free shared variable, the
     summed-out mass otherwise) and runs the mode's update kernel once over
-    all inner nodes. Each batch sets its variables' leaves and runs the
-    kernel once, in ascending id order, over the union of their plans (a
+    all inner nodes. The decision sums of shared variables take the branch
+    max and min of the module docstring. Their kernel rows are this state's
+    own, ``(None, branches)`` in place of ``(children, weights)``, so the
+    kernels tell them apart with one identity test on a plain sum and none
+    on a product. Each batch sets its variables' leaves and runs the kernel
+    once, in ascending id order, over the union of their plans (a
     one-variable batch uses the cached plan), recording the previous bounds
     of every node that changed in one trail frame, so backtracking restores
-    them bit-exactly. Every inner node's bounds always equal its kernel over
-    its children's bounds, so the result does not depend on how the
+    them bit-exactly. Every inner node's bounds always equal its kernel
+    over the bounds of nodes below it in its scope, which come earlier in
+    every plan that contains it, so the result does not depend on how the
     assignments are split into batches.
     """
 
@@ -374,9 +467,26 @@ class BoundState:
         for var in self.status:
             if var < 0 or var >= circuit.num_vars:
                 raise ValueError(f"shared variable {var} out of range")
-        self._nodes = nodes = _rows(circuit, mode)
+        nodes = _rows(circuit, mode)
         add, _, self._update = _OPS[mode]
-        self._var_plans = circuit._var_plans
+        # The kernels' rows: the mode's rows, except that each decision sum
+        # of a shared variable becomes ``(None, branches)``, one ``(weight,
+        # product id, indicator id, the product's other children)`` per child.
+        kept = [d for d in _decision_sums(circuit) if d[1] in self.status]
+        if kept:
+            rows = list(nodes)
+            for nid, _, i, j in kept:
+                (prod_a, prod_b), (w_a, w_b) = nodes[nid]
+                kids_a, kids_b = nodes[prod_a][0], nodes[prod_b][0]
+                rows[nid] = (
+                    None,
+                    (
+                        (w_a, prod_a, kids_a[i], kids_a[:i] + kids_a[i + 1 :]),
+                        (w_b, prod_b, kids_b[j], kids_b[:j] + kids_b[j + 1 :]),
+                    ),
+                )
+            nodes = rows
+        self._nodes = nodes
         # Inner nodes start as NaN, unequal to every value, so the kernel
         # writes each of them. The zero-length deque frees each saved entry
         # at once, so the pass leaves no per-node garbage for the collector.
@@ -407,14 +517,14 @@ class BoundState:
             raise ValueError("variable repeated in one batch")
         saved: _Saved = []
         self._frames.append((level, batch, saved))
-        c, plans, nodes, ub, lb = self.circuit, self._var_plans, self._nodes, self.ub, self.lb
+        c, nodes, ub, lb = self.circuit, self._nodes, self.ub, self.lb
+        var_leaves = c.var_leaves
         mask = 0
         for var, val in items:
             status[var] = val
             mask |= 1 << var
-            leaves, inner = plans[var] or _var_plan(c, var)
             pos = 1 if val else 2
-            for nid in leaves:
+            for nid in var_leaves[var]:
                 x = nodes[nid][pos]
                 if x != ub[nid] or x != lb[nid]:
                     saved.append((nid, ub[nid], lb[nid]))
@@ -424,7 +534,11 @@ class BoundState:
         # set union of the plans on supply-sweep, and close on grid-bn). Ids
         # are topological, so each node settles after all its children and
         # is recomputed once, from their final bounds.
-        if len(batch) != 1:
+        if len(batch) == 1:
+            inner = c._inner_plans[var]
+            if inner is None:
+                inner = _inner_plan(c, var)
+        else:
             scopes = c.scopes
             inner = [nid for nid in c.inner if scopes[nid] & mask]
         self._update(inner, nodes, ub, lb, saved)

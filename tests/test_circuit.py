@@ -11,7 +11,6 @@ from smcsat.circuit import (
     NumericMode,
     PcFormatError,
     ValidationReport,
-    _evaluate,
     evaluate_joint,
     marginal,
     parse_pc,
@@ -25,6 +24,8 @@ from util import (
     TWO_ROUTE_CIRCUIT_TEXT,
     brute_joint_sum,
     brute_minmax_over_shared,
+    reference_bounds,
+    reweighted,
     two_route_circuit,
     random_circuit,
     rel_close,
@@ -321,8 +322,10 @@ def test_log_mode_matches_linear():
 # ------------------------------------------------------------ bound state
 
 def test_init_bounds_two_route(route_circuit):
+    # nodes 10 and 11 decide the shared x1 (circuit var 0), so each bounds
+    # its mass by its heavier branch, 0.8; the interval sum gave 1.0
     bs = BoundState(route_circuit, {0, 1})
-    assert bs.root_bounds() == (1.0, 0.0)
+    assert bs.root_bounds() == (0.8, 0.0)
 
 
 def test_init_bounds_no_shared_collapses_to_partition(route_circuit):
@@ -447,20 +450,19 @@ def test_bounds_equal_full_pass_after_every_update():
     circuits = [_dag_with_unreachable_nodes()] + [random_circuit(seed + 700, 2 + seed % 5) for seed in range(20)]
     # compiled BNs: 3-ary products of an indicator, a constant and a sub-circuit
     circuits += [compile_factor_graph(gen_random_bn(n, max_parents=2, seed=n)) for n in (6, 7)]
+    circuits += [reweighted(c, seed) for seed, c in enumerate(circuits[-2:])]
     for mode, (i, c) in itertools.product(NumericMode, enumerate(circuits)):
         rng = random.Random(i)
         shared = set(rng.sample(range(c.num_vars), rng.randint(1, c.num_vars)))
         bs = BoundState(c, shared, mode)
-        assert bs.ub == _evaluate(c, mode, bs.status, bs.status, max)
-        assert bs.lb == _evaluate(c, mode, bs.status, bs.status, min)
+        assert (bs.ub, bs.lb) == reference_bounds(c, mode, bs.status)
         for level in range(1, 4 * c.num_vars):
             free = [v for v in sorted(shared) if bs.status[v] is None]
             if free and rng.random() < 0.7:
                 bs.assign([(rng.choice(free), rng.random() < 0.5)], level)
             else:
                 bs.backtrack_bounds(rng.randint(0, level - 1))
-            assert bs.ub == _evaluate(c, mode, bs.status, bs.status, max)
-            assert bs.lb == _evaluate(c, mode, bs.status, bs.status, min)
+            assert (bs.ub, bs.lb) == reference_bounds(c, mode, bs.status)
 
 
 def _bound_snapshot(bs: BoundState) -> tuple[list[float], list[float], dict]:
@@ -490,8 +492,7 @@ def test_batch_assign_equals_single_fold_and_full_pass():
                 single.assign([item], level)
             assert got == batched.root_bounds() == single.root_bounds()
             assert batched.ub == single.ub and batched.lb == single.lb
-            assert batched.ub == _evaluate(c, mode, batched.status, batched.status, max)
-            assert batched.lb == _evaluate(c, mode, batched.status, batched.status, min)
+            assert (batched.ub, batched.lb) == reference_bounds(c, mode, batched.status)
 
 
 def test_backtrack_restores_interleaved_batch_frames():
@@ -554,3 +555,98 @@ def test_bounds_log_mode_consistent():
                     assert logged == -math.inf
                 else:
                     assert rel_close(math.exp(logged), linear, rel=1e-9)
+
+
+# ---------------------------------------------------------- decision sums
+
+def _compiled_bn(seed: int, shuffled: bool) -> Circuit:
+    """A compiled BN, in a shuffled order if asked, with every other seed's
+    sum weights redrawn so that its decision sums do not all weigh 1."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 7)
+    order = list(range(n))
+    if shuffled:
+        rng.shuffle(order)
+    c = compile_factor_graph(gen_random_bn(n, max_parents=2, seed=seed), order)
+    return reweighted(c, seed) if seed % 2 else c
+
+
+def _brackets(bs: BoundState, c: Circuit, mode: NumericMode, shared: set[int]) -> bool:
+    partial = {v: val for v, val in bs.status.items() if val is not None}
+    lo, hi = brute_minmax_over_shared(c, partial, shared)
+    ub, lb = bs.root_bounds()
+    if mode is NumericMode.LOG:
+        ub, lb = math.exp(ub), math.exp(lb)
+        return lb <= lo * (1 + 1e-9) and ub >= hi * (1 - 1e-9)
+    return lb <= lo and ub >= hi
+
+
+def test_decision_bounds_bracket_brute_force_on_compiled_bns():
+    # every sum of a compiled BN decides a variable; random shared sets make
+    # some of them shared decisions and leave the rest latent
+    for mode, shuffled, seed in itertools.product(NumericMode, (False, True), range(12)):
+        c = _compiled_bn(seed + 40, shuffled)
+        rng = random.Random(seed)
+        shared = set(rng.sample(range(c.num_vars), rng.randint(1, c.num_vars)))
+        bs = BoundState(c, shared, mode)
+        assert _brackets(bs, c, mode, shared)
+        for level in range(1, 3 * c.num_vars):
+            free = [v for v in sorted(shared) if bs.status[v] is None]
+            if free and rng.random() < 0.7:
+                batch = rng.sample(free, min(len(free), rng.randint(1, 2)))
+                bs.assign([(v, rng.random() < 0.5) for v in batch], level)
+            else:
+                bs.backtrack_bounds(rng.randint(0, level - 1))
+            assert _brackets(bs, c, mode, shared), (mode, shuffled, seed, level)
+        free = [v for v in sorted(shared) if bs.status[v] is None]
+        if free:
+            bs.assign([(v, rng.random() < 0.5) for v in free], 3 * c.num_vars)
+        # fully assigned: one branch per decision sum, the marginal to the bit
+        assert bs.root_bounds() == (marginal(c, bs.status, mode),) * 2
+
+
+def test_latent_decision_keeps_plain_sum():
+    # node 6 decides x0 through the indicators 0 and 1; x1 has plain leaves
+    c = Circuit(
+        2,
+        [
+            (0, 1.0, 0.0),
+            (0, 0.0, 1.0),
+            (1, 0.3, 0.7),
+            (1, 0.2, 0.6),
+            ((0, 2), None),
+            ((1, 3), None),
+            ((4, 5), (0.5, 0.5)),
+        ],
+    )
+    # x0 latent: the root's mass is the sum of both branches, so its bounds
+    # stay the interval sums, which are exact here; the largest branch,
+    # 0.5*0.7, would be below the marginal at x1=False
+    latent = BoundState(c, {1})
+    lo, hi = brute_minmax_over_shared(c, {}, {1})
+    assert latent.root_bounds() == (0.5 * 0.7 + 0.5 * 0.6, 0.5 * 0.3 + 0.5 * 0.2) == (hi, lo)
+    assert 0.5 * 0.7 < hi
+    # x0 shared: the root is one branch, and the bounds are the exact range
+    decided = BoundState(c, {0, 1})
+    assert decided.root_bounds() == (0.5 * 0.7, 0.5 * 0.2)
+    assert brute_minmax_over_shared(c, {}, {0, 1}) == (0.5 * 0.2, 0.5 * 0.7)
+
+
+def test_shared_first_order_bounds_are_exact():
+    # with the shared variables compiled first, every sum above the latent
+    # part decides a shared variable, so the root bounds are the exact max
+    # and min over the free shared variables, in both modes
+    for mode, seed in itertools.product(NumericMode, range(10)):
+        rng = random.Random(seed + 70)
+        n = rng.randint(4, 8)
+        shared = set(rng.sample(range(n), rng.randint(1, n)))
+        order = rng.sample(sorted(shared), len(shared)) + [v for v in range(n) if v not in shared]
+        c = compile_factor_graph(gen_random_bn(n, max_parents=2, seed=seed + 70), order)
+        bs = BoundState(c, shared, mode)
+        partial: dict[int, bool] = {}
+        for level, v in enumerate(rng.sample(sorted(shared), len(shared)), start=1):
+            lo, hi = brute_minmax_over_shared(c, partial, shared, mode)
+            assert bs.root_bounds() == (hi, lo), (mode, seed, level)
+            partial[v] = rng.random() < 0.5
+            bs.assign([(v, partial[v])], level)
+        assert bs.root_bounds() == (marginal(c, partial, mode),) * 2

@@ -1,9 +1,10 @@
+import itertools
 import random
 from dataclasses import asdict
 
 import pytest
 
-from smcsat.circuit import BoundState, NumericMode, parse_pc, partition
+from smcsat.circuit import BoundState, NumericMode, marginal, parse_pc, partition
 from smcsat.factorgraph import compile_factor_graph
 from smcsat.formula import CnfFormula
 from smcsat.oracle import brute_solve, verify
@@ -397,10 +398,10 @@ _COUNTER_NAMES = (
     "max_decision_level",
 )
 _PINNED_COUNTERS = [
-    ((1, Comparator.GE, 0.002, False), NumericMode.LINEAR, SolveStatus.UNSAT, (25, 193, 2, 18, 0, 19, 0, 14)),
-    ((2, Comparator.GE, 0.0005, False), NumericMode.LOG, SolveStatus.SAT, (24, 162, 0, 15, 0, 15, 0, 9)),
-    ((1, Comparator.LE, 0.002, True), NumericMode.LINEAR, SolveStatus.SAT, (36, 229, 2, 17, 0, 19, 0, 14)),
-    ((0, Comparator.LE, 0.05, True), NumericMode.LOG, SolveStatus.SAT, (13, 62, 0, 2, 1, 3, 0, 11)),
+    ((1, Comparator.GE, 0.002, False), NumericMode.LINEAR, SolveStatus.UNSAT, (14, 87, 0, 10, 0, 9, 0, 11)),
+    ((2, Comparator.GE, 0.0005, False), NumericMode.LOG, SolveStatus.SAT, (17, 62, 0, 3, 0, 3, 0, 9)),
+    ((1, Comparator.LE, 0.002, True), NumericMode.LINEAR, SolveStatus.SAT, (26, 124, 0, 9, 0, 9, 0, 14)),
+    ((0, Comparator.LE, 0.05, True), NumericMode.LOG, SolveStatus.SAT, (9, 38, 0, 0, 1, 1, 0, 9)),
 ]
 
 
@@ -413,6 +414,60 @@ def test_search_counters_pinned(instance, mode, status, counters):
     stats.pop("wall_time")
     assert result.status is status
     assert stats == dict(zip(_COUNTER_NAMES, counters))
+
+
+@pytest.mark.parametrize("instance, mode, status, counters", _PINNED_COUNTERS)
+def test_pinned_instances_agree_without_ulw(instance, mode, status, counters):
+    # the pinned instances are too large for brute_solve: their status is
+    # checked against a solve that never reads a bound, and a model by verify
+    problem = _pinned_instance(*instance)
+    result = solve(problem, SolverConfig(numeric_mode=mode))
+    without = solve(problem, SolverConfig(numeric_mode=mode, ulw_enabled=False))
+    assert result.status is without.status is status
+    if status is SolveStatus.SAT:
+        assert verify(problem, result.model, mode).passed
+
+
+def _decision_instance(seed: int) -> SmcProblem:
+    """At most 14 formula variables and one compiled-BN predicate that shares
+    some of its variables, hard or soft, GE or LE; the threshold lies midway
+    between two marginals of the shared assignments."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        rows, cols, colors = rng.choice(((2, 2, 3), (1, 4, 3), (2, 3, 2), (2, 2, 2)))
+        cnf = gen_kcolor(GridSpec(rows, cols, colors), shuffle_seed=seed)
+    else:
+        n = rng.randint(6, 14)
+        clauses = [rng.sample(range(1, n + 1), rng.randint(2, 3)) for _ in range(rng.randint(n // 2, 2 * n))]
+        cnf = CnfFormula(n, tuple(tuple(v if rng.random() < 0.5 else -v for v in cl) for cl in clauses))
+    n = cnf.num_vars
+    k = rng.randint(3, 7)
+    order = rng.sample(range(k), k) if rng.random() < 0.5 else None
+    circuit = compile_factor_graph(gen_random_bn(k, max_parents=2, seed=seed), order)
+    cvars = rng.sample(range(k), rng.randint(1, min(k, n)))
+    shared = dict(zip(cvars, rng.sample(range(1, n + 1), len(cvars))))
+    values = sorted(
+        {marginal(circuit, dict(zip(cvars, bits))) for bits in itertools.product((False, True), repeat=len(cvars))}
+    )
+    i = rng.randrange(len(values))
+    q = (values[i] + values[i + 1]) / 2 if i + 1 < len(values) else values[i] * 1.5
+    cmp = rng.choice((Comparator.GE, Comparator.LE))
+    b = rng.choice((None, rng.randint(1, n), -rng.randint(1, n)))
+    return SmcProblem(cnf, (PredicateSpec(circuit, shared, cmp, q, b=b),))
+
+
+@pytest.mark.parametrize("mode", list(NumericMode))
+def test_decision_bounds_solver_agreement(mode):
+    # the decision-sum bounds prune sooner; the answers must not change
+    for seed in range(60):
+        problem = _decision_instance(seed)
+        result = solve(problem, SolverConfig(numeric_mode=mode))
+        expected = brute_solve(problem, mode=mode)
+        without = solve(problem, SolverConfig(numeric_mode=mode, ulw_enabled=False))
+        assert result.status is expected.status is without.status, f"seed {seed}"
+        if result.status is SolveStatus.SAT:
+            assert verify(problem, result.model, mode).passed, f"seed {seed}"
+            assert result.model in expected.models, f"seed {seed}"
 
 
 # ----------------------------------------------------------------- budget

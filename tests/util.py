@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import operator
 import random
+from functools import reduce
 from itertools import product
 
 import pytest
 
-from smcsat.circuit import Circuit, evaluate_joint, marginal, parse_pc
+from smcsat.circuit import Circuit, NumericMode, evaluate_joint, marginal, parse_pc
 from smcsat.formula import CnfFormula
 from smcsat.solver import Comparator, PredicateSpec, SmcProblem
 
@@ -117,6 +120,20 @@ def random_circuit(seed: int, num_vars: int, max_nodes: int = 60) -> Circuit:
     raise AssertionError("could not generate a circuit within the node budget")
 
 
+def reweighted(c: Circuit, seed: int) -> Circuit:
+    """`c` with every sum weight redrawn from [0.1, 1.5): still smooth and
+    decomposable, and the decision sums of a compiled circuit keep their
+    shape but lose their unit weights."""
+    rng = random.Random(seed)
+    return Circuit(
+        c.num_vars,
+        [
+            (row[0], tuple(rng.uniform(0.1, 1.5) for _ in row[1])) if len(row) == 2 and row[1] is not None else row
+            for row in c.nodes
+        ],
+    )
+
+
 def brute_joint_sum(c: Circuit, partial: dict[int, bool]) -> float:
     """Marginal by summing evaluate_joint over all completions."""
     free = [v for v in range(c.num_vars) if v not in partial]
@@ -129,7 +146,7 @@ def brute_joint_sum(c: Circuit, partial: dict[int, bool]) -> float:
 
 
 def brute_minmax_over_shared(
-    c: Circuit, partial: dict[int, bool], shared: set[int]
+    c: Circuit, partial: dict[int, bool], shared: set[int], mode: NumericMode = NumericMode.LINEAR
 ) -> tuple[float, float]:
     """(min, max) of the exact marginal over completions of unassigned shared vars."""
     free = [v for v in sorted(shared) if v not in partial]
@@ -137,10 +154,97 @@ def brute_minmax_over_shared(
     for bits in product((False, True), repeat=len(free)):
         full = dict(partial)
         full.update(zip(free, bits))
-        m = marginal(c, full)
+        m = marginal(c, full, mode)
         lo = min(lo, m)
         hi = max(hi, m)
     return lo, hi
+
+
+def _log_weight(w: float) -> float:
+    return math.log(w) if w > 0.0 else -math.inf
+
+
+def _log_add(a: float, b: float) -> float:
+    if a == -math.inf or b == -math.inf:
+        return max(a, b)
+    hi, lo = max(a, b), min(a, b)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def _opposed_indicators(nodes: tuple, row: tuple) -> tuple[int, int, int] | None:
+    """For a sum of two products that hold the two indicators of one variable,
+    ``(var, indicator in the first, indicator in the second)``, taking the
+    first such variable in the first product's child order; else None."""
+    children, _ = row
+    if len(children) != 2:
+        return None
+    prods = [nodes[child] for child in children]
+    if any(len(p) != 2 or p[1] is not None for p in prods):
+        return None
+    signs = [
+        {nodes[k][0]: (nodes[k][1], k) for k in p[0] if len(nodes[k]) == 3 and nodes[k][0] >= 0
+         and nodes[k][1:] in ((1.0, 0.0), (0.0, 1.0))}
+        for p in prods
+    ]
+    for var, (sign, ind) in signs[0].items():
+        if var in signs[1] and signs[1][var][0] != sign:
+            return var, ind, signs[1][var][1]
+    return None
+
+
+def reference_bounds(
+    c: Circuit, mode: NumericMode, status: dict[int, bool | None]
+) -> tuple[list[float], list[float]]:
+    """Every node's (ub, lb) under `status` (shared variable -> value, None
+    while free), bottom-up from the rows, sharing no code with BoundState.
+
+    A free shared leaf takes its larger and smaller weight, a latent leaf its
+    summed-out mass. A sum whose two product children hold opposite
+    indicators of a shared variable takes, for ub, the largest weighted
+    branch ub and, for lb, the smallest weight times the product of the
+    other children's lbs over the branches whose indicator ub is not zero.
+    Every other node folds its children left to right.
+    """
+    if mode is NumericMode.LOG:
+        lift, mul, add, one, zero = _log_weight, operator.add, _log_add, 0.0, -math.inf
+    else:
+        lift, mul, add, one, zero = float, operator.mul, operator.add, 1.0, 0.0
+    nodes = c.nodes
+    ub: list[float] = []
+    lb: list[float] = []
+    for row in nodes:
+        if len(row) == 3:
+            var, t, f = row[0], lift(row[1]), lift(row[2])
+            if var not in status:
+                ub.append(add(t, f))
+                lb.append(ub[-1])
+            elif status[var] is None:
+                ub.append(max(t, f))
+                lb.append(min(t, f))
+            else:
+                ub.append(t if status[var] else f)
+                lb.append(ub[-1])
+            continue
+        children, weights = row
+        if weights is None:
+            ub.append(reduce(mul, (ub[k] for k in children), one))
+            lb.append(reduce(mul, (lb[k] for k in children), one))
+            continue
+        ws = [lift(w) for w in weights]
+        decided = _opposed_indicators(nodes, row)
+        if decided is None or decided[0] not in status:
+            ub.append(reduce(add, (mul(w, ub[k]) for w, k in zip(ws, children)), zero))
+            lb.append(reduce(add, (mul(w, lb[k]) for w, k in zip(ws, children)), zero))
+            continue
+        ub.append(max(mul(w, ub[k]) for w, k in zip(ws, children)))
+        lb.append(
+            min(
+                mul(w, reduce(mul, (lb[k] for k in nodes[prod][0] if k != ind), one))
+                for w, prod, ind in zip(ws, children, decided[1:])
+                if ub[ind] > zero
+            )
+        )
+    return ub, lb
 
 
 def random_cnf(seed: int, num_vars: int, num_clauses: int, width: int = 3) -> CnfFormula:
