@@ -23,16 +23,17 @@ and of the inner nodes (``Circuit.leaves``, ``Circuit.var_leaves``,
 cached on the circuit: the log rows, each variable's inner plan and the
 decision sums. Linear mode reads the rows as they are; log mode reads a
 copy with every weight mapped through ``math.log`` (zero to ``-inf``).
-``marginal`` and ``partition`` evaluate the rows with one leaf rule and one
-combine function per mode.
+``marginal`` and ``partition`` give an assigned leaf its weight for that
+value and an unassigned one the sum of its weights, then run the mode's
+bound-update kernel (below) once over the inner nodes, with one list as
+both the upper and the lower bounds.
 
 ``BoundState`` maintains, per node, an upper and lower bound on the marginal
 mass under a partial assignment of the shared (decision) variables. Its work
 is done by one update kernel per mode, which walks a list of inner-node ids
 in ascending order, reads each node's row in the mode's value space and
-computes its upper and lower bound together, with the combine function
-inlined. A variable's plan, the same in every mode, holds the ids of its
-leaves and of their ancestors.
+computes its upper and lower bound together. A variable's plan, the same
+in every mode, holds the ids of its leaves and of their ancestors.
 Initialisation sets every leaf once and runs the kernel over all inner nodes.
 An assignment is a batch, the shared variables that one propagation round
 fixed: it sets their leaves and runs the kernel once over the union of
@@ -57,9 +58,9 @@ With the shared variables compiled first, these bounds are the exact max
 and min over the free shared variables (Oztok, Choi and Darwiche, KR 2016).
 Once ``v`` is assigned, the other branch's indicator is 0.0 (``-inf`` in log
 mode) and its own 1.0 (0.0), so the rule and the interval sum give the same
-float. The kernels fold left to right from the same identity as the
-combine functions, so a fully assigned ``BoundState`` reproduces
-``marginal`` bit for bit.
+float. ``marginal`` runs the same kernels and sets the leaves the same
+way, so a fully assigned ``BoundState`` reproduces ``marginal`` bit for bit
+by construction.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class CircuitStructureError(ValueError):
 
 
 _Add = Callable[[float, float], float]
-_Combine = Callable[[tuple, tuple | None, list], float]
 # A decision sum: its id, the variable it decides and the positions of that
 # variable's indicators among the children of its first and second product.
 _Decision = tuple[int, int, int, int]
@@ -112,37 +112,13 @@ def _log_weight(w: float) -> float:
     return math.log(w) if w > 0.0 else -math.inf
 
 
-def _combine_linear(children: tuple[int, ...], weights: tuple | None, values: list[float]) -> float:
-    """Product (``weights is None``) or weighted sum of child values."""
-    if weights is None:
-        acc = 1.0
-        for child in children:
-            acc *= values[child]
-        return acc
-    acc = 0.0
-    for w, child in zip(weights, children):
-        acc += w * values[child]
-    return acc
-
-
-def _combine_log(children: tuple[int, ...], weights: tuple | None, values: list[float]) -> float:
-    """``_combine_linear`` with log-space values and weights."""
-    if weights is None:
-        acc = 0.0
-        for child in children:
-            acc += values[child]
-        return acc
-    acc = -math.inf
-    for w, child in zip(weights, children):
-        acc = _log_add(acc, w + values[child])
-    return acc
-
-
 def _update_linear(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list[float], saved: _Sink) -> None:
-    """Recompute the bounds of each inner node of `ids` in order, as
-    ``_combine_linear`` of its row over `ub` and over `lb`; a node whose
-    bounds change is written and its old ``(nid, ub, lb)`` appended to
-    `saved`. The row of a decision sum of a shared variable is ``(None,
+    """Recompute the bounds of each inner node of `ids` in order from its
+    row, over `ub` and over `lb` (``marginal`` passes one list as both): a
+    product is the product of its children, and a sum the sum of each
+    weight times its child, folded left to right from 1.0 and 0.0. A node
+    whose bounds change is written and its old ``(nid, ub, lb)`` appended
+    to `saved`. The row of a decision sum of a shared variable is ``(None,
     branches)`` (see ``BoundState``): its ub is the largest weighted branch
     ub, its lb the smallest weighted product of the non-indicator lbs of a
     branch whose indicator ub is not 0."""
@@ -183,8 +159,11 @@ def _update_linear(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: l
 
 
 def _update_log(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list[float], saved: _Sink) -> None:
-    """``_update_linear`` with ``_combine_log``; ``_log_add`` is inlined with
-    its branches unchanged, so every result is the same float."""
+    """``_update_linear`` in log space: a product is the sum of its
+    children, folded from 0.0, and a sum the log-sum-exp of each weight
+    plus its child, folded from ``-inf`` with ``_log_add`` inlined, its
+    branches unchanged. A decision sum's branch max and min add where
+    linear mode multiplies."""
     inf, neg_inf, log1p, exp = math.inf, -math.inf, math.log1p, math.exp
     for nid in ids:
         children, weights = rows[nid]
@@ -225,11 +204,10 @@ def _update_log(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list
             lb[nid] = l
 
 
-# Per mode: how a leaf's weights sum out, how an inner node combines its
-# children's values, and the fused bound-update kernel.
-_OPS: dict[NumericMode, tuple[_Add, _Combine, Callable]] = {
-    NumericMode.LINEAR: (operator.add, _combine_linear, _update_linear),
-    NumericMode.LOG: (_log_add, _combine_log, _update_log),
+# Per mode: how a leaf's weights sum out, and the fused bound-update kernel.
+_OPS: dict[NumericMode, tuple[_Add, Callable]] = {
+    NumericMode.LINEAR: (operator.add, _update_linear),
+    NumericMode.LOG: (_log_add, _update_log),
 }
 
 
@@ -391,18 +369,17 @@ def _decision_sums(c: Circuit) -> list[_Decision]:
 
 
 def _evaluate(c: Circuit, mode: NumericMode, assignment: dict) -> list[float]:
-    """Value of every node in one bottom-up pass over the mode's rows; an
-    unassigned leaf takes its summed-out mass."""
+    """Value of every node: the mode's kernel run once over the inner nodes,
+    with `values` as both bounds; an unassigned leaf takes its summed-out
+    mass. Inner nodes start as NaN so that the kernel writes each of them."""
     nodes = _rows(c, mode)
-    add, combine, _ = _OPS[mode]
-    values = [0.0] * len(nodes)
-    for nid, row in enumerate(nodes):
-        if len(row) == 2:
-            values[nid] = combine(*row, values)
-        else:
-            var, t, f = row
-            val = assignment.get(var)
-            values[nid] = add(t, f) if val is None else t if val else f
+    add, update = _OPS[mode]
+    values = [math.nan] * len(nodes)
+    for nid in c.leaves:
+        var, t, f = nodes[nid]
+        val = assignment.get(var)
+        values[nid] = add(t, f) if val is None else t if val else f
+    update(c.inner, nodes, values, values, deque(maxlen=0))
     return values
 
 
@@ -423,9 +400,14 @@ def marginal(
     assignment: dict[CircuitVar, bool] | None = None,
     mode: NumericMode = NumericMode.LINEAR,
 ) -> float:
-    """Marginal mass of a partial assignment; unassigned variables are summed out."""
+    """Marginal mass of a partial assignment; unassigned variables are summed
+    out. Raises ValueError when the mass is NaN: in linear mode a product
+    that overflows to infinity and meets a zero gives NaN."""
     c.require_valid()
-    return _evaluate(c, mode, assignment or {})[c.root]
+    m = _evaluate(c, mode, assignment or {})[c.root]
+    if math.isnan(m):
+        raise ValueError("marginal is NaN: linear-mode overflow; try --mode log")
+    return m
 
 
 def partition(c: Circuit, mode: NumericMode = NumericMode.LINEAR) -> float:
@@ -468,7 +450,7 @@ class BoundState:
             if var < 0 or var >= circuit.num_vars:
                 raise ValueError(f"shared variable {var} out of range")
         nodes = _rows(circuit, mode)
-        add, _, self._update = _OPS[mode]
+        add, self._update = _OPS[mode]
         # The kernels' rows: the mode's rows, except that each decision sum
         # of a shared variable becomes ``(None, branches)``, one ``(weight,
         # product id, indicator id, the product's other children)`` per child.

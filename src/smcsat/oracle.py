@@ -8,13 +8,10 @@ never shares search machinery with the CDCL path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .circuit import NumericMode, marginal
 from .formula import Var
 from .solver import Comparator, SmcProblem, SolveStatus, cmp_holds
-
-MarginalFn = Callable[[dict[int, bool]], float]
 
 
 @dataclass(frozen=True)
@@ -95,13 +92,10 @@ def brute_solve(
     p: SmcProblem,
     cap: int = 24,
     mode: NumericMode = NumericMode.LINEAR,
-    marginal_fns: Sequence[MarginalFn | None] | None = None,
 ) -> BruteForceResult:
     """Enumerate all assignments, keeping exactly the SMC models.
 
-    Predicate marginals are memoized per shared projection. `marginal_fns`
-    optionally replaces the circuit-based marginal of individual predicates
-    (e.g. with factor-graph enumeration) to triangulate compilation bugs.
+    Predicate marginals are memoized per shared projection.
     """
     n = p.cnf.num_vars
     if n > cap:
@@ -130,10 +124,7 @@ def brute_solve(
             holds = caches[i].get(key)
             if holds is None:
                 assignment = {cvar: values[fvar] for cvar, fvar in shared_items[i]}
-                if marginal_fns is not None and marginal_fns[i] is not None:
-                    m = marginal_fns[i](assignment)
-                else:
-                    m = marginal(pred.circuit, assignment, mode)
+                m = marginal(pred.circuit, assignment, mode)
                 holds = cmp_holds(pred.cmp, m, resolved[i])
                 caches[i][key] = holds
             b_value = True if pred.b is None else values[abs(pred.b)] == (pred.b > 0)

@@ -549,8 +549,14 @@ class CdclSolver:
                     return SolveStatus.BUDGET, None
                 continue
             if len(self.trail) == self.num_vars:
-                for ps in self.preds:
-                    assert ps.decided_level is not None, "predicate unsettled at full assignment"
+                # Equal, non-NaN root bounds always settle; NaN ones come
+                # from a linear-mode product that overflows and meets a zero.
+                for i, ps in enumerate(self.preds):
+                    if ps.decided_level is None:
+                        raise ValueError(
+                            f"predicate {i} unsettled at full assignment, root bounds "
+                            f"{self._pred_bounds(ps)}: linear-mode overflow; try --mode log"
+                        )
                 return SolveStatus.SAT, {v: self.value[v] for v in range(1, self.num_vars + 1)}
             if self._out_of_budget(start):
                 return SolveStatus.BUDGET, None

@@ -319,6 +319,22 @@ def test_log_mode_matches_linear():
             assert rel_close(math.exp(logm), lin, rel=1e-9)
 
 
+def test_marginal_matches_independent_pass_to_the_bit():
+    # marginal runs the bound-update kernel, so comparing it with a fully
+    # assigned BoundState compares the kernel with itself; reference_bounds
+    # shares no code with either, and with every shared variable assigned
+    # its ub and lb are the marginal, so a kernel that folds a sum in
+    # another order fails here
+    circuits = [random_circuit(seed + 1500, 1 + seed % 8) for seed in range(30)]
+    circuits += [_compiled_bn(seed + 60, seed % 2 == 0) for seed in range(12)]
+    for mode, (i, c) in itertools.product(NumericMode, enumerate(circuits)):
+        rng = random.Random(i)
+        for _ in range(4):
+            partial = {v: rng.random() < 0.5 for v in range(c.num_vars) if rng.random() < 0.5}
+            ub, lb = reference_bounds(c, mode, partial)
+            assert marginal(c, partial, mode) == ub[c.root] == lb[c.root], (mode, i, partial)
+
+
 # ------------------------------------------------------------ bound state
 
 def test_init_bounds_two_route(route_circuit):

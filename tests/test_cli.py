@@ -141,6 +141,42 @@ def test_solve_manifest_invalid_circuit_names_predicate(route_manifest, tmp_path
     assert err == [f"error: {manifest}: predicate 0: circuit is not smooth+decomposable: [('decomposability', 1)]"]
 
 
+@pytest.fixture
+def overflow_manifest(tmp_path):
+    # 1e200 * 1e200 overflows to inf in linear mode, and inf times the
+    # leaf's 0.0 at x1 = False is NaN; the true mass there is 0
+    (tmp_path / "o.pc").write_text("pc 4 1\nc 1e200\nc 1e200\nl 0 1.0 0.0\np 3 0 1 2\n")
+    (tmp_path / "o.cnf").write_text("p cnf 1 0\n")
+    manifest = tmp_path / "o.json"
+    pred = {"circuit": "o.pc", "shared": {"0": 1}, "cmp": "le", "threshold": 0.5, "threshold_mode": "absolute"}
+    manifest.write_text(json.dumps({"cnf": "o.cnf", "predicates": [pred]}))
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve",), "error: predicate 0 unsettled at full assignment, root bounds (nan, nan): "),
+        (("solve", "--no-ulw"), "error: marginal is NaN: "),
+        (("oracle",), "error: marginal is NaN: "),
+    ],
+)
+def test_linear_overflow_is_an_error(overflow_manifest, capsys, argv, message):
+    code, out = run_cli(argv[0], str(overflow_manifest), *argv[1:])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert err[0].endswith("linear-mode overflow; try --mode log")
+
+
+def test_linear_overflow_pc_marginal_and_log_mode(overflow_manifest, capsys):
+    code, out = run_cli("pc", "marginal", str(overflow_manifest.parent / "o.pc"), "--assign", "0=0")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: marginal is NaN: linear-mode overflow; try --mode log\n"
+    code, out = run_cli("solve", str(overflow_manifest), "--mode", "log")
+    assert code == 10 and out.splitlines() == ["s SATISFIABLE", "v -1 0"]
+
+
 def test_solve_deterministic_output(route_manifest):
     path = route_manifest(0.5)
     assert run_cli("solve", str(path)) == run_cli("solve", str(path))

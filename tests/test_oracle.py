@@ -1,10 +1,8 @@
 import pytest
 
 from smcsat.circuit import marginal
-from smcsat.factorgraph import compile_factor_graph, enumerate_marginal
 from smcsat.formula import CnfFormula
 from smcsat.oracle import brute_solve, verify
-from smcsat.problems import gen_random_bn, select_shared_vars
 from smcsat.solver import Comparator, PredicateSpec, SmcProblem, SolveStatus, solve
 from util import two_route_circuit, motivating_problem
 
@@ -80,20 +78,6 @@ def test_verify_accepts_exactly_the_brute_models():
         if verify(problem, model).passed:
             accepted.append(model)
     assert accepted == list(result.models)
-
-
-def test_marginal_fn_override_triangulates_compiler():
-    fg = gen_random_bn(5, seed=4)
-    circuit = compile_factor_graph(fg)
-    cnf = CnfFormula(3, ((1, 2, 3),))
-    shared = select_shared_vars(5, 3, seed=8)
-    pred = PredicateSpec(circuit, shared, Comparator.GE, 0.2, b=None)
-    problem = SmcProblem(cnf, (pred,))
-    via_circuit = brute_solve(problem)
-    via_factors = brute_solve(
-        problem, marginal_fns=[lambda a: enumerate_marginal(fg, a)]
-    )
-    assert via_circuit.models == via_factors.models
 
 
 def test_solver_agrees_on_oracle_models():
