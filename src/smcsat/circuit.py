@@ -19,26 +19,26 @@ node's scope as an ``int`` bitmask (``Circuit.scopes``, bit ``v`` set for
 variable ``v``), the ascending ids of the leaves, of each variable's leaves
 and of the inner nodes (``Circuit.leaves``, ``Circuit.var_leaves``,
 ``Circuit.inner``) and the smoothness and decomposability verdict that
-``validate`` returns. Three things are built later, on first use, and
-cached on the circuit: the log rows, each variable's inner plan and the
-decision sums. Linear mode reads the rows as they are; log mode reads a
-copy with every weight mapped through ``math.log`` (zero to ``-inf``).
-``marginal`` and ``partition`` give an assigned leaf its weight for that
-value and an unassigned one the sum of its weights, then run the mode's
-bound-update kernel (below) once over the inner nodes, with one list as
-both the upper and the lower bounds.
+``validate`` returns. Two things are built later, on first use, and
+cached on the circuit: the log rows and the decision sums. Linear mode
+reads the rows as they are; log mode reads a copy with every weight
+mapped through ``math.log`` (zero to ``-inf``). ``marginal`` and
+``partition`` give an assigned leaf its weight for that value and an
+unassigned one the sum of its weights, then run the mode's bound-update
+kernel (below) once over the inner nodes, with one list as both the upper
+and the lower bounds.
 
 ``BoundState`` maintains, per node, an upper and lower bound on the marginal
 mass under a partial assignment of the shared (decision) variables. Its work
 is done by one update kernel per mode, which walks a list of inner-node ids
 in ascending order, reads each node's row in the mode's value space and
-computes its upper and lower bound together. A variable's plan, the same
-in every mode, holds the ids of its leaves and of their ancestors.
-Initialisation sets every leaf once and runs the kernel over all inner nodes.
-An assignment is a batch, the shared variables that one propagation round
-fixed: it sets their leaves and runs the kernel once over the union of
-their plans, so each node is recomputed once, from its children's final
-bounds. Backtracking undoes by decision level.
+computes its upper and lower bound together. Initialisation sets every
+leaf once and runs the kernel over all inner nodes. An assignment is a
+batch, the shared variables that one propagation round fixed: it sets
+their leaves and runs the kernel once over the inner nodes whose scope
+meets the batch, found by a scan of the scopes, so each node is
+recomputed once, from its children's final bounds. Backtracking undoes by
+decision level.
 
 Most nodes get interval bounds: a product multiplies its children's bounds
 and a sum adds them. A *decision sum* is tighter. It has two product
@@ -225,8 +225,8 @@ class ValidationReport:
 class Circuit:
     """Immutable probabilistic circuit: its rows (see the module docstring),
     the bitmask scope of every node, its leaf and inner ids and its
-    validation report. Log-weight rows and per-variable bound-update plans
-    are built on first use."""
+    validation report. Log-weight rows and decision sums are built on
+    first use."""
 
     def __init__(self, num_vars: int, nodes: Iterable[tuple]):
         self.num_vars = num_vars
@@ -277,9 +277,6 @@ class Circuit:
             "smoothness" not in kinds, "decomposability" not in kinds, tuple(violations)
         )
         self._log_nodes: tuple[tuple, ...] | None = None
-        # Per variable, the inner ids of its bound-update plan once
-        # `_inner_plan` has built them.
-        self._inner_plans: list[list[int] | None] = [None] * num_vars
         self._decisions: list[_Decision] | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -319,14 +316,6 @@ def _rows(c: Circuit, mode: NumericMode) -> tuple[tuple, ...]:
             for row in c.nodes
         )
     return c._log_nodes
-
-
-def _inner_plan(c: Circuit, var: CircuitVar) -> list[int]:
-    """The inner part of `var`'s plan: the ascending ids of the inner nodes
-    whose scope contains it; built on first use and cached on the circuit."""
-    scopes, bit = c.scopes, 1 << var
-    inner = c._inner_plans[var] = [nid for nid in c.inner if scopes[nid] & bit]
-    return inner
 
 
 def _opposed_indicators(nodes: tuple, kids_a: tuple, kids_b: tuple) -> tuple[int, int, int] | None:
@@ -401,12 +390,15 @@ def marginal(
     mode: NumericMode = NumericMode.LINEAR,
 ) -> float:
     """Marginal mass of a partial assignment; unassigned variables are summed
-    out. Raises ValueError when the mass is NaN: in linear mode a product
-    that overflows to infinity and meets a zero gives NaN."""
+    out. Raises ValueError when the mass is NaN or infinite: in linear mode
+    a mass above the largest float overflows to infinity, and infinity
+    times a zero gives NaN. Log mode's ``-inf``, zero mass, is a value."""
     c.require_valid()
     m = _evaluate(c, mode, assignment or {})[c.root]
     if math.isnan(m):
         raise ValueError("marginal is NaN: linear-mode overflow; try --mode log")
+    if m == math.inf:
+        raise ValueError("marginal is infinite: linear-mode overflow; try --mode log")
     return m
 
 
@@ -427,13 +419,12 @@ class BoundState:
     own, ``(None, branches)`` in place of ``(children, weights)``, so the
     kernels tell them apart with one identity test on a plain sum and none
     on a product. Each batch sets its variables' leaves and runs the kernel
-    once, in ascending id order, over the union of their plans (a
-    one-variable batch uses the cached plan), recording the previous bounds
-    of every node that changed in one trail frame, so backtracking restores
-    them bit-exactly. Every inner node's bounds always equal its kernel
-    over the bounds of nodes below it in its scope, which come earlier in
-    every plan that contains it, so the result does not depend on how the
-    assignments are split into batches.
+    once, in ascending id order, over the inner nodes whose scope meets the
+    batch, recording the previous bounds of every node that changed in one
+    trail frame, so backtracking restores them bit-exactly. Every inner
+    node's bounds always equal its kernel over the bounds of its children,
+    which come earlier in every scan that reaches it, so the result does not
+    depend on how the assignments are split into batches.
     """
 
     def __init__(
@@ -511,19 +502,12 @@ class BoundState:
                 if x != ub[nid] or x != lb[nid]:
                     saved.append((nid, ub[nid], lb[nid]))
                     ub[nid] = lb[nid] = x
-        # The union of the batch's plans, ascending: the inner nodes whose
-        # scope meets the batch (a scope scan measured faster than a sorted
-        # set union of the plans on supply-sweep, and close on grid-bn). Ids
-        # are topological, so each node settles after all its children and
-        # is recomputed once, from their final bounds.
-        if len(batch) == 1:
-            inner = c._inner_plans[var]
-            if inner is None:
-                inner = _inner_plan(c, var)
-        else:
-            scopes = c.scopes
-            inner = [nid for nid in c.inner if scopes[nid] & mask]
-        self._update(inner, nodes, ub, lb, saved)
+        # The inner nodes whose scope meets the batch, found by one scan of
+        # the scopes for every batch, one variable or many. Ids are
+        # topological, so each node settles after all its children and is
+        # recomputed once, from their final bounds.
+        scopes = c.scopes
+        self._update([nid for nid in c.inner if scopes[nid] & mask], nodes, ub, lb, saved)
         return self.root_bounds()
 
     def backtrack_bounds(self, level: int) -> None:

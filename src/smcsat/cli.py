@@ -319,7 +319,10 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
 
 def _bench_row(path: Path, config: SolverConfig) -> list:
     problem = load_manifest(path)
-    result = solve(problem, config)
+    try:
+        result = solve(problem, config)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     q = problem.predicates[0].threshold if problem.predicates else ""
     stats = result.stats
     return [

@@ -4,12 +4,12 @@ Each predicate links a literal b to an inequality between a circuit's
 marginal mass (shared formula variables fixed, the rest summed out) and a
 threshold. During propagation the solver narrows each predicate's root
 bounds once per round: the shared variables assigned since the last check
-are applied as one batch, over the union of their plans, before the bounds
-are read. Once the bounds decide the inequality it propagates b or raises a
-conflict, learning a clause over the assigned shared variables. With bound
-tracking disabled, predicates are checked exactly and only when fully
-assigned, which reproduces the naive solver-plus-inference loop as an
-ablation baseline.
+are applied as one batch, over the inner nodes whose scope they meet,
+before the bounds are read. Once the bounds decide the inequality it
+propagates b or raises a conflict, learning a clause over the assigned
+shared variables. With bound tracking disabled, predicates are checked
+exactly and only when fully assigned, which reproduces the naive
+solver-plus-inference loop as an ablation baseline.
 """
 
 from __future__ import annotations
@@ -245,7 +245,6 @@ class CdclSolver:
         self.phase = [False] * (nv + 1)
         self.stats = Stats()
         self.ok = True
-        self._initial_units: list[tuple[Lit, int]] = []
         for clause in problem.cnf.clauses:
             self._add_clause(list(clause))
         self.num_original = len(self.clauses)
@@ -261,14 +260,17 @@ class CdclSolver:
     # ------------------------------------------------------------------ db
 
     def _add_clause(self, lits: list[Lit]) -> None:
-        """Attach an original clause; an empty one makes the problem UNSAT."""
+        """Attach an original clause and enqueue it at level 0 if it is a
+        unit; an empty clause or a unit that is already false makes the
+        problem UNSAT."""
         if not lits:
             self.ok = False
             return
         idx = len(self.clauses)
         self.clauses.append(lits)
         if len(lits) == 1:
-            self._initial_units.append((lits[0], idx))
+            if not self._enqueue(lits[0], idx):
+                self.ok = False
         else:
             self.watches[lits[0]].append(idx)
             self.watches[lits[1]].append(idx)
@@ -528,9 +530,6 @@ class CdclSolver:
     def _search(self, start: float) -> tuple[SolveStatus, dict[Var, bool] | None]:
         if not self.ok:
             return SolveStatus.UNSAT, None
-        for lit, idx in self._initial_units:
-            if not self._enqueue(lit, idx):
-                return SolveStatus.UNSAT, None
         conflicts_since_restart = 0
         restart_limit = _RESTART_BASE * luby(self.stats.restarts + 1)
         while True:

@@ -153,28 +153,64 @@ def overflow_manifest(tmp_path):
     return manifest
 
 
+@pytest.fixture
+def infinite_manifest(tmp_path):
+    # 1e200 * 1e200 overflows to inf in linear mode, so the partition and
+    # the marginal at x1 = False are both inf, and inf >= 0.9 * inf holds;
+    # the true marginal there is a third of the partition
+    (tmp_path / "inf.pc").write_text("pc 4 1\nc 1e200\nc 1e200\nl 0 1.0 0.5\np 3 0 1 2\n")
+    (tmp_path / "inf.cnf").write_text("p cnf 1 1\n-1 0\n")
+    (tmp_path / "inf.model").write_text("v -1 0\n")
+    manifest = tmp_path / "inf.json"
+    pred = {"circuit": "inf.pc", "shared": {"0": 1}, "cmp": "ge", "threshold": 0.9, "threshold_mode": "partition_fraction"}
+    manifest.write_text(json.dumps({"cnf": "inf.cnf", "predicates": [pred]}))
+    return manifest
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (("solve",), "error: predicate 0 unsettled at full assignment, root bounds (nan, nan): "),
         (("solve", "--no-ulw"), "error: marginal is NaN: "),
         (("oracle",), "error: marginal is NaN: "),
+        (("solve",), "error: marginal is infinite: "),
+        (("solve", "--no-ulw"), "error: marginal is infinite: "),
+        (("oracle",), "error: marginal is infinite: "),
+        (("verify", "inf.model"), "error: marginal is infinite: "),
     ],
 )
-def test_linear_overflow_is_an_error(overflow_manifest, capsys, argv, message):
-    code, out = run_cli(argv[0], str(overflow_manifest), *argv[1:])
+def test_linear_overflow_is_an_error(overflow_manifest, infinite_manifest, monkeypatch, capsys, argv, message):
+    # a NaN mass comes from the first manifest, an infinite one from the second
+    manifest = infinite_manifest if "infinite" in message else overflow_manifest
+    monkeypatch.chdir(manifest.parent)
+    code, out = run_cli(argv[0], str(manifest), *argv[1:])
     assert code == 1 and out == ""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(message)
     assert err[0].endswith("linear-mode overflow; try --mode log")
 
 
-def test_linear_overflow_pc_marginal_and_log_mode(overflow_manifest, capsys):
-    code, out = run_cli("pc", "marginal", str(overflow_manifest.parent / "o.pc"), "--assign", "0=0")
-    assert code == 1 and out == ""
-    assert capsys.readouterr().err == "error: marginal is NaN: linear-mode overflow; try --mode log\n"
+def test_linear_overflow_pc_marginal_and_log_mode(overflow_manifest, infinite_manifest, capsys):
+    for manifest, argv, kind in [
+        (overflow_manifest, ("marginal", "--assign", "0=0"), "NaN"),
+        (infinite_manifest, ("partition",), "infinite"),
+        (infinite_manifest, ("marginal", "--assign", "0=0"), "infinite"),
+    ]:
+        code, out = run_cli("pc", argv[0], str(manifest.with_suffix(".pc")), *argv[1:])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"error: marginal is {kind}: linear-mode overflow; try --mode log\n"
     code, out = run_cli("solve", str(overflow_manifest), "--mode", "log")
     assert code == 10 and out.splitlines() == ["s SATISFIABLE", "v -1 0"]
+    code, out = run_cli("solve", str(infinite_manifest), "--mode", "log")
+    assert code == 20 and out.splitlines() == ["s UNSATISFIABLE"]
+
+
+def test_bench_names_the_failing_manifest(route_manifest, overflow_manifest, capsys):
+    route_manifest(0.5)
+    code, out = run_cli("bench", str(overflow_manifest.parent))
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {overflow_manifest}: predicate 0 unsettled")
 
 
 def test_solve_deterministic_output(route_manifest):
