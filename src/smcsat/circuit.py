@@ -339,7 +339,9 @@ def _decision_sums(c: Circuit) -> list[_Decision]:
     variable ``v``; where several variables qualify, ``v`` is the first
     one among the first product's children. Each is recorded as ``(sum id,
     v, i, j)``: ``v``'s indicators are child ``i`` of the first product and
-    child ``j`` of the second."""
+    child ``j`` of the second. The first children of both products are
+    tested first, because ``compile_factor_graph`` puts the indicators
+    there; only a sum that fails that test gets the general scan."""
     if c._decisions is None:
         nodes, found = c.nodes, []
         for nid in c.inner:
@@ -350,7 +352,14 @@ def _decision_sums(c: Circuit) -> list[_Decision]:
             row_a, row_b = nodes[prod_a], nodes[prod_b]
             if len(row_a) != 2 or row_a[1] is not None or len(row_b) != 2 or row_b[1] is not None:
                 continue
-            match = _opposed_indicators(nodes, row_a[0], row_b[0])
+            kids_a, kids_b = row_a[0], row_b[0]
+            if kids_a and kids_b:
+                leaf = nodes[kids_a[0]]
+                if len(leaf) == 3 and leaf[0] >= 0 and leaf[1:] == (1.0, 0.0):
+                    if nodes[kids_b[0]] == (leaf[0], 0.0, 1.0):
+                        found.append((nid, leaf[0], 0, 0))
+                        continue
+            match = _opposed_indicators(nodes, kids_a, kids_b)
             if match is not None:
                 found.append((nid, *match))
         c._decisions = found

@@ -7,6 +7,10 @@ True entry comes before the False entry (index bit 0 = True, 1 = False).
 ``compile_factor_graph`` is a deliberately naive Shannon-expansion compiler
 producing smooth, decomposable circuits; it is meant for small models, with
 externally compiled circuits supplied in PC format for anything larger.
+It keeps the decided values in one list indexed by variable, set along the
+depth-first walk, memoizes sub-circuits on an ``int`` that packs the values
+still relevant, and emits leaf rows that were built once per step: the two
+indicators and, per completing factor, one constant row per table entry.
 """
 
 from __future__ import annotations
@@ -161,6 +165,11 @@ def compile_factor_graph(
     this step, and the sub-circuit over the remaining variables. Equal
     sub-problems are shared by memoizing on the decided prefix projected
     onto the variables still referenced by pending factors.
+
+    Everything that does not depend on the decided values is built here,
+    once per step: its two indicator rows, each completing factor's
+    constant rows (one per table entry, so a table index picks the row) and
+    the sorted variables the memo key packs (see ``_expand``).
     """
     if fg.num_vars > _COMPILE_CAP:
         raise ValueError(f"{fg.num_vars} variables exceed compile cap {_COMPILE_CAP}")
@@ -178,51 +187,71 @@ def compile_factor_graph(
         completes_at.setdefault(max(position[v] for v in factor.scope), []).append(factor)
     # Step d decides order[d], completes its factors, and keeps the decided
     # variables that some factor completing at a later step mentions.
-    steps: list[tuple[int, list[Factor], frozenset[int]]] = []
+    steps: list[_Step] = []
     for depth, var in enumerate(order):
         keep: set[int] = set()
         for step, facs in completes_at.items():
             if step > depth:
                 for factor in facs:
                     keep.update(v for v in factor.scope if position[v] <= depth)
-        steps.append((var, completes_at.get(depth, []), frozenset(keep)))
+        completing = tuple(
+            (factor.scope, tuple((-1, w, 0.0) for w in factor.table))
+            for factor in completes_at.get(depth, ())
+        )
+        steps.append((var, ((var, 1.0, 0.0), (var, 0.0, 1.0)), completing, tuple(sorted(keep))))
     nodes: list[tuple] = []
-    root = _expand(steps, 0, {}, nodes, {})
+    root = _expand(steps, 0, [0] * fg.num_vars, nodes, [{} for _ in steps])
     assert root == len(nodes) - 1
     return Circuit(fg.num_vars, nodes)
 
 
+# One expansion step: the variable it decides, its indicator rows for True
+# and for False, the factors it completes as ``(scope, constant row per
+# table index)`` and the sorted variables it keeps.
+_Step = tuple[int, tuple[tuple, tuple], tuple, tuple[int, ...]]
+
+
 def _expand(
-    steps: list[tuple[int, list[Factor], frozenset[int]]],
+    steps: list[_Step],
     depth: int,
-    context: dict[int, bool],
+    bits: list[int],
     nodes: list[tuple],
-    memo: dict[tuple, int],
+    memo: list[dict[int, int]],
 ) -> int:
-    """Append the circuit rows of `steps[depth:]` under the decided `context`
-    to `nodes` and return the id of their root. Each step is a variable, the
-    factors completed by deciding it, and the decided variables still
-    relevant after it; `memo` maps ``(depth, context)`` to an emitted id.
-    A module-level function, because a nested one that calls itself refers
-    to itself through its closure and leaves each compile as cyclic garbage."""
-    key = (depth, tuple(sorted(context.items())))
-    if key in memo:
-        return memo[key]
-    var, completing, relevant = steps[depth]
-    branches: list[int] = []
-    for val in (True, False):
-        extended = dict(context)
-        extended[var] = val
-        nodes.append((var, 1.0, 0.0) if val else (var, 0.0, 1.0))
-        children = [len(nodes) - 1]
-        for factor in completing:
-            nodes.append((-1, factor.value(extended), 0.0))
-            children.append(len(nodes) - 1)
-        if depth + 1 < len(steps):
-            sub_context = {v: extended[v] for v in relevant if v in extended}
-            children.append(_expand(steps, depth + 1, sub_context, nodes, memo))
-        nodes.append((tuple(children), None))
+    """Append the circuit rows of `steps[depth:]` to `nodes` and return the
+    id of their root. `bits` holds, per variable, the value decided on the
+    current path as a table-index bit (0 for True, 1 for False), so a
+    completing factor's table index is its scope's bits. The rows go out as
+    the True branch's indicator, its constants in completing order, its
+    sub-circuit and its product, then the same for False, then the sum.
+    `memo[d]` maps the values of the variables step ``d - 1`` keeps, packed
+    as bits in ascending variable order, to the id of the sub-circuit
+    emitted for them. A module-level function, because a nested one that
+    calls itself refers to itself through its closure and leaves each
+    compile as cyclic garbage."""
+    var, indicators, completing, keep = steps[depth]
+    deeper = depth + 1 < len(steps)
+    branches = []
+    for bit in (0, 1):
+        bits[var] = bit
+        first = len(nodes)
+        nodes.append(indicators[bit])
+        for scope, rows in completing:
+            idx = 0
+            for v in scope:
+                idx = idx << 1 | bits[v]
+            nodes.append(rows[idx])
+        children = tuple(range(first, len(nodes)))
+        if deeper:
+            key = 0
+            for v in keep:
+                key = key << 1 | bits[v]
+            sub_memo = memo[depth + 1]
+            sub = sub_memo.get(key)
+            if sub is None:
+                sub = sub_memo[key] = _expand(steps, depth + 1, bits, nodes, memo)
+            children += (sub,)
+        nodes.append((children, None))
         branches.append(len(nodes) - 1)
     nodes.append((tuple(branches), (1.0, 1.0)))
-    memo[key] = len(nodes) - 1
-    return memo[key]
+    return len(nodes) - 1

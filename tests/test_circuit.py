@@ -11,6 +11,7 @@ from smcsat.circuit import (
     NumericMode,
     PcFormatError,
     ValidationReport,
+    _decision_sums,
     evaluate_joint,
     marginal,
     parse_pc,
@@ -22,6 +23,7 @@ from smcsat.factorgraph import compile_factor_graph
 from smcsat.problems import gen_random_bn
 from util import (
     TWO_ROUTE_CIRCUIT_TEXT,
+    _opposed_indicators,
     brute_joint_sum,
     brute_minmax_over_shared,
     reference_bounds,
@@ -619,6 +621,48 @@ def test_decision_bounds_bracket_brute_force_on_compiled_bns():
             bs.assign([(v, rng.random() < 0.5) for v in free], 3 * c.num_vars)
         # fully assigned: one branch per decision sum, the marginal to the bit
         assert bs.root_bounds() == (marginal(c, bs.status, mode),) * 2
+
+
+def _permuted(c: Circuit, seed: int) -> Circuit:
+    """`c` with the children of every product and sum shuffled (a sum's
+    weights move with its children): the same circuit, whose indicators sit
+    anywhere among their product's children."""
+    rng = random.Random(seed)
+    rows = []
+    for row in c.nodes:
+        if len(row) == 3:
+            rows.append(row)
+            continue
+        children, weights = row
+        perm = rng.sample(range(len(children)), len(children))
+        rows.append(
+            (tuple(children[k] for k in perm), None if weights is None else tuple(weights[k] for k in perm))
+        )
+    return Circuit(c.num_vars, rows)
+
+
+def test_decision_sums_match_independent_scan():
+    circuits = [random_circuit(seed, 4) for seed in range(30)]
+    for seed in range(12):
+        compiled = _compiled_bn(seed + 90, seed % 2 == 1)
+        circuits += [compiled, _permuted(compiled, seed), _permuted(random_circuit(seed + 30, 4), seed)]
+    moved = 0
+    for c in circuits:
+        nodes = c.nodes
+        want = []
+        for nid, row in enumerate(nodes):
+            if len(row) == 2 and row[1] is not None:
+                match = _opposed_indicators(nodes, row)
+                if match is not None:
+                    want.append((nid, *match))
+        got = [
+            (nid, v, nodes[nodes[nid][0][0]][0][i], nodes[nodes[nid][0][1]][0][j])
+            for nid, v, i, j in _decision_sums(c)
+        ]
+        assert got == want
+        moved += sum((i, j) != (0, 0) for _, _, i, j in _decision_sums(c))
+    # the permuted circuits reach the general scan
+    assert moved > 0
 
 
 def test_latent_decision_keeps_plain_sum():

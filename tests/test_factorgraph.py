@@ -1,10 +1,11 @@
 import gc
+import hashlib
 import random
 from itertools import product
 
 import pytest
 
-from smcsat.circuit import evaluate_joint, marginal, partition, validate
+from smcsat.circuit import evaluate_joint, marginal, partition, validate, write_pc
 from smcsat.factorgraph import (
     Factor,
     FactorGraph,
@@ -15,7 +16,7 @@ from smcsat.factorgraph import (
     write_uai,
 )
 from smcsat.problems import gen_random_bn
-from util import rel_close
+from util import reference_compile, rel_close
 
 UNARY = "MARKOV\n1\n2\n1\n1 0\n\n2\n0.3 0.7\n"
 
@@ -162,6 +163,39 @@ def test_compile_respects_order():
     assert rel_close(partition(c1), enumerate_marginal(fg, {}), rel=1e-9)
     with pytest.raises(ValueError):
         compile_factor_graph(fg, order=(0, 1))
+
+
+def test_compile_rows_match_reference():
+    # 60 graphs of 1-12 variables with unary to 3-variable factors, some
+    # variables in no factor, in ascending and in random orders
+    scope_sizes, unused = set(), 0
+    for seed in range(60):
+        rng = random.Random(seed + 500)
+        n = rng.randint(1, 12)
+        fg = random_factor_graph(seed + 500, n, rng.randint(0, n), max_scope=rng.randint(1, 3))
+        order = None if seed % 4 == 0 else rng.sample(range(n), n)
+        assert compile_factor_graph(fg, order).nodes == reference_compile(fg, order), seed
+        scope_sizes.update(len(f.scope) for f in fg.factors)
+        unused += len(set(range(n)) - {v for f in fg.factors for v in f.scope})
+    assert scope_sizes == {1, 2, 3} and unused > 0
+
+
+# sha256 of the rows of the first three BNs that supply-sweep's generator
+# draws at seed 0 (18 variables, at most 2 parents, edge fraction 0.3). The
+# benchmark ships these circuits as PC files, so a change to the rows
+# changes its inputs.
+SUPPLY_BN_DIGESTS = {
+    801774104: "1759102b6d7c72d9faff3effe0e0743e487b2e500fc0ea050e08fb2b654008cc",
+    496177709: "a5e0ecf124fc2035e5300184bce8b525a894c2bcab17dcc960c213bfcb5915e1",
+    172089777: "b07b0a659ee299164e804d0a8470bcddf6528510cbb50f19e822947555a714c2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SUPPLY_BN_DIGESTS))
+def test_compile_pins_supply_sweep_circuits(seed):
+    fg = gen_random_bn(18, max_parents=2, edge_fraction=0.3, seed=seed)
+    text = write_pc(compile_factor_graph(fg))
+    assert hashlib.sha256(text.encode()).hexdigest() == SUPPLY_BN_DIGESTS[seed]
 
 
 def test_compile_leaves_no_cyclic_garbage():

@@ -7,10 +7,12 @@ import operator
 import random
 from functools import reduce
 from itertools import product
+from typing import Sequence
 
 import pytest
 
 from smcsat.circuit import Circuit, NumericMode, evaluate_joint, marginal, parse_pc
+from smcsat.factorgraph import Factor, FactorGraph
 from smcsat.formula import CnfFormula
 from smcsat.solver import Comparator, PredicateSpec, SmcProblem
 
@@ -245,6 +247,54 @@ def reference_bounds(
             )
         )
     return ub, lb
+
+
+def reference_compile(fg: FactorGraph, order: Sequence[int] | None = None) -> tuple[tuple, ...]:
+    """The rows a Shannon expansion of `fg` along `order` (default ascending)
+    emits, sharing no code with ``compile_factor_graph``: per variable a
+    unit-weight sum of a True and a False product, each holding the
+    variable's indicator, one constant per factor whose latest-ordered
+    variable this is (in factor order) and the sub-circuit of the rest,
+    memoized on the decided values of the variables that later factors
+    still mention. Rows go out depth first, the True branch first."""
+    order = list(range(fg.num_vars)) if order is None else list(order)
+    position = {var: i for i, var in enumerate(order)}
+    last = [max(position[v] for v in factor.scope) for factor in fg.factors]
+    nodes: list[tuple] = []
+    memo: dict[tuple, int] = {}
+
+    def entry(factor: Factor, values: dict[int, bool]) -> float:
+        idx = 0
+        for var in factor.scope:
+            idx = 2 * idx + (0 if values[var] else 1)
+        return factor.table[idx]
+
+    def expand(depth: int, context: dict[int, bool]) -> int:
+        key = (depth, tuple(sorted(context.items())))
+        if key in memo:
+            return memo[key]
+        var = order[depth]
+        pending = [f for f, at in zip(fg.factors, last) if at > depth]
+        relevant = {v for f in pending for v in f.scope if position[v] <= depth}
+        branches = []
+        for val in (True, False):
+            extended = {**context, var: val}
+            nodes.append((var, 1.0, 0.0) if val else (var, 0.0, 1.0))
+            children = [len(nodes) - 1]
+            for factor, at in zip(fg.factors, last):
+                if at == depth:
+                    nodes.append((-1, entry(factor, extended), 0.0))
+                    children.append(len(nodes) - 1)
+            if depth + 1 < len(order):
+                children.append(expand(depth + 1, {v: extended[v] for v in relevant}))
+            nodes.append((tuple(children), None))
+            branches.append(len(nodes) - 1)
+        nodes.append((tuple(branches), (1.0, 1.0)))
+        memo[key] = len(nodes) - 1
+        return memo[key]
+
+    expand(0, {})
+    return tuple(nodes)
 
 
 def random_cnf(seed: int, num_vars: int, num_clauses: int, width: int = 3) -> CnfFormula:
