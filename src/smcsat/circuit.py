@@ -19,14 +19,15 @@ node's scope as an ``int`` bitmask (``Circuit.scopes``, bit ``v`` set for
 variable ``v``), the ascending ids of the leaves, of each variable's leaves
 and of the inner nodes (``Circuit.leaves``, ``Circuit.var_leaves``,
 ``Circuit.inner``) and the smoothness and decomposability verdict that
-``validate`` returns. Two things are built later, on first use, and
-cached on the circuit: the log rows and the decision sums. Linear mode
-reads the rows as they are; log mode reads a copy with every weight
-mapped through ``math.log`` (zero to ``-inf``). ``marginal`` and
-``partition`` give an assigned leaf its weight for that value and an
-unassigned one the sum of its weights, then run the mode's bound-update
-kernel (below) once over the inner nodes, with one list as both the upper
-and the lower bounds.
+``validate`` returns. The rows a kernel reads are built by ``_rows`` on
+first use and cached on the circuit per numeric mode and set of shared
+variables: log mode maps every weight through ``math.log`` (zero to
+``-inf``), and a decision sum (below) of a shared variable becomes a
+``(None, branches)`` row. ``marginal`` and ``partition`` read the rows
+with no shared variables, give an assigned leaf its weight for that value
+and an unassigned one the sum of its weights, then run the mode's
+bound-update kernel (below) once over the inner nodes, with one list as
+both the upper and the lower bounds.
 
 ``BoundState`` maintains, per node, an upper and lower bound on the marginal
 mass under a partial assignment of the shared (decision) variables. Its work
@@ -68,7 +69,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
@@ -84,9 +85,6 @@ class CircuitStructureError(ValueError):
 
 
 _Add = Callable[[float, float], float]
-# A decision sum: its id, the variable it decides and the positions of that
-# variable's indicators among the children of its first and second product.
-_Decision = tuple[int, int, int, int]
 # The weights of the two indicator leaves of a variable.
 _INDICATOR_WEIGHTS = ((1.0, 0.0), (0.0, 1.0))
 _Saved = list[tuple[int, float, float]]
@@ -225,8 +223,8 @@ class ValidationReport:
 class Circuit:
     """Immutable probabilistic circuit: its rows (see the module docstring),
     the bitmask scope of every node, its leaf and inner ids and its
-    validation report. Log-weight rows and decision sums are built on
-    first use."""
+    validation report. The rows each kernel reads are built on first use
+    by ``_rows``."""
 
     def __init__(self, num_vars: int, nodes: Iterable[tuple]):
         self.num_vars = num_vars
@@ -237,8 +235,8 @@ class Circuit:
         self.scopes: list[int] = []
         self.leaves: list[int] = []
         self.inner: list[int] = []
-        # Per variable, the ascending ids of its leaves.
-        self.var_leaves: list[list[int]] = [[] for _ in range(num_vars)]
+        # Per variable that has leaves, the ascending ids of its leaves.
+        self.var_leaves: dict[int, list[int]] = defaultdict(list)
         scopes, var_leaves, violations = self.scopes, self.var_leaves, []
         for nid, row in enumerate(self.nodes):
             if len(row) == 3:
@@ -276,8 +274,8 @@ class Circuit:
         self.report = ValidationReport(
             "smoothness" not in kinds, "decomposability" not in kinds, tuple(violations)
         )
-        self._log_nodes: tuple[tuple, ...] | None = None
-        self._decisions: list[_Decision] | None = None
+        # The rows of `_rows`, keyed by (mode, shared variables).
+        self._row_cache: dict[tuple[NumericMode, frozenset[int]], Sequence[tuple]] = {}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -303,21 +301,6 @@ def validate(c: Circuit) -> ValidationReport:
     return c.report
 
 
-def _rows(c: Circuit, mode: NumericMode) -> tuple[tuple, ...]:
-    """The circuit's rows with weights in `mode`'s value space; the log rows
-    are built on first use and cached on the circuit."""
-    if mode is NumericMode.LINEAR:
-        return c.nodes
-    if c._log_nodes is None:
-        c._log_nodes = tuple(
-            (row[0], _log_weight(row[1]), _log_weight(row[2]))
-            if len(row) == 3
-            else (row[0], None if row[1] is None else tuple(map(_log_weight, row[1])))
-            for row in c.nodes
-        )
-    return c._log_nodes
-
-
 def _opposed_indicators(nodes: tuple, kids_a: tuple, kids_b: tuple) -> tuple[int, int, int] | None:
     """``(v, i, j)`` for the first indicator ``kids_a[i]`` of a variable
     ``v`` whose opposite indicator is ``kids_b[j]``, or None."""
@@ -332,18 +315,26 @@ def _opposed_indicators(nodes: tuple, kids_a: tuple, kids_b: tuple) -> tuple[int
     return None
 
 
-def _decision_sums(c: Circuit) -> list[_Decision]:
-    """The decision sums of `c`, ascending, found on first use and cached on
-    the circuit. A decision sum has two product children, one holding the
+def _rows(c: Circuit, mode: NumericMode, shared: frozenset[int] = frozenset()) -> Sequence[tuple]:
+    """The rows that `mode`'s kernel reads for the shared variables
+    `shared`: every weight in the mode's value space, and each decision sum
+    of a variable in `shared` as ``(None, branches)``, one ``(weight,
+    product id, indicator id, the product's other children)`` per child.
+    Built on first use and cached on the circuit per ``(mode, shared)``;
+    without such a sum, the mode's rows themselves (``c.nodes`` in linear
+    mode). A decision sum has two product children, one holding the
     indicator ``(v, 1.0, 0.0)`` and the other ``(v, 0.0, 1.0)`` of the same
-    variable ``v``; where several variables qualify, ``v`` is the first
-    one among the first product's children. Each is recorded as ``(sum id,
-    v, i, j)``: ``v``'s indicators are child ``i`` of the first product and
-    child ``j`` of the second. The first children of both products are
-    tested first, because ``compile_factor_graph`` puts the indicators
+    variable ``v``; where several variables qualify, ``v`` is the first one
+    among the first product's children. The first children of both products
+    are tested first, because ``compile_factor_graph`` puts the indicators
     there; only a sum that fails that test gets the general scan."""
-    if c._decisions is None:
-        nodes, found = c.nodes, []
+    key = (mode, shared)
+    rows = c._row_cache.get(key)
+    if rows is not None:
+        return rows
+    if shared:
+        nodes = c.nodes
+        rows = base = _rows(c, mode)
         for nid in c.inner:
             children, weights = nodes[nid]
             if weights is None or len(children) != 2:
@@ -353,17 +344,38 @@ def _decision_sums(c: Circuit) -> list[_Decision]:
             if len(row_a) != 2 or row_a[1] is not None or len(row_b) != 2 or row_b[1] is not None:
                 continue
             kids_a, kids_b = row_a[0], row_b[0]
+            match = None
             if kids_a and kids_b:
                 leaf = nodes[kids_a[0]]
                 if len(leaf) == 3 and leaf[0] >= 0 and leaf[1:] == (1.0, 0.0):
                     if nodes[kids_b[0]] == (leaf[0], 0.0, 1.0):
-                        found.append((nid, leaf[0], 0, 0))
-                        continue
-            match = _opposed_indicators(nodes, kids_a, kids_b)
-            if match is not None:
-                found.append((nid, *match))
-        c._decisions = found
-    return c._decisions
+                        match = (leaf[0], 0, 0)
+            if match is None:
+                match = _opposed_indicators(nodes, kids_a, kids_b)
+            if match is None or match[0] not in shared:
+                continue
+            _, i, j = match
+            if rows is base:
+                rows = list(base)
+            w_a, w_b = base[nid][1]
+            rows[nid] = (
+                None,
+                (
+                    (w_a, prod_a, kids_a[i], kids_a[:i] + kids_a[i + 1 :]),
+                    (w_b, prod_b, kids_b[j], kids_b[:j] + kids_b[j + 1 :]),
+                ),
+            )
+    elif mode is NumericMode.LINEAR:
+        rows = c.nodes
+    else:
+        rows = tuple(
+            (row[0], _log_weight(row[1]), _log_weight(row[2]))
+            if len(row) == 3
+            else (row[0], None if row[1] is None else tuple(map(_log_weight, row[1])))
+            for row in c.nodes
+        )
+    c._row_cache[key] = rows
+    return rows
 
 
 def _evaluate(c: Circuit, mode: NumericMode, assignment: dict) -> list[float]:
@@ -424,16 +436,18 @@ class BoundState:
     leaf (the larger and smaller weight of a free shared variable, the
     summed-out mass otherwise) and runs the mode's update kernel once over
     all inner nodes. The decision sums of shared variables take the branch
-    max and min of the module docstring. Their kernel rows are this state's
-    own, ``(None, branches)`` in place of ``(children, weights)``, so the
-    kernels tell them apart with one identity test on a plain sum and none
-    on a product. Each batch sets its variables' leaves and runs the kernel
-    once, in ascending id order, over the inner nodes whose scope meets the
-    batch, recording the previous bounds of every node that changed in one
-    trail frame, so backtracking restores them bit-exactly. Every inner
-    node's bounds always equal its kernel over the bounds of its children,
-    which come earlier in every scan that reaches it, so the result does not
-    depend on how the assignments are split into batches.
+    max and min of the module docstring. The state reads the rows that
+    ``_rows`` caches on the circuit for its mode and shared variables, in
+    which such a sum is ``(None, branches)`` in place of ``(children,
+    weights)``, so the kernels tell them apart with one identity test on a
+    plain sum and none on a product. Each batch sets its variables' leaves
+    and runs the kernel once, in ascending id order, over the inner nodes
+    whose scope meets the batch, recording the previous bounds of every node
+    that changed in one trail frame, so backtracking restores them
+    bit-exactly. Every inner node's bounds always equal its kernel over the
+    bounds of its children, which come earlier in every scan that reaches
+    it, so the result does not depend on how the assignments are split into
+    batches.
     """
 
     def __init__(
@@ -449,26 +463,8 @@ class BoundState:
         for var in self.status:
             if var < 0 or var >= circuit.num_vars:
                 raise ValueError(f"shared variable {var} out of range")
-        nodes = _rows(circuit, mode)
         add, self._update = _OPS[mode]
-        # The kernels' rows: the mode's rows, except that each decision sum
-        # of a shared variable becomes ``(None, branches)``, one ``(weight,
-        # product id, indicator id, the product's other children)`` per child.
-        kept = [d for d in _decision_sums(circuit) if d[1] in self.status]
-        if kept:
-            rows = list(nodes)
-            for nid, _, i, j in kept:
-                (prod_a, prod_b), (w_a, w_b) = nodes[nid]
-                kids_a, kids_b = nodes[prod_a][0], nodes[prod_b][0]
-                rows[nid] = (
-                    None,
-                    (
-                        (w_a, prod_a, kids_a[i], kids_a[:i] + kids_a[i + 1 :]),
-                        (w_b, prod_b, kids_b[j], kids_b[:j] + kids_b[j + 1 :]),
-                    ),
-                )
-            nodes = rows
-        self._nodes = nodes
+        nodes = self._nodes = _rows(circuit, mode, frozenset(self.status))
         # Inner nodes start as NaN, unequal to every value, so the kernel
         # writes each of them. The zero-length deque frees each saved entry
         # at once, so the pass leaves no per-node garbage for the collector.
@@ -506,7 +502,7 @@ class BoundState:
             status[var] = val
             mask |= 1 << var
             pos = 1 if val else 2
-            for nid in var_leaves[var]:
+            for nid in var_leaves.get(var, ()):
                 x = nodes[nid][pos]
                 if x != ub[nid] or x != lb[nid]:
                     saved.append((nid, ub[nid], lb[nid]))

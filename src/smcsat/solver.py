@@ -247,7 +247,6 @@ class CdclSolver:
         self.ok = True
         for clause in problem.cnf.clauses:
             self._add_clause(list(clause))
-        self.num_original = len(self.clauses)
         self.preds = [_PredState(p, self.mode, self.cfg.ulw_enabled) for p in problem.predicates]
         # formula var -> [(predicate index, circuit var)]
         self.shared_occ: dict[Var, list[tuple[int, int]]] = {}
@@ -403,6 +402,9 @@ class CdclSolver:
                 if bounds is None:
                     continue
                 ub, lb = bounds
+                if lb == math.inf:
+                    # Every completion's mass overflows; log mode has no +inf.
+                    raise ValueError("marginal is infinite: linear-mode overflow; try --mode log")
                 status = inequality_status(ps.spec.cmp, ps.resolved_q, lb, ub)
                 if status is None:
                     continue

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,7 @@ from smcsat.circuit import (
     NumericMode,
     PcFormatError,
     ValidationReport,
-    _decision_sums,
+    _rows,
     evaluate_joint,
     marginal,
     parse_pc,
@@ -85,6 +86,40 @@ def test_parse_errors():
     with pytest.raises(PcFormatError) as err:
         parse_pc("pc 2 1\nl 0 .5 .5\np 2 0")
     assert str(err.value) == "node 1: product child count mismatch"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("", "empty circuit document", id="empty"),
+        pytest.param("# nothing but a comment\n\n", "empty circuit document", id="comment-only"),
+        pytest.param("pc 1\nc 1.0", "malformed header: 'pc 1'", id="header-short"),
+        pytest.param("pc x 1\nc 1.0", "malformed header: 'pc x 1'", id="header-non-integer"),
+        pytest.param("circuit 1 1\nc 1.0", "malformed header: 'circuit 1 1'", id="header-tag"),
+        pytest.param("pc 1 1\nl 0 abc 0.5", "node 0: bad number 'abc'", id="bad-weight"),
+        pytest.param("pc 1 1\nl -1 0.5 0.5", "node 0: variable -1 out of range", id="negative-var"),
+        pytest.param("pc 3 1\ni 0 1\ni 0 0\ns 2 0.5 0", "node 2: sum arity mismatch", id="sum-arity"),
+        pytest.param("pc 0 1\n", "circuit has no nodes", id="no-nodes"),
+    ],
+)
+def test_parse_pc_rejects_malformed(text, message):
+    with pytest.raises(PcFormatError) as err:
+        parse_pc(text)
+    assert str(err.value) == message
+
+
+def test_circuit_allocates_nothing_per_declared_variable():
+    # a header can declare far more variables than the circuit's leaves
+    # use; leaf lists are kept only for the variables that have leaves
+    tracemalloc.start()
+    try:
+        c = parse_pc("pc 1 1000000\nc 1.0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert partition(c) == 1.0
+    assert BoundState(c, {999_999}).assign([(999_999, True)], 1) == (1.0, 1.0)
 
 
 def test_node_count_is_len_nodes():
@@ -655,14 +690,38 @@ def test_decision_sums_match_independent_scan():
                 match = _opposed_indicators(nodes, row)
                 if match is not None:
                     want.append((nid, *match))
-        got = [
-            (nid, v, nodes[nodes[nid][0][0]][0][i], nodes[nodes[nid][0][1]][0][j])
-            for nid, v, i, j in _decision_sums(c)
-        ]
+        # with every variable shared, every decision sum is a branch row
+        rows = _rows(c, NumericMode.LINEAR, frozenset(range(c.num_vars)))
+        got = []
+        for nid in c.inner:
+            if rows[nid][0] is None:
+                (w_a, prod_a, ind_a, rest_a), (w_b, prod_b, ind_b, rest_b) = rows[nid][1]
+                assert (prod_a, prod_b) == nodes[nid][0] and (w_a, w_b) == nodes[nid][1]
+                assert sorted((ind_a, *rest_a)) == sorted(nodes[prod_a][0])
+                assert sorted((ind_b, *rest_b)) == sorted(nodes[prod_b][0])
+                got.append((nid, nodes[ind_a][0], ind_a, ind_b))
+                moved += (ind_a, ind_b) != (nodes[prod_a][0][0], nodes[prod_b][0][0])
         assert got == want
-        moved += sum((i, j) != (0, 0) for _, _, i, j in _decision_sums(c))
     # the permuted circuits reach the general scan
     assert moved > 0
+
+
+def test_rows_are_cached_per_mode_and_shared_set(route_circuit):
+    c = route_circuit
+    for mode, shared in itertools.product(NumericMode, ({0, 1}, {2, 3}, set())):
+        assert _rows(c, mode, frozenset(shared)) is _rows(c, mode, frozenset(shared))
+        assert BoundState(c, shared, mode)._nodes is _rows(c, mode, frozenset(shared))
+    # the first route's predicate shares x0 and x1; sums 10 and 11 decide x0
+    # with its indicators at positions (1, 1) and (0, 1) of their products,
+    # so only the general scan finds them
+    rows = _rows(c, NumericMode.LINEAR, frozenset({0, 1}))
+    assert [nid for nid in c.inner if rows[nid][0] is None] == [10, 11]
+    assert rows[10] == (None, ((0.8, 6, 1, (3,)), (0.2, 7, 0, (3,))))
+    assert rows[11] == (None, ((0.8, 8, 1, (2,)), (0.2, 9, 0, (2,))))
+    # no sum decides x2 or x3: the second predicate reads the stored rows
+    assert _rows(c, NumericMode.LINEAR, frozenset({2, 3})) is c.nodes
+    assert _rows(c, NumericMode.LINEAR) is c.nodes
+    assert _rows(c, NumericMode.LOG, frozenset({2, 3})) is _rows(c, NumericMode.LOG)
 
 
 def test_latent_decision_keeps_plain_sum():

@@ -164,26 +164,33 @@ def infinite_manifest(tmp_path):
     manifest = tmp_path / "inf.json"
     pred = {"circuit": "inf.pc", "shared": {"0": 1}, "cmp": "ge", "threshold": 0.9, "threshold_mode": "partition_fraction"}
     manifest.write_text(json.dumps({"cnf": "inf.cnf", "predicates": [pred]}))
+    # beside it, abs.json compares the same circuit with an absolute 1e300:
+    # the root lb is inf before any decision, and the true mass at x1 =
+    # False is 5e399, so log mode is SAT
+    pred = {**pred, "threshold": 1e300, "threshold_mode": "absolute"}
+    (tmp_path / "abs.json").write_text(json.dumps({"cnf": "inf.cnf", "predicates": [pred]}))
     return manifest
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("solve",), "error: predicate 0 unsettled at full assignment, root bounds (nan, nan): "),
-        (("solve", "--no-ulw"), "error: marginal is NaN: "),
-        (("oracle",), "error: marginal is NaN: "),
-        (("solve",), "error: marginal is infinite: "),
-        (("solve", "--no-ulw"), "error: marginal is infinite: "),
-        (("oracle",), "error: marginal is infinite: "),
-        (("verify", "inf.model"), "error: marginal is infinite: "),
+        (("solve", "o.json"), "error: predicate 0 unsettled at full assignment, root bounds (nan, nan): "),
+        (("solve", "o.json", "--no-ulw"), "error: marginal is NaN: "),
+        (("oracle", "o.json"), "error: marginal is NaN: "),
+        (("solve", "inf.json"), "error: marginal is infinite: "),
+        (("solve", "inf.json", "--no-ulw"), "error: marginal is infinite: "),
+        (("oracle", "inf.json"), "error: marginal is infinite: "),
+        (("verify", "inf.json", "inf.model"), "error: marginal is infinite: "),
+        (("solve", "abs.json"), "error: marginal is infinite: "),
+        (("solve", "abs.json", "--no-ulw"), "error: marginal is infinite: "),
     ],
 )
 def test_linear_overflow_is_an_error(overflow_manifest, infinite_manifest, monkeypatch, capsys, argv, message):
-    # a NaN mass comes from the first manifest, an infinite one from the second
-    manifest = infinite_manifest if "infinite" in message else overflow_manifest
-    monkeypatch.chdir(manifest.parent)
-    code, out = run_cli(argv[0], str(manifest), *argv[1:])
+    # a NaN mass comes from o.json, an infinite one from inf.json, and an
+    # infinite root lb against an absolute threshold from abs.json
+    monkeypatch.chdir(infinite_manifest.parent)
+    code, out = run_cli(*argv)
     assert code == 1 and out == ""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(message)
@@ -203,6 +210,8 @@ def test_linear_overflow_pc_marginal_and_log_mode(overflow_manifest, infinite_ma
     assert code == 10 and out.splitlines() == ["s SATISFIABLE", "v -1 0"]
     code, out = run_cli("solve", str(infinite_manifest), "--mode", "log")
     assert code == 20 and out.splitlines() == ["s UNSATISFIABLE"]
+    code, out = run_cli("solve", str(infinite_manifest.with_name("abs.json")), "--mode", "log")
+    assert code == 10 and out.splitlines() == ["s SATISFIABLE", "v -1 0"]
 
 
 def test_bench_names_the_failing_manifest(route_manifest, overflow_manifest, capsys):
@@ -306,6 +315,50 @@ def test_gen_compile_and_pc_utilities(tmp_path):
     assert 0.0 <= float(out.strip()) <= 1.0
 
 
+def test_pc_validate_reports_violations(tmp_path):
+    pc_file = tmp_path / "square.pc"
+    pc_file.write_text("pc 2 1\nl 0 0.3 0.7\np 2 0 0\n")
+    code, out = run_cli("pc", "validate", str(pc_file))
+    assert code == 2
+    assert out.splitlines() == ["smooth True", "decomposable False", "violation decomposability node 1"]
+
+
+def test_pc_eval_joint(tmp_path, capsys):
+    pc_file = tmp_path / "route.pc"
+    pc_file.write_text(TWO_ROUTE_CIRCUIT_TEXT)
+    # with every variable True only the second route's product is nonzero:
+    # 0.5 * (0.2 * 1 * 1) * 1 * 1
+    code, out = run_cli("pc", "eval", str(pc_file), "--assign", "0=1,1=1,2=1,3=1")
+    assert code == 0 and out == "0.1\n"
+    code, out = run_cli("pc", "eval", str(pc_file), "--assign", "0=1")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: variable 1 unassigned in joint query\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        pytest.param("bad.pc", "pc 0 1\n", "circuit has no nodes", id="pc"),
+        pytest.param("bad.uai", "GRID\n1\n2\n", "unknown network kind 'GRID'", id="uai"),
+        pytest.param("bad.cnf", "1 0\np cnf 1 1\n", "clause before header", id="dimacs"),
+    ],
+)
+def test_malformed_input_file_is_one_error_line(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = {
+        ".pc": ("pc", "partition", str(path)),
+        ".uai": ("compile", str(path), "-o", str(tmp_path / "out.pc")),
+        ".cnf": ("gen", "smc", "--cnf", str(path), "--uai", str(tmp_path / "unread.uai"),
+                 "--threshold", "0.5", "-o", str(tmp_path / "out.json")),
+    }[path.suffix]
+    code, out = run_cli(*argv)
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message)
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -370,6 +423,27 @@ def test_gen_smc_order_is_comma_separated(tmp_path):
     assert json.loads(manifest.read_text())["predicates"][0]["order"] == [2, 0, 1]
 
 
+def test_gen_smc_from_circuit_with_b(tmp_path):
+    cnf = tmp_path / "k.cnf"
+    run_cli("gen", "kcolor", "--rows", "1", "--cols", "2", "-o", str(cnf))
+    pc_file = tmp_path / "route.pc"
+    pc_file.write_text(TWO_ROUTE_CIRCUIT_TEXT)
+    manifest = tmp_path / "k.json"
+    code, out = run_cli(
+        "gen", "smc", "--cnf", str(cnf), "--circuit", str(pc_file), "--b", "6",
+        "--threshold", "0.5", "-o", str(manifest),
+    )
+    assert code == 0 and out == f"wrote {manifest} (2 shared vars)\n"
+    (pred,) = json.loads(manifest.read_text())["predicates"]
+    assert pred["circuit"] == "route.pc" and pred["b"] == 6 and "uai" not in pred
+    solve_code, solve_out = run_cli("solve", str(manifest))
+    oracle_code, _ = run_cli("oracle", str(manifest))
+    assert solve_code == oracle_code == 10
+    model = tmp_path / "k.model"
+    model.write_text(solve_out)
+    assert run_cli("verify", str(manifest), str(model))[0] == 0
+
+
 def test_gen_smc_rejects_order_with_circuit(tmp_path, capsys):
     cnf = tmp_path / "k.cnf"
     run_cli("gen", "kcolor", "--rows", "1", "--cols", "2", "-o", str(cnf))
@@ -428,6 +502,20 @@ def test_gen_supply_bundle_and_sweep(tmp_path):
     assert lines[0] == "q,status,decisions,conflicts,wall_time"
     statuses = [l.split(",")[1] for l in lines[1:]]
     assert statuses[-1] == "unsat" and all(s == "sat" for s in statuses[:-1])
+
+
+def test_gen_supply_cnf_only(tmp_path):
+    cnf = tmp_path / "s.cnf"
+    code, out = run_cli("gen", "supply", "--layers", "2,2,2", "-o", str(cnf))
+    assert code == 0 and out == f"wrote {cnf} (8 edge vars)\n"
+    assert parse_dimacs(cnf.read_text()).num_vars == 8
+    assert list(tmp_path.iterdir()) == [cnf]
+
+
+def test_sweep_without_feasible_threshold(route_manifest):
+    # both routes need a connectivity marginal of at least 1.5: never
+    code, out = run_cli("sweep", str(route_manifest(1.5)), "--lo", "1.5", "--hi", "2", "--step", "0.5")
+    assert code == 20 and out == "no feasible threshold in range\n"
 
 
 @pytest.mark.parametrize(

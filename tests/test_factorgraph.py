@@ -69,6 +69,30 @@ def test_parse_rejects_negative_entries():
         parse_uai("MARKOV\n1\n2\n1\n1 0\n2\n-0.1 0.7\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("MARKOV\n1\n", "unexpected end of input, expected cardinality of variable 0", id="end"),
+        pytest.param("MARKOV\nx\n", "expected integer variable count, got 'x'", id="non-integer"),
+        pytest.param(
+            "MARKOV\n1\n2\n1\n1 0\n2\n0.5 abc\n", "expected number table entry of factor 0, got 'abc'", id="bad-number"
+        ),
+        pytest.param("GRID\n1\n2\n", "unknown network kind 'GRID'", id="kind"),
+        pytest.param("MARKOV\n0\n0\n", "variable count must be positive", id="no-variables"),
+        pytest.param("MARKOV\n1\n2\n1\n0\n", "factor 0: empty scope", id="empty-scope"),
+        pytest.param("MARKOV\n2\n2 2\n1\n2 0 0\n", "factor 0: repeated variable in scope", id="repeated-var"),
+        pytest.param("MARKOV\n1\n2\n1\n1 1\n", "factor 0: variable 1 out of range", id="var-range"),
+        pytest.param(
+            "MARKOV\n1\n2\n1\n1 0\n2\n0.5 0.5\n7\n", "trailing tokens after factor tables: '7'", id="trailing"
+        ),
+    ],
+)
+def test_parse_uai_rejects_malformed(text, message):
+    with pytest.raises(UaiFormatError) as err:
+        parse_uai(text)
+    assert str(err.value) == message
+
+
 def test_parse_bayes_kind_retained():
     fg = parse_uai("BAYES\n1\n2\n1\n1 0\n2\n0.4 0.6\n")
     assert fg.kind == "BAYES"

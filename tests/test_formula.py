@@ -40,6 +40,22 @@ def test_parse_malformed_header():
         parse_dimacs("p cnf 2\n1 0")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("p cnf 1 1\np cnf 1 1\n1 0\n", "duplicate header line", id="duplicate-header"),
+        pytest.param("p cnf x 1\n1 0\n", "malformed header: 'p cnf x 1'", id="non-integer-count"),
+        pytest.param("p cnf 1 -1\n", "malformed header: 'p cnf 1 -1'", id="negative-count"),
+        pytest.param("1 0\np cnf 1 1\n", "clause before header", id="clause-first"),
+        pytest.param("c no header\n", "missing header", id="no-header"),
+    ],
+)
+def test_parse_dimacs_rejects_malformed(text, message):
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs(text)
+    assert str(err.value) == message
+
+
 def test_parse_clause_count_mismatch():
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 2 2\n1 0")

@@ -302,7 +302,8 @@ def test_learned_clauses_sound_fuzz():
         problem = _random_instance(seed + 500)
         solver = CdclSolver(problem)
         solver.solve()
-        learned = solver.clauses[solver.num_original :]
+        # every learned or predicate-reason clause is appended after the originals
+        learned = solver.clauses[len(solver.clauses) - solver.stats.learned_clauses :]
         if not learned:
             continue
         for model in brute_solve(problem).models:
