@@ -29,11 +29,21 @@ and an unassigned one the sum of its weights, then run the mode's
 bound-update kernel (below) once over the inner nodes, with one list as
 both the upper and the lower bounds.
 
+Beside the rows, the circuit memoizes the rest of the work that no solve
+changes, in the same dict (``Circuit._memo``): the initial bounds of a
+``BoundState`` per mode and shared set, ``partition`` per mode, and per
+batch of variables the inner nodes that the batch recomputes. So a
+threshold sweep, which solves one circuit again and again, runs the full
+initial pass once.
+
 ``BoundState`` maintains, per node, an upper and lower bound on the marginal
 mass under a partial assignment of the shared (decision) variables. Its work
 is done by one update kernel per mode, which walks a list of inner-node ids
 in ascending order, reads each node's row in the mode's value space and
-computes its upper and lower bound together. Initialisation sets every
+computes its upper and lower bound together. A product of 2 or 3 children
+and a sum of 2, the shapes that compiled circuits are made of, are written
+out as straight-line expressions that do the loop's operations in the
+loop's order, so they give the same floats. Initialisation sets every
 leaf once and runs the kernel over all inner nodes. An assignment is a
 batch, the shared variables that one propagation round fixed: it sets
 their leaves and runs the kernel once over the inner nodes whose scope
@@ -67,6 +77,7 @@ by construction.
 from __future__ import annotations
 
 import enum
+from array import array
 import math
 import operator
 from collections import defaultdict, deque
@@ -88,6 +99,9 @@ _Add = Callable[[float, float], float]
 # The weights of the two indicator leaves of a variable.
 _INDICATOR_WEIGHTS = ((1.0, 0.0), (0.0, 1.0))
 _Saved = list[tuple[int, float, float]]
+# The most batch masks per circuit whose recomputed inner ids are memoized;
+# seed-0 benchmark circuits use at most 14.
+_IDS_MEMO_CAP = 64
 # Where a kernel appends each changed node's old ``(nid, ub, lb)``.
 _Sink = Union[_Saved, deque]
 
@@ -114,7 +128,9 @@ def _update_linear(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: l
     """Recompute the bounds of each inner node of `ids` in order from its
     row, over `ub` and over `lb` (``marginal`` passes one list as both): a
     product is the product of its children, and a sum the sum of each
-    weight times its child, folded left to right from 1.0 and 0.0. A node
+    weight times its child, folded left to right from 1.0 and 0.0. A product
+    of 2 or 3 children and a sum of 2 are written out as the fold's own
+    operations in its own order, so they give the loop's floats. A node
     whose bounds change is written and its old ``(nid, ub, lb)`` appended
     to `saved`. The row of a decision sum of a shared variable is ``(None,
     branches)`` (see ``BoundState``): its ub is the largest weighted branch
@@ -124,15 +140,31 @@ def _update_linear(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: l
     for nid in ids:
         children, weights = rows[nid]
         if weights is None:
-            u = l = 1.0
-            for child in children:
-                u *= ub[child]
-                l *= lb[child]
+            n = len(children)
+            if n == 3:
+                x, y, z = children
+                u = 1.0 * ub[x] * ub[y] * ub[z]
+                l = 1.0 * lb[x] * lb[y] * lb[z]
+            elif n == 2:
+                x, y = children
+                u = 1.0 * ub[x] * ub[y]
+                l = 1.0 * lb[x] * lb[y]
+            else:
+                u = l = 1.0
+                for child in children:
+                    u *= ub[child]
+                    l *= lb[child]
         elif children is not None:
-            u = l = 0.0
-            for w, child in zip(weights, children):
-                u += w * ub[child]
-                l += w * lb[child]
+            if len(children) == 2:
+                x, y = children
+                wx, wy = weights
+                u = 0.0 + wx * ub[x] + wy * ub[y]
+                l = 0.0 + wx * lb[x] + wy * lb[y]
+            else:
+                u = l = 0.0
+                for w, child in zip(weights, children):
+                    u += w * ub[child]
+                    l += w * lb[child]
         else:
             # A decision sum of a shared variable: `weights` holds its
             # branches, ``(weight, product, indicator, other children)``.
@@ -160,29 +192,56 @@ def _update_log(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list
     """``_update_linear`` in log space: a product is the sum of its
     children, folded from 0.0, and a sum the log-sum-exp of each weight
     plus its child, folded from ``-inf`` with ``_log_add`` inlined, its
-    branches unchanged. A decision sum's branch max and min add where
-    linear mode multiplies."""
+    branches unchanged. The same three shapes are written out. A decision
+    sum's branch max and min add where linear mode multiplies."""
     inf, neg_inf, log1p, exp = math.inf, -math.inf, math.log1p, math.exp
     for nid in ids:
         children, weights = rows[nid]
         if weights is None:
-            u = l = 0.0
-            for child in children:
-                u += ub[child]
-                l += lb[child]
+            n = len(children)
+            if n == 3:
+                x, y, z = children
+                u = 0.0 + ub[x] + ub[y] + ub[z]
+                l = 0.0 + lb[x] + lb[y] + lb[z]
+            elif n == 2:
+                x, y = children
+                u = 0.0 + ub[x] + ub[y]
+                l = 0.0 + lb[x] + lb[y]
+            else:
+                u = l = 0.0
+                for child in children:
+                    u += ub[child]
+                    l += lb[child]
         elif children is not None:
-            u = l = neg_inf
-            for w, child in zip(weights, children):
-                x = w + ub[child]
+            if len(children) == 2:
+                # The fold's first step takes its first term as it is.
+                x, y = children
+                wx, wy = weights
+                u = wx + ub[x]
+                v = wy + ub[y]
                 if u == neg_inf:
-                    u = x
-                elif x != neg_inf:
-                    u = u + log1p(exp(x - u)) if u >= x else x + log1p(exp(u - x))
-                x = w + lb[child]
+                    u = v
+                elif v != neg_inf:
+                    u = u + log1p(exp(v - u)) if u >= v else v + log1p(exp(u - v))
+                l = wx + lb[x]
+                v = wy + lb[y]
                 if l == neg_inf:
-                    l = x
-                elif x != neg_inf:
-                    l = l + log1p(exp(x - l)) if l >= x else x + log1p(exp(l - x))
+                    l = v
+                elif v != neg_inf:
+                    l = l + log1p(exp(v - l)) if l >= v else v + log1p(exp(l - v))
+            else:
+                u = l = neg_inf
+                for w, child in zip(weights, children):
+                    x = w + ub[child]
+                    if u == neg_inf:
+                        u = x
+                    elif x != neg_inf:
+                        u = u + log1p(exp(x - u)) if u >= x else x + log1p(exp(u - x))
+                    x = w + lb[child]
+                    if l == neg_inf:
+                        l = x
+                    elif x != neg_inf:
+                        l = l + log1p(exp(x - l)) if l >= x else x + log1p(exp(l - x))
         else:
             u, l = neg_inf, inf
             for w, prod, ind, rest in weights:
@@ -224,7 +283,9 @@ class Circuit:
     """Immutable probabilistic circuit: its rows (see the module docstring),
     the bitmask scope of every node, its leaf and inner ids and its
     validation report. The rows each kernel reads are built on first use
-    by ``_rows``."""
+    by ``_rows``, and kept in ``_memo`` with the other work that depends
+    only on the circuit: a fresh ``BoundState``'s bounds, the partition
+    function and the inner ids each batch mask recomputes."""
 
     def __init__(self, num_vars: int, nodes: Iterable[tuple]):
         self.num_vars = num_vars
@@ -274,8 +335,14 @@ class Circuit:
         self.report = ValidationReport(
             "smoothness" not in kinds, "decomposability" not in kinds, tuple(violations)
         )
-        # The rows of `_rows`, keyed by (mode, shared variables).
-        self._row_cache: dict[tuple[NumericMode, frozenset[int]], Sequence[tuple]] = {}
+        # Work that no solve changes, memoized on first use: ("rows", mode,
+        # shared) -> the rows of `_rows`; ("init", mode, shared) -> a fresh
+        # BoundState's (ub, lb) as arrays of doubles, which free at once with
+        # the circuit, where a tuple would free one float at a time;
+        # ("partition", mode) -> the total mass; "ids" -> per batch bitmask,
+        # the inner ids that the batch recomputes, for at most
+        # _IDS_MEMO_CAP masks.
+        self._memo: dict = {"ids": {}}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -328,8 +395,8 @@ def _rows(c: Circuit, mode: NumericMode, shared: frozenset[int] = frozenset()) -
     among the first product's children. The first children of both products
     are tested first, because ``compile_factor_graph`` puts the indicators
     there; only a sum that fails that test gets the general scan."""
-    key = (mode, shared)
-    rows = c._row_cache.get(key)
+    key = ("rows", mode, shared)
+    rows = c._memo.get(key)
     if rows is not None:
         return rows
     if shared:
@@ -374,7 +441,7 @@ def _rows(c: Circuit, mode: NumericMode, shared: frozenset[int] = frozenset()) -
             else (row[0], None if row[1] is None else tuple(map(_log_weight, row[1])))
             for row in c.nodes
         )
-    c._row_cache[key] = rows
+    c._memo[key] = rows
     return rows
 
 
@@ -424,25 +491,36 @@ def marginal(
 
 
 def partition(c: Circuit, mode: NumericMode = NumericMode.LINEAR) -> float:
-    """Total mass: the marginal of the empty assignment."""
-    return marginal(c, {}, mode)
+    """Total mass: the marginal of the empty assignment, memoized on the
+    circuit per mode. A mass that ``marginal`` rejects is not stored, so
+    every call raises."""
+    key = ("partition", mode)
+    z = c._memo.get(key)
+    if z is None:
+        z = c._memo[key] = marginal(c, {}, mode)
+    return z
 
 
 class BoundState:
     """Per-node upper/lower bounds on the root marginal under partial assignment.
 
     Variables in `shared` are assigned True/False in batches; all other
-    variables are latent and always marginalized. Construction sets every
-    leaf (the larger and smaller weight of a free shared variable, the
-    summed-out mass otherwise) and runs the mode's update kernel once over
-    all inner nodes. The decision sums of shared variables take the branch
-    max and min of the module docstring. The state reads the rows that
-    ``_rows`` caches on the circuit for its mode and shared variables, in
-    which such a sum is ``(None, branches)`` in place of ``(children,
-    weights)``, so the kernels tell them apart with one identity test on a
-    plain sum and none on a product. Each batch sets its variables' leaves
-    and runs the kernel once, in ascending id order, over the inner nodes
-    whose scope meets the batch, recording the previous bounds of every node
+    variables are latent and always marginalized. The first construction
+    for a circuit, mode and shared set sets every leaf (the larger and
+    smaller weight of a free shared variable, the summed-out mass
+    otherwise), runs the mode's update kernel once over all inner nodes and
+    stores the bounds on the circuit as arrays of doubles; later ones copy
+    them into fresh lists, so no state shares a list with the memo or
+    another state.
+    The decision sums of shared variables take the branch max and min of
+    the module docstring. The state reads the rows that ``_rows`` caches on
+    the circuit for its mode and shared variables, in which such a sum is
+    ``(None, branches)`` in place of ``(children, weights)``, so the
+    kernels tell them apart with one identity test on a plain sum and none
+    on a product. Each batch sets its variables' leaves and runs the kernel
+    once, in ascending id order, over the inner nodes whose scope meets the
+    batch (memoized on the circuit per batch mask, for the first
+    ``_IDS_MEMO_CAP`` masks), recording the previous bounds of every node
     that changed in one trail frame, so backtracking restores them
     bit-exactly. Every inner node's bounds always equal its kernel over the
     bounds of its children, which come earlier in every scan that reaches
@@ -464,19 +542,29 @@ class BoundState:
             if var < 0 or var >= circuit.num_vars:
                 raise ValueError(f"shared variable {var} out of range")
         add, self._update = _OPS[mode]
-        nodes = self._nodes = _rows(circuit, mode, frozenset(self.status))
-        # Inner nodes start as NaN, unequal to every value, so the kernel
-        # writes each of them. The zero-length deque frees each saved entry
-        # at once, so the pass leaves no per-node garbage for the collector.
-        self.ub: list[float] = [math.nan] * len(nodes)
-        self.lb: list[float] = [math.nan] * len(nodes)
-        for nid in circuit.leaves:
-            var, t, f = nodes[nid]
-            if var in self.status:
-                self.ub[nid], self.lb[nid] = max(t, f), min(t, f)
-            else:
-                self.ub[nid] = self.lb[nid] = add(t, f)
-        self._update(circuit.inner, nodes, self.ub, self.lb, deque(maxlen=0))
+        shared_set = frozenset(self.status)
+        nodes = self._nodes = _rows(circuit, mode, shared_set)
+        self._ids: dict[int, list[int]] = circuit._memo["ids"]
+        key = ("init", mode, shared_set)
+        init = circuit._memo.get(key)
+        if init is None:
+            # Inner nodes start as NaN, unequal to every value, so the kernel
+            # writes each of them. The zero-length deque frees each saved
+            # entry at once, so the pass leaves no per-node garbage for the
+            # collector.
+            ub, lb = [math.nan] * len(nodes), [math.nan] * len(nodes)
+            for nid in circuit.leaves:
+                var, t, f = nodes[nid]
+                if var in self.status:
+                    ub[nid], lb[nid] = max(t, f), min(t, f)
+                else:
+                    ub[nid] = lb[nid] = add(t, f)
+            self._update(circuit.inner, nodes, ub, lb, deque(maxlen=0))
+            circuit._memo[key] = (array("d", ub), array("d", lb))
+        else:
+            ub, lb = list(init[0]), list(init[1])
+        self.ub: list[float] = ub
+        self.lb: list[float] = lb
         # frames: (level, batch vars, [(node id, previous ub, previous lb), ...])
         self._frames: list[tuple[int, list[CircuitVar], _Saved]] = []
 
@@ -508,20 +596,26 @@ class BoundState:
                     saved.append((nid, ub[nid], lb[nid]))
                     ub[nid] = lb[nid] = x
         # The inner nodes whose scope meets the batch, found by one scan of
-        # the scopes for every batch, one variable or many. Ids are
+        # the scopes per batch mask and memoized on the circuit. Ids are
         # topological, so each node settles after all its children and is
         # recomputed once, from their final bounds.
-        scopes = c.scopes
-        self._update([nid for nid in c.inner if scopes[nid] & mask], nodes, ub, lb, saved)
+        ids = self._ids.get(mask)
+        if ids is None:
+            scopes = c.scopes
+            ids = [nid for nid in c.inner if scopes[nid] & mask]
+            if len(self._ids) < _IDS_MEMO_CAP:
+                self._ids[mask] = ids
+        self._update(ids, nodes, ub, lb, saved)
         return self.root_bounds()
 
     def backtrack_bounds(self, level: int) -> None:
         """Pop all trail frames above `level`, restoring saved bounds exactly."""
+        ub, lb = self.ub, self.lb
         while self._frames and self._frames[-1][0] > level:
             _, batch, saved = self._frames.pop()
             for nid, old_ub, old_lb in reversed(saved):
-                self.ub[nid] = old_ub
-                self.lb[nid] = old_lb
+                ub[nid] = old_ub
+                lb[nid] = old_lb
             for var in batch:
                 self.status[var] = None
 
@@ -549,8 +643,15 @@ def _pc_weight(tok: str) -> float:
     return w
 
 
+def _pc_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise PcFormatError(f"bad integer {tok!r}") from None
+
+
 def _pc_var(tok: str) -> CircuitVar:
-    var = int(tok)
+    var = _pc_int(tok)
     if var < 0:  # -1 would read as a constant; the upper range is the circuit's check
         raise PcFormatError(f"variable {var} out of range")
     return var
@@ -568,13 +669,13 @@ def _pc_row(tag: str, args: list[str]) -> tuple:
     if tag == "c" and len(args) == 1:
         return (-1, _pc_weight(args[0]), 0.0)
     if tag == "p" and args:
-        if len(args) - 1 != int(args[0]):
+        if len(args) - 1 != _pc_int(args[0]):
             raise PcFormatError("product child count mismatch")
-        return (tuple(int(t) for t in args[1:]), None)
+        return (tuple(map(_pc_int, args[1:])), None)
     if tag == "s" and args:
-        if len(args) - 1 != 2 * int(args[0]):
+        if len(args) - 1 != 2 * _pc_int(args[0]):
             raise PcFormatError("sum arity mismatch")
-        return (tuple(int(t) for t in args[2::2]), tuple(_pc_weight(t) for t in args[1::2]))
+        return (tuple(map(_pc_int, args[2::2])), tuple(map(_pc_weight, args[1::2])))
     if tag in _PC_LINES:
         raise PcFormatError(f"expected '{_PC_LINES[tag]}'")
     raise PcFormatError(f"unknown node tag {tag!r}")

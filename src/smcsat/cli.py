@@ -128,6 +128,16 @@ def _int_list(flag: str, text: str) -> list[int]:
         raise ValueError(f"{flag}: {text!r} is not a comma-separated list of integers") from None
 
 
+def _parse_file(parse, path: str):
+    """`parse` applied to the text of the file at `path`; a malformed file's
+    error names the file, as manifest loads do."""
+    text = Path(path).read_text()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _write_text(path: str, text: str) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(text)
@@ -229,10 +239,7 @@ def _gen_supply(args: argparse.Namespace, out) -> int:
 def _gen_hampath(args: argparse.Namespace, out) -> int:
     if args.nodes is not None and args.nodes < 1:
         raise ValueError(f"--nodes: {args.nodes} is not a positive node count")
-    try:
-        graph = parse_edge_list(Path(args.graph).read_text(), args.nodes)
-    except ValueError as exc:
-        raise ValueError(f"{args.graph}: {exc}") from None
+    graph = _parse_file(lambda text: parse_edge_list(text, args.nodes), args.graph)
     formula = encode_hamiltonian_path(graph)
     _write_text(args.output, write_dimacs(formula))
     print(f"wrote {args.output} ({graph.n} cities, {formula.num_vars} vars)", file=out)
@@ -244,15 +251,15 @@ def _gen_smc(args: argparse.Namespace, out) -> int:
     if order is not None and args.circuit is not None:
         raise ValueError("--order: applies only to a compiled --uai model")
     cnf_path = Path(args.cnf)
-    formula = parse_dimacs(cnf_path.read_text())
+    formula = _parse_file(parse_dimacs, args.cnf)
     manifest_path = Path(args.output)
     if args.circuit is not None:
         model_path = Path(args.circuit)
-        circ = pc.parse_pc(model_path.read_text())
+        circ = _parse_file(pc.parse_pc, args.circuit)
         entry: dict = {"circuit": _relative_to(model_path, manifest_path.parent)}
     else:
         model_path = Path(args.uai)
-        fg = parse_uai(model_path.read_text())
+        fg = _parse_file(parse_uai, args.uai)
         circ = compile_factor_graph(fg, order=order)
         entry = {"uai": _relative_to(model_path, manifest_path.parent)}
         if order is not None:
@@ -275,7 +282,7 @@ def _gen_smc(args: argparse.Namespace, out) -> int:
 
 
 def cmd_compile(args: argparse.Namespace, out) -> int:
-    fg = parse_uai(Path(args.uai).read_text())
+    fg = _parse_file(parse_uai, args.uai)
     order = None if args.order is None else _int_list("--order", args.order)
     circ = compile_factor_graph(fg, order=order)
     _write_text(args.output, pc.write_pc(circ))
@@ -381,7 +388,7 @@ def _parse_assignment(spec: str, num_vars: int) -> dict[int, bool]:
 
 
 def cmd_pc(args: argparse.Namespace, out) -> int:
-    circ = pc.parse_pc(Path(args.file).read_text())
+    circ = _parse_file(pc.parse_pc, args.file)
     if args.action == "validate":
         report = pc.validate(circ)
         print(f"smooth {report.smooth}", file=out)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from typing import Sequence
 
 import pytest
 
@@ -12,6 +13,8 @@ from smcsat.circuit import (
     NumericMode,
     PcFormatError,
     ValidationReport,
+    _IDS_MEMO_CAP,
+    _evaluate,
     _rows,
     evaluate_joint,
     marginal,
@@ -100,6 +103,11 @@ def test_parse_errors():
         pytest.param("pc 1 1\nl -1 0.5 0.5", "node 0: variable -1 out of range", id="negative-var"),
         pytest.param("pc 3 1\ni 0 1\ni 0 0\ns 2 0.5 0", "node 2: sum arity mismatch", id="sum-arity"),
         pytest.param("pc 0 1\n", "circuit has no nodes", id="no-nodes"),
+        pytest.param("pc 1 1\nl x .5 .5", "node 0: bad integer 'x'", id="var-non-integer"),
+        pytest.param("pc 2 1\nl 0 .5 .5\np 1 x", "node 1: bad integer 'x'", id="child-non-integer"),
+        pytest.param("pc 2 1\nl 0 .5 .5\np one 0", "node 1: bad integer 'one'", id="count-non-integer"),
+        pytest.param("pc 2 1\nl 0 .5 .5\ns 1 1.0 0.5", "node 1: bad integer '0.5'", id="sum-child-non-integer"),
+        pytest.param("pc 2 1\nl 0 .5 .5\ns 1.0 1.0 0", "node 1: bad integer '1.0'", id="sum-count-non-integer"),
     ],
 )
 def test_parse_pc_rejects_malformed(text, message):
@@ -769,3 +777,144 @@ def test_shared_first_order_bounds_are_exact():
             partial[v] = rng.random() < 0.5
             bs.assign([(v, partial[v])], level)
         assert bs.root_bounds() == (marginal(c, partial, mode),) * 2
+
+
+# ------------------------------------------------------- kernels and memos
+
+# Weights that reach the kernels' edge cases: zeros of both signs (the PC
+# parser accepts -0.0), and magnitudes whose linear-mode products overflow
+# to inf, which times a zero gives NaN.
+_EDGE_WEIGHTS = (0.0, -0.0, 1.0, 1e-200, 1e200)
+
+
+def _bits(values: list[float], signed_zero: bool = True) -> list[str]:
+    """Every bit of each float but a NaN's payload; -0.0 differs from 0.0
+    unless `signed_zero` is false."""
+    return ["nan" if x != x else (x if signed_zero else x + 0.0).hex() for x in values]
+
+
+def _edge_weighted(rows: Sequence[tuple], rng: random.Random) -> Circuit:
+    """The rows with every leaf and sum weight redrawn, two in five from
+    _EDGE_WEIGHTS. Indicators become plain leaves, so no sum decides a
+    variable and every sum runs the interval rule."""
+
+    def w() -> float:
+        return rng.choice(_EDGE_WEIGHTS) if rng.random() < 0.4 else rng.uniform(0.0, 2.0)
+
+    out = []
+    for row in rows:
+        if len(row) == 3:
+            out.append((row[0], w(), w()) if row[0] >= 0 else (-1, w(), 0.0))
+        elif row[1] is None:
+            out.append(row)
+        else:
+            out.append((row[0], tuple(w() for _ in row[0])))
+    return Circuit(1 + max([row[0] for row in rows if len(row) == 3] + [0]), out)
+
+
+def test_kernels_match_reference_bit_for_bit_on_every_shape():
+    # the kernels write out products of 2 and 3 and sums of 2 as the fold's
+    # own operations in its own order; reference_bounds folds every node, so
+    # a written-out shape that rounds, signs a zero, overflows or makes a
+    # NaN differently from the fold fails here
+    rng = random.Random(16)
+    circuits = []
+    for k, _ in itertools.product(range(6), range(8)):  # products of 0-5 leaves
+        circuits.append(_edge_weighted([(v, 1.0, 1.0) for v in range(k)] + [(tuple(range(k)), None)], rng))
+    for k, _ in itertools.product(range(1, 5), range(8)):  # sums of 1-4 leaves
+        circuits.append(_edge_weighted([(0, 1.0, 1.0)] * k + [(tuple(range(k)), (1.0,) * k)], rng))
+    # nested: products of 2 and sums of 2 and 3, and compiled BNs' products
+    # of 3 under sums of 2
+    circuits += [_edge_weighted(random_circuit(seed + 40, 2 + seed % 5).nodes, rng) for seed in range(16)]
+    circuits += [_edge_weighted(_compiled_bn(seed + 90, seed % 2 == 0).nodes, rng) for seed in range(6)]
+    reached = set()
+    for mode, c in itertools.product(NumericMode, circuits):
+        # a pass from NaN writes every node: marginal's, and BoundState's first
+        for _ in range(3):
+            partial = {v: rng.random() < 0.5 for v in range(c.num_vars) if rng.random() < 0.5}
+            values = _evaluate(c, mode, partial)
+            ub, _ = reference_bounds(c, mode, partial)
+            assert _bits(values) == _bits(ub), (mode, c.nodes, partial)
+            reached.update((mode, b) for b in _bits(values) if b in ("nan", "inf", "-inf", "-0x0.0p+0"))
+        shared = set(rng.sample(range(c.num_vars), rng.randint(0, c.num_vars)))
+        bs = BoundState(c, shared, mode)
+        assert (_bits(bs.ub), _bits(bs.lb)) == tuple(map(_bits, reference_bounds(c, mode, bs.status)))
+        # an update keeps a bound that compares equal, so a zero may keep
+        # its old sign; no later nonzero value or comparison depends on it
+        for level in range(1, 2 + 3 * len(shared)):
+            ub, lb = reference_bounds(c, mode, bs.status)
+            assert _bits(bs.ub, False) == _bits(ub, False), (mode, c.nodes, bs.status)
+            assert _bits(bs.lb, False) == _bits(lb, False), (mode, c.nodes, bs.status)
+            free = [v for v in sorted(shared) if bs.status[v] is None]
+            if free and rng.random() < 0.7:
+                bs.assign([(v, rng.random() < 0.5) for v in rng.sample(free, rng.randint(1, len(free)))], level)
+            else:
+                bs.backtrack_bounds(rng.randint(0, level - 1))
+    linear, log = NumericMode.LINEAR, NumericMode.LOG
+    assert {(linear, "nan"), (linear, "inf"), (linear, "-0x0.0p+0"), (log, "-inf")} <= reached
+
+
+def test_bound_state_memo_starts_each_state_fresh():
+    # a second BoundState on one circuit and shared set copies the memoized
+    # initial bounds; the copy equals a pass on a circuit with no memo, and
+    # neither assigning nor backtracking touches the memo or another state
+    for mode, seed in itertools.product(NumericMode, range(12)):
+        c = _compiled_bn(seed + 300, seed % 2 == 0) if seed % 3 else random_circuit(seed + 300, 5)
+        rng = random.Random(seed)
+        shared = set(rng.sample(range(c.num_vars), rng.randint(1, c.num_vars)))
+        first = BoundState(c, shared, mode)
+        memo = c._memo[("init", mode, frozenset(shared))]
+        assert (list(memo[0]), list(memo[1])) == (first.ub, first.lb)
+        first.assign([(v, rng.random() < 0.5) for v in sorted(shared)], 1)
+        second = BoundState(c, shared, mode)
+        fresh = BoundState(Circuit(c.num_vars, c.nodes), shared, mode)
+        assert (second.ub, second.lb) == (fresh.ub, fresh.lb) == reference_bounds(c, mode, dict.fromkeys(shared))
+        assert c._memo[("init", mode, frozenset(shared))] is memo
+        assert (list(memo[0]), list(memo[1])) == (fresh.ub, fresh.lb)
+        after_first = _bound_snapshot(first)
+        second.assign([(min(shared), True)], 1)
+        assert _bound_snapshot(first) == after_first
+        first.backtrack_bounds(0)
+        assert (first.ub, first.lb) == (fresh.ub, fresh.lb)
+        assert (list(memo[0]), list(memo[1])) == (fresh.ub, fresh.lb)
+
+
+def test_batch_ids_memo_is_capped():
+    # 8 shared variables give far more distinct batch masks than the cap;
+    # the memo keeps the first _IDS_MEMO_CAP, each the ids a scan of the
+    # scopes finds, and every batch past the cap still gets exact bounds
+    assert _IDS_MEMO_CAP == 64
+    for mode in NumericMode:
+        c = random_circuit(77, 8, max_nodes=120)
+        rng = random.Random(77)
+        bs = BoundState(c, range(8), mode)
+        masks = set()
+        for level in range(1, 400):
+            free = [v for v in range(8) if bs.status[v] is None]
+            if free and rng.random() < 0.6:
+                batch = rng.sample(free, rng.randint(1, min(3, len(free))))
+                masks.add(sum(1 << v for v in batch))
+                bs.assign([(v, rng.random() < 0.5) for v in batch], level)
+            else:
+                bs.backtrack_bounds(rng.randint(0, level - 1))
+            assert (bs.ub, bs.lb) == reference_bounds(c, mode, bs.status)
+        ids = c._memo["ids"]
+        assert len(masks) > _IDS_MEMO_CAP and len(ids) == _IDS_MEMO_CAP
+        for mask, memoized in ids.items():
+            assert memoized == [nid for nid in c.inner if c.scopes[nid] & mask]
+
+
+def test_partition_is_memoized_and_overflow_raises_every_call():
+    for mode, seed in itertools.product(NumericMode, range(10)):
+        c = random_circuit(seed + 500, 1 + seed % 6) if seed % 2 else _compiled_bn(seed + 500, True)
+        z = partition(c, mode)
+        assert z == reference_bounds(c, mode, {})[0][c.root]
+        assert c._memo[("partition", mode)] == z == partition(c, mode)
+    # 1e200 * 1e200 overflows in linear mode: no mass is stored, so every
+    # call raises; log mode's mass is finite
+    c = parse_pc("pc 3 2\nl 0 1e200 0.0\nl 1 1e200 0.0\np 2 0 1")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="marginal is infinite"):
+            partition(c)
+    assert ("partition", NumericMode.LINEAR) not in c._memo
+    assert partition(c, NumericMode.LOG) == partition(c, NumericMode.LOG) == 2 * math.log(1e200)

@@ -360,6 +360,38 @@ def test_malformed_input_file_is_one_error_line(tmp_path, capsys, name, text, me
 
 
 @pytest.mark.parametrize(
+    "command, kind, message",
+    [
+        pytest.param("pc", "pc", "node 1: bad integer 'x'", id="pc"),
+        pytest.param("compile", "uai", "unknown network kind 'GRID'", id="compile"),
+        pytest.param("gen-smc-cnf", "cnf", "bad token 'x'", id="gen-smc-cnf"),
+        pytest.param("gen-smc-circuit", "pc", "node 1: bad integer 'x'", id="gen-smc-circuit"),
+        pytest.param("gen-smc-uai", "uai", "unknown network kind 'GRID'", id="gen-smc-uai"),
+    ],
+)
+def test_parser_error_names_the_input_file(tmp_path, capsys, command, kind, message):
+    # each command prefixes a parser's message with the file it read, as a
+    # manifest load does; the input of kind `kind` is the malformed one
+    good = {"cnf": "p cnf 1 1\n1 0\n", "pc": "pc 1 1\nl 0 .5 .5\n", "uai": "BAYES\n1\n2\n1\n1 0\n2\n0.5 0.5\n"}
+    bad = {"cnf": "p cnf 1 1\n1 x 0\n", "pc": "pc 2 1\nl 0 .5 .5\np 1 x\n", "uai": "GRID\n1\n2\n"}
+    for ext in good:
+        (tmp_path / f"in.{ext}").write_text(bad[ext] if ext == kind else good[ext])
+    path = tmp_path / f"in.{kind}"
+    out_path = str(tmp_path / "out")
+    argv = {
+        "pc": ("pc", "partition", str(path)),
+        "compile": ("compile", str(path), "-o", out_path),
+        "gen-smc-cnf": ("gen", "smc", "--cnf", str(path), "--uai", str(tmp_path / "in.uai"), "--threshold", "0.5", "-o", out_path),
+        "gen-smc-circuit": ("gen", "smc", "--cnf", str(tmp_path / "in.cnf"), "--circuit", str(path), "--threshold", "0.5", "-o", out_path),
+        "gen-smc-uai": ("gen", "smc", "--cnf", str(tmp_path / "in.cnf"), "--uai", str(path), "--threshold", "0.5", "-o", out_path),
+    }[command]
+    code, out = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         pytest.param(("--assign", "0=2"), "--assign: '0=2' is not <var>=0|1", id="value-2"),
