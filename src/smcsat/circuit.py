@@ -23,11 +23,13 @@ and of the inner nodes (``Circuit.leaves``, ``Circuit.var_leaves``,
 first use and cached on the circuit per numeric mode and set of shared
 variables: log mode maps every weight through ``math.log`` (zero to
 ``-inf``), and a decision sum (below) of a shared variable becomes a
-``(None, branches)`` row. ``marginal`` and ``partition`` read the rows
-with no shared variables, give an assigned leaf its weight for that value
-and an unassigned one the sum of its weights, then run the mode's
-bound-update kernel (below) once over the inner nodes, with one list as
-both the upper and the lower bounds.
+``(None, branches)`` row. One function, ``_fold``, computes every
+node's bounds from scratch: it sets each leaf from a status (an assigned
+variable's weight for its value, a free shared variable's larger and
+smaller weight, any other leaf its summed-out mass) and runs the mode's
+bound-update kernel (below) once over the inner nodes. ``marginal`` and
+``partition`` are a fold with no shared variables, with one list as both
+the upper and the lower bounds.
 
 Beside the rows, the circuit memoizes the rest of the work that no solve
 changes, in the same dict (``Circuit._memo``): the initial bounds of a
@@ -43,13 +45,16 @@ in ascending order, reads each node's row in the mode's value space and
 computes its upper and lower bound together. A product of 2 or 3 children
 and a sum of 2, the shapes that compiled circuits are made of, are written
 out as straight-line expressions that do the loop's operations in the
-loop's order, so they give the same floats. Initialisation sets every
-leaf once and runs the kernel over all inner nodes. An assignment is a
-batch, the shared variables that one propagation round fixed: it sets
-their leaves and runs the kernel once over the inner nodes whose scope
-meets the batch, found by a scan of the scopes, so each node is
-recomputed once, from its children's final bounds. Backtracking undoes by
-decision level.
+loop's order, so they give the same floats. A fresh state's bounds are a
+fold. An assignment is a batch, the shared variables that one propagation
+round fixed: it sets their leaves and runs the kernel once over the inner
+nodes whose scope meets the batch, found by a scan of the scopes, so each
+node is recomputed once, from its children's final bounds. Every node
+visited is written, even when its new value compares equal to the old, so
+the nodes a batch writes are known before it runs: their old floats are
+its trail frame, which backtracking restores by decision level. So at
+every step the bounds equal a fresh fold of the state's status, bit for
+bit, signed zeros included.
 
 Most nodes get interval bounds: a product multiplies its children's bounds
 and a sum adds them. A *decision sum* is tighter. It has two product
@@ -68,10 +73,9 @@ its mass is the sum of both branches, so the sum keeps the interval rule.
 With the shared variables compiled first, these bounds are the exact max
 and min over the free shared variables (Oztok, Choi and Darwiche, KR 2016).
 Once ``v`` is assigned, the other branch's indicator is 0.0 (``-inf`` in log
-mode) and its own 1.0 (0.0), so the rule and the interval sum give the same
-float. ``marginal`` runs the same kernels and sets the leaves the same
-way, so a fully assigned ``BoundState`` reproduces ``marginal`` bit for bit
-by construction.
+mode) and its own 1.0 (0.0), so for finite masses the rule and the interval
+sum give the same float. A fully assigned ``BoundState`` sets the same
+leaves as ``marginal``, so it then reproduces ``marginal`` bit for bit.
 """
 
 from __future__ import annotations
@@ -80,9 +84,9 @@ import enum
 from array import array
 import math
 import operator
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 CircuitVar = int
 
@@ -98,12 +102,9 @@ class CircuitStructureError(ValueError):
 _Add = Callable[[float, float], float]
 # The weights of the two indicator leaves of a variable.
 _INDICATOR_WEIGHTS = ((1.0, 0.0), (0.0, 1.0))
-_Saved = list[tuple[int, float, float]]
 # The most batch masks per circuit whose recomputed inner ids are memoized;
 # seed-0 benchmark circuits use at most 14.
 _IDS_MEMO_CAP = 64
-# Where a kernel appends each changed node's old ``(nid, ub, lb)``.
-_Sink = Union[_Saved, deque]
 
 
 class NumericMode(enum.Enum):
@@ -124,18 +125,19 @@ def _log_weight(w: float) -> float:
     return math.log(w) if w > 0.0 else -math.inf
 
 
-def _update_linear(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list[float], saved: _Sink) -> None:
+def _update_linear(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list[float]) -> None:
     """Recompute the bounds of each inner node of `ids` in order from its
     row, over `ub` and over `lb` (``marginal`` passes one list as both): a
     product is the product of its children, and a sum the sum of each
     weight times its child, folded left to right from 1.0 and 0.0. A product
     of 2 or 3 children and a sum of 2 are written out as the fold's own
-    operations in its own order, so they give the loop's floats. A node
-    whose bounds change is written and its old ``(nid, ub, lb)`` appended
-    to `saved`. The row of a decision sum of a shared variable is ``(None,
-    branches)`` (see ``BoundState``): its ub is the largest weighted branch
-    ub, its lb the smallest weighted product of the non-indicator lbs of a
-    branch whose indicator ub is not 0."""
+    operations in its own order, so they give the loop's floats. Every
+    node is written, whether or not its value compares equal, so a zero
+    takes the sign the kernel computes. The row of a decision sum of a
+    shared variable is ``(None, branches)`` (see ``BoundState``): its ub
+    is the largest weighted branch ub, its lb the smallest weighted
+    product of the non-indicator lbs of a branch whose indicator ub is not
+    0."""
     inf = math.inf
     for nid in ids:
         children, weights = rows[nid]
@@ -168,8 +170,9 @@ def _update_linear(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: l
         else:
             # A decision sum of a shared variable: `weights` holds its
             # branches, ``(weight, product, indicator, other children)``.
-            # The weight multiplies last, as in the interval sum, so both
-            # give the same float once one branch is left.
+            # As in the interval sum, the weight multiplies last and the lb
+            # adds to 0.0, so both give the same float once one branch is
+            # left, signed zeros included.
             u, l = 0.0, inf
             for w, prod, ind, rest in weights:
                 x = w * ub[prod]
@@ -179,16 +182,14 @@ def _update_linear(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: l
                     x = 1.0
                     for child in rest:
                         x *= lb[child]
-                    x = w * x
+                    x = 0.0 + w * x
                     if x < l:
                         l = x
-        if u != ub[nid] or l != lb[nid]:
-            saved.append((nid, ub[nid], lb[nid]))
-            ub[nid] = u
-            lb[nid] = l
+        ub[nid] = u
+        lb[nid] = l
 
 
-def _update_log(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list[float], saved: _Sink) -> None:
+def _update_log(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list[float]) -> None:
     """``_update_linear`` in log space: a product is the sum of its
     children, folded from 0.0, and a sum the log-sum-exp of each weight
     plus its child, folded from ``-inf`` with ``_log_add`` inlined, its
@@ -255,10 +256,8 @@ def _update_log(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list
                     x = w + x
                     if x < l:
                         l = x
-        if u != ub[nid] or l != lb[nid]:
-            saved.append((nid, ub[nid], lb[nid]))
-            ub[nid] = u
-            lb[nid] = l
+        ub[nid] = u
+        lb[nid] = l
 
 
 # Per mode: how a leaf's weights sum out, and the fused bound-update kernel.
@@ -445,19 +444,29 @@ def _rows(c: Circuit, mode: NumericMode, shared: frozenset[int] = frozenset()) -
     return rows
 
 
-def _evaluate(c: Circuit, mode: NumericMode, assignment: dict) -> list[float]:
-    """Value of every node: the mode's kernel run once over the inner nodes,
-    with `values` as both bounds; an unassigned leaf takes its summed-out
-    mass. Inner nodes start as NaN so that the kernel writes each of them."""
-    nodes = _rows(c, mode)
+def _fold(
+    c: Circuit, mode: NumericMode, status: dict, shared: frozenset[int] = frozenset()
+) -> tuple[list[float], list[float]]:
+    """Every node's ``(ub, lb)`` from scratch, over the rows of `shared`. A
+    leaf whose variable `status` maps to a value takes that value's weight,
+    one it maps to None (a free shared variable, which must be in `shared`)
+    its larger and smaller weight, and any other leaf its summed-out mass.
+    The mode's kernel then runs once over the inner nodes, which start as
+    NaN; without shared variables one list serves as both bounds."""
+    rows = _rows(c, mode, shared)
     add, update = _OPS[mode]
-    values = [math.nan] * len(nodes)
+    ub = [math.nan] * len(rows)
+    lb = [math.nan] * len(rows) if shared else ub
     for nid in c.leaves:
-        var, t, f = nodes[nid]
-        val = assignment.get(var)
-        values[nid] = add(t, f) if val is None else t if val else f
-    update(c.inner, nodes, values, values, deque(maxlen=0))
-    return values
+        var, t, f = rows[nid]
+        if var not in status:
+            ub[nid] = lb[nid] = add(t, f)
+        elif status[var] is None:
+            ub[nid], lb[nid] = max(t, f), min(t, f)
+        else:
+            ub[nid] = lb[nid] = t if status[var] else f
+    update(c.inner, rows, ub, lb)
+    return ub, lb
 
 
 def evaluate_joint(
@@ -466,7 +475,7 @@ def evaluate_joint(
     mode: NumericMode = NumericMode.LINEAR,
 ) -> float:
     """Evaluate the root at a full assignment of the circuit variables."""
-    missing = {c.nodes[nid][0] for nid in c.leaves} - {-1} - assignment.keys()
+    missing = c.var_leaves.keys() - assignment.keys()
     if missing:
         raise ValueError(f"variable {min(missing)} unassigned in joint query")
     return marginal(c, assignment, mode)
@@ -482,7 +491,8 @@ def marginal(
     a mass above the largest float overflows to infinity, and infinity
     times a zero gives NaN. Log mode's ``-inf``, zero mass, is a value."""
     c.require_valid()
-    m = _evaluate(c, mode, assignment or {})[c.root]
+    status = {var: val for var, val in (assignment or {}).items() if val is not None}
+    m = _fold(c, mode, status)[0][c.root]
     if math.isnan(m):
         raise ValueError("marginal is NaN: linear-mode overflow; try --mode log")
     if m == math.inf:
@@ -506,26 +516,25 @@ class BoundState:
 
     Variables in `shared` are assigned True/False in batches; all other
     variables are latent and always marginalized. The first construction
-    for a circuit, mode and shared set sets every leaf (the larger and
-    smaller weight of a free shared variable, the summed-out mass
-    otherwise), runs the mode's update kernel once over all inner nodes and
-    stores the bounds on the circuit as arrays of doubles; later ones copy
-    them into fresh lists, so no state shares a list with the memo or
-    another state.
-    The decision sums of shared variables take the branch max and min of
-    the module docstring. The state reads the rows that ``_rows`` caches on
-    the circuit for its mode and shared variables, in which such a sum is
-    ``(None, branches)`` in place of ``(children, weights)``, so the
-    kernels tell them apart with one identity test on a plain sum and none
-    on a product. Each batch sets its variables' leaves and runs the kernel
+    for a circuit, mode and shared set runs ``_fold`` and stores the bounds
+    on the circuit as arrays of doubles; every construction copies them
+    into fresh lists, so no state shares a list with the memo or another
+    state. The decision sums of shared variables take the branch max and
+    min of the module docstring. The state reads the rows that ``_rows``
+    caches on the circuit for its mode and shared variables, in which such
+    a sum is ``(None, branches)`` in place of ``(children, weights)``, so
+    the kernels tell them apart with one identity test on a plain sum and
+    none on a product. Each batch sets its variables' leaves and runs the kernel
     once, in ascending id order, over the inner nodes whose scope meets the
     batch (memoized on the circuit per batch mask, for the first
-    ``_IDS_MEMO_CAP`` masks), recording the previous bounds of every node
-    that changed in one trail frame, so backtracking restores them
-    bit-exactly. Every inner node's bounds always equal its kernel over the
-    bounds of its children, which come earlier in every scan that reaches
-    it, so the result does not depend on how the assignments are split into
-    batches.
+    ``_IDS_MEMO_CAP`` masks). It writes every node it visits and records
+    each one's previous bounds in one trail frame, so backtracking restores
+    them bit-exactly. The invariant: after every assign and backtrack, the
+    bounds equal ``_fold(circuit, mode, status, shared)``, bit for bit,
+    signed zeros included, because every inner node's bounds equal its
+    kernel over the bounds of its children, which come earlier in every
+    scan that reaches it. So the result does not depend on how the
+    assignments are split into batches.
     """
 
     def __init__(
@@ -541,32 +550,19 @@ class BoundState:
         for var in self.status:
             if var < 0 or var >= circuit.num_vars:
                 raise ValueError(f"shared variable {var} out of range")
-        add, self._update = _OPS[mode]
+        self._update = _OPS[mode][1]
         shared_set = frozenset(self.status)
-        nodes = self._nodes = _rows(circuit, mode, shared_set)
+        self._nodes = _rows(circuit, mode, shared_set)
         self._ids: dict[int, list[int]] = circuit._memo["ids"]
         key = ("init", mode, shared_set)
         init = circuit._memo.get(key)
         if init is None:
-            # Inner nodes start as NaN, unequal to every value, so the kernel
-            # writes each of them. The zero-length deque frees each saved
-            # entry at once, so the pass leaves no per-node garbage for the
-            # collector.
-            ub, lb = [math.nan] * len(nodes), [math.nan] * len(nodes)
-            for nid in circuit.leaves:
-                var, t, f = nodes[nid]
-                if var in self.status:
-                    ub[nid], lb[nid] = max(t, f), min(t, f)
-                else:
-                    ub[nid] = lb[nid] = add(t, f)
-            self._update(circuit.inner, nodes, ub, lb, deque(maxlen=0))
-            circuit._memo[key] = (array("d", ub), array("d", lb))
-        else:
-            ub, lb = list(init[0]), list(init[1])
-        self.ub: list[float] = ub
-        self.lb: list[float] = lb
-        # frames: (level, batch vars, [(node id, previous ub, previous lb), ...])
-        self._frames: list[tuple[int, list[CircuitVar], _Saved]] = []
+            ub, lb = _fold(circuit, mode, self.status, shared_set)
+            init = circuit._memo[key] = (array("d", ub), array("d", lb))
+        self.ub: list[float] = list(init[0])
+        self.lb: list[float] = list(init[1])
+        # frames: (level, batch vars, ids written, their previous ubs, lbs)
+        self._frames: list[tuple[int, list[CircuitVar], list[int], list[float], list[float]]] = []
 
     def assign(self, items: list[tuple[CircuitVar, bool]], level: int) -> tuple[float, float]:
         """Fix a batch of shared variables, given as ``(var, value)`` pairs,
@@ -581,20 +577,11 @@ class BoundState:
                 raise ValueError(f"variable {var} already assigned")
         if len(set(batch)) != len(batch):
             raise ValueError("variable repeated in one batch")
-        saved: _Saved = []
-        self._frames.append((level, batch, saved))
         c, nodes, ub, lb = self.circuit, self._nodes, self.ub, self.lb
         var_leaves = c.var_leaves
         mask = 0
-        for var, val in items:
-            status[var] = val
+        for var in batch:
             mask |= 1 << var
-            pos = 1 if val else 2
-            for nid in var_leaves.get(var, ()):
-                x = nodes[nid][pos]
-                if x != ub[nid] or x != lb[nid]:
-                    saved.append((nid, ub[nid], lb[nid]))
-                    ub[nid] = lb[nid] = x
         # The inner nodes whose scope meets the batch, found by one scan of
         # the scopes per batch mask and memoized on the circuit. Ids are
         # topological, so each node settles after all its children and is
@@ -605,17 +592,27 @@ class BoundState:
             ids = [nid for nid in c.inner if scopes[nid] & mask]
             if len(self._ids) < _IDS_MEMO_CAP:
                 self._ids[mask] = ids
-        self._update(ids, nodes, ub, lb, saved)
+        # The batch writes its variables' leaves and `ids`, each once, so
+        # their old bounds, read before any write, are the trail frame.
+        written = [nid for var in batch for nid in var_leaves.get(var, ())] + ids
+        old_ub, old_lb = list(map(ub.__getitem__, written)), list(map(lb.__getitem__, written))
+        self._frames.append((level, batch, written, old_ub, old_lb))
+        for var, val in items:
+            status[var] = val
+            pos = 1 if val else 2
+            for nid in var_leaves.get(var, ()):
+                ub[nid] = lb[nid] = nodes[nid][pos]
+        self._update(ids, nodes, ub, lb)
         return self.root_bounds()
 
     def backtrack_bounds(self, level: int) -> None:
         """Pop all trail frames above `level`, restoring saved bounds exactly."""
         ub, lb = self.ub, self.lb
         while self._frames and self._frames[-1][0] > level:
-            _, batch, saved = self._frames.pop()
-            for nid, old_ub, old_lb in reversed(saved):
-                ub[nid] = old_ub
-                lb[nid] = old_lb
+            _, batch, written, old_ub, old_lb = self._frames.pop()
+            for nid, u, l in zip(written, old_ub, old_lb):
+                ub[nid] = u
+                lb[nid] = l
             for var in batch:
                 self.status[var] = None
 

@@ -64,9 +64,13 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     )
 
 
+def _add_mode_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mode", choices=[m.value for m in NumericMode], default=NumericMode.LINEAR.value)
+
+
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-ulw", action="store_true", help="disable bound propagation")
-    parser.add_argument("--mode", choices=["linear", "log"], default="linear")
+    _add_mode_flag(parser)
     parser.add_argument("--budget-conflicts", type=int, default=None)
     parser.add_argument("--budget-seconds", type=float, default=None)
 
@@ -421,13 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a model against a manifest")
     p_verify.add_argument("manifest")
     p_verify.add_argument("model")
-    p_verify.add_argument("--mode", choices=["linear", "log"], default="linear")
+    _add_mode_flag(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="brute-force solve an SMC manifest")
     p_oracle.add_argument("manifest")
     p_oracle.add_argument("--cap", type=int, default=24)
-    p_oracle.add_argument("--mode", choices=["linear", "log"], default="linear")
+    _add_mode_flag(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="generate instances")
@@ -508,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pc.add_argument("action", choices=["validate", "eval", "marginal", "partition"])
     p_pc.add_argument("file")
     p_pc.add_argument("--assign", default=None, help="<var>=0|1,..., e.g. 0=1,3=0")
-    p_pc.add_argument("--mode", choices=["linear", "log"], default="linear")
+    _add_mode_flag(p_pc)
     p_pc.set_defaults(func=cmd_pc)
 
     return parser

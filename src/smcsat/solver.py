@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -140,39 +141,31 @@ class SolveResult:
     stats: Stats
 
 
+# Per comparator: the test that the value satisfies it, the test that it
+# does not, and whether it holds more readily as the value rises (so its
+# lower bound entails it and its upper bound refutes it).
+_COMPARATORS = {
+    Comparator.GE: (operator.ge, operator.lt, True),
+    Comparator.GT: (operator.gt, operator.le, True),
+    Comparator.LE: (operator.le, operator.gt, False),
+    Comparator.LT: (operator.lt, operator.ge, False),
+}
+
+
 def cmp_holds(cmp: Comparator, value: float, threshold: float) -> bool:
     """Exact comparison of an inference value against a threshold."""
-    if cmp is Comparator.GE:
-        return value >= threshold
-    if cmp is Comparator.GT:
-        return value > threshold
-    if cmp is Comparator.LE:
-        return value <= threshold
-    return value < threshold
+    return _COMPARATORS[cmp][0](value, threshold)
 
 
 def inequality_status(cmp: Comparator, threshold: float, lb: float, ub: float) -> bool | None:
-    """True/False when the root bounds decide the inequality, else None."""
-    if cmp is Comparator.GE:
-        if lb >= threshold:
-            return True
-        if ub < threshold:
-            return False
-    elif cmp is Comparator.GT:
-        if lb > threshold:
-            return True
-        if ub <= threshold:
-            return False
-    elif cmp is Comparator.LE:
-        if ub <= threshold:
-            return True
-        if lb > threshold:
-            return False
-    else:
-        if ub < threshold:
-            return True
-        if lb >= threshold:
-            return False
+    """True/False when the root bounds decide the inequality, else None; a
+    NaN bound decides nothing, since every comparison with it is false."""
+    holds, refutes, rising = _COMPARATORS[cmp]
+    worst, best = (lb, ub) if rising else (ub, lb)
+    if holds(worst, threshold):
+        return True
+    if refutes(best, threshold):
+        return False
     return None
 
 

@@ -14,7 +14,7 @@ from smcsat.circuit import (
     PcFormatError,
     ValidationReport,
     _IDS_MEMO_CAP,
-    _evaluate,
+    _fold,
     _rows,
     evaluate_joint,
     marginal,
@@ -787,10 +787,9 @@ def test_shared_first_order_bounds_are_exact():
 _EDGE_WEIGHTS = (0.0, -0.0, 1.0, 1e-200, 1e200)
 
 
-def _bits(values: list[float], signed_zero: bool = True) -> list[str]:
-    """Every bit of each float but a NaN's payload; -0.0 differs from 0.0
-    unless `signed_zero` is false."""
-    return ["nan" if x != x else (x if signed_zero else x + 0.0).hex() for x in values]
+def _bits(values: list[float]) -> list[str]:
+    """Every bit of each float but a NaN's payload; -0.0 differs from 0.0."""
+    return ["nan" if x != x else x.hex() for x in values]
 
 
 def _edge_weighted(rows: Sequence[tuple], rng: random.Random) -> Circuit:
@@ -832,19 +831,17 @@ def test_kernels_match_reference_bit_for_bit_on_every_shape():
         # a pass from NaN writes every node: marginal's, and BoundState's first
         for _ in range(3):
             partial = {v: rng.random() < 0.5 for v in range(c.num_vars) if rng.random() < 0.5}
-            values = _evaluate(c, mode, partial)
+            values = _fold(c, mode, partial)[0]
             ub, _ = reference_bounds(c, mode, partial)
             assert _bits(values) == _bits(ub), (mode, c.nodes, partial)
             reached.update((mode, b) for b in _bits(values) if b in ("nan", "inf", "-inf", "-0x0.0p+0"))
         shared = set(rng.sample(range(c.num_vars), rng.randint(0, c.num_vars)))
         bs = BoundState(c, shared, mode)
         assert (_bits(bs.ub), _bits(bs.lb)) == tuple(map(_bits, reference_bounds(c, mode, bs.status)))
-        # an update keeps a bound that compares equal, so a zero may keep
-        # its old sign; no later nonzero value or comparison depends on it
         for level in range(1, 2 + 3 * len(shared)):
             ub, lb = reference_bounds(c, mode, bs.status)
-            assert _bits(bs.ub, False) == _bits(ub, False), (mode, c.nodes, bs.status)
-            assert _bits(bs.lb, False) == _bits(lb, False), (mode, c.nodes, bs.status)
+            assert _bits(bs.ub) == _bits(ub), (mode, c.nodes, bs.status)
+            assert _bits(bs.lb) == _bits(lb), (mode, c.nodes, bs.status)
             free = [v for v in sorted(shared) if bs.status[v] is None]
             if free and rng.random() < 0.7:
                 bs.assign([(v, rng.random() < 0.5) for v in rng.sample(free, rng.randint(1, len(free)))], level)
@@ -852,6 +849,55 @@ def test_kernels_match_reference_bit_for_bit_on_every_shape():
                 bs.backtrack_bounds(rng.randint(0, level - 1))
     linear, log = NumericMode.LINEAR, NumericMode.LOG
     assert {(linear, "nan"), (linear, "inf"), (linear, "-0x0.0p+0"), (log, "-inf")} <= reached
+
+
+def test_fully_assigned_signed_zeros_equal_marginal():
+    # the free leaf's bounds start at max(-0.0, 0.0) = -0.0; assigning False
+    # must write its 0.0, which compares equal to -0.0
+    c = parse_pc("pc 1 1\nl 0 -0.0 0.0")
+    for mode in NumericMode:
+        bs = BoundState(c, {0}, mode)
+        ub, lb = bs.assign([(0, False)], 1)
+        assert ub.hex() == lb.hex() == marginal(c, {0: False}, mode).hex()
+    # a decision sum whose True branch's mass is -0.0 (a latent -0.0 leaf):
+    # once variable 0 is True its lb is that branch alone, which the
+    # interval sum adds to 0.0
+    c = parse_pc("pc 7 2\ni 0 1\ni 0 0\nl 1 -0.0 -0.0\nl 1 1.0 1.0\np 2 0 2\np 2 1 3\ns 2 1.0 4 1.0 5")
+    for mode in NumericMode:
+        ub, lb = BoundState(c, {0}, mode).assign([(0, True)], 1)
+        assert ub.hex() == lb.hex() == marginal(c, {0: True}, mode).hex()
+
+
+def test_bounds_equal_fresh_fold_after_every_step():
+    # the BoundState invariant, on compiled BNs with one leaf in three
+    # redrawn, half of those from _EDGE_WEIGHTS, so that decision sums and
+    # signed zeros meet: after every assign and backtrack, every node's
+    # bounds equal a fold from scratch of the state's status, bit for bit
+    rng = random.Random(17)
+
+    def w() -> float:
+        return rng.choice(_EDGE_WEIGHTS) if rng.random() < 0.5 else rng.uniform(0.0, 2.0)
+
+    decision_rows = 0
+    for mode, seed in itertools.product(NumericMode, range(16)):
+        c = _compiled_bn(seed + 500, seed % 2 == 0)
+        rows = [
+            (row[0], w(), w() if row[0] >= 0 else 0.0) if len(row) == 3 and rng.random() < 0.3 else row
+            for row in c.nodes
+        ]
+        c = Circuit(c.num_vars, rows)
+        shared = frozenset(rng.sample(range(c.num_vars), rng.randint(1, c.num_vars)))
+        bs = BoundState(c, shared, mode)
+        decision_rows += sum(row[0] is None for row in _rows(c, mode, shared))
+        for level in range(1, 2 + 3 * len(shared)):
+            ub, lb = _fold(c, mode, bs.status, shared)
+            assert (_bits(bs.ub), _bits(bs.lb)) == (_bits(ub), _bits(lb)), (mode, seed, bs.status)
+            free = [v for v in sorted(shared) if bs.status[v] is None]
+            if free and rng.random() < 0.7:
+                bs.assign([(v, rng.random() < 0.5) for v in rng.sample(free, rng.randint(1, len(free)))], level)
+            else:
+                bs.backtrack_bounds(rng.randint(0, level - 1))
+    assert decision_rows > 0
 
 
 def test_bound_state_memo_starts_each_state_fresh():

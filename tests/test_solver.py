@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import asdict
 
@@ -49,6 +50,11 @@ def test_inequality_status_strictness():
     assert inequality_status(LT, 0.5, 0.0, 0.5) is None
     assert inequality_status(LT, 0.5, 0.0, 0.49) is True
     assert inequality_status(LT, 0.5, 0.5, 1.0) is False
+    # a NaN bound leaves every comparator undecided, never refuted
+    nan = math.nan
+    for cmp in (GE, GT, LE, LT):
+        for lb, ub in ((nan, nan), (nan, 1.0), (0.0, nan)):
+            assert inequality_status(cmp, 0.5, lb, ub) is None, (cmp, lb, ub)
 
 
 def test_probabilistic_clause_shapes():
