@@ -23,38 +23,31 @@ and of the inner nodes (``Circuit.leaves``, ``Circuit.var_leaves``,
 first use and cached on the circuit per numeric mode and set of shared
 variables: log mode maps every weight through ``math.log`` (zero to
 ``-inf``), and a decision sum (below) of a shared variable becomes a
-``(None, branches)`` row. One function, ``_fold``, computes every
-node's bounds from scratch: it sets each leaf from a status (an assigned
+``(None, branches)`` row. The same dict (``Circuit._memo``) keeps
+``partition`` per mode and, per batch of variables, the inner nodes that
+the batch recomputes. One function, ``_fold``, computes every node's
+bounds from scratch: it sets each leaf from a status (an assigned
 variable's weight for its value, a free shared variable's larger and
 smaller weight, any other leaf its summed-out mass) and runs the mode's
-bound-update kernel (below) once over the inner nodes. ``marginal`` and
-``partition`` are a fold with no shared variables, with one list as both
-the upper and the lower bounds.
-
-Beside the rows, the circuit memoizes the rest of the work that no solve
-changes, in the same dict (``Circuit._memo``): the initial bounds of a
-``BoundState`` per mode and shared set, ``partition`` per mode, and per
-batch of variables the inner nodes that the batch recomputes. So a
-threshold sweep, which solves one circuit again and again, runs the full
-initial pass once.
+bound-update kernel (below) once over the inner nodes. ``marginal``,
+``partition`` and every fresh ``BoundState`` are a fold; without shared
+variables one list serves as both the upper and the lower bounds.
 
 ``BoundState`` maintains, per node, an upper and lower bound on the marginal
 mass under a partial assignment of the shared (decision) variables. Its work
 is done by one update kernel per mode, which walks a list of inner-node ids
 in ascending order, reads each node's row in the mode's value space and
-computes its upper and lower bound together. A product of 2 or 3 children
-and a sum of 2, the shapes that compiled circuits are made of, are written
-out as straight-line expressions that do the loop's operations in the
-loop's order, so they give the same floats. A fresh state's bounds are a
-fold. An assignment is a batch, the shared variables that one propagation
-round fixed: it sets their leaves and runs the kernel once over the inner
-nodes whose scope meets the batch, found by a scan of the scopes, so each
-node is recomputed once, from its children's final bounds. Every node
-visited is written, even when its new value compares equal to the old, so
-the nodes a batch writes are known before it runs: their old floats are
-its trail frame, which backtracking restores by decision level. So at
-every step the bounds equal a fresh fold of the state's status, bit for
-bit, signed zeros included.
+computes its upper and lower bound together; a product of 3 children and a
+sum of 2, the commonest shapes in compiled circuits, are written out with
+the loop's operations in the loop's order, so they give its floats. An
+assignment is a batch, the shared variables that one propagation round
+fixed: it sets their leaves and runs the kernel once over the inner nodes
+whose scope meets the batch, so each node is recomputed once, from its
+children's final bounds. Every node visited is written, even when its new
+value compares equal to the old, so the nodes a batch writes are known
+before it runs: their old floats are its trail frame, which backtracking
+restores by decision level. So at every step the bounds equal a fresh fold
+of the state's status, bit for bit, signed zeros included.
 
 Most nodes get interval bounds: a product multiplies its children's bounds
 and a sum adds them. A *decision sum* is tighter. It has two product
@@ -74,14 +67,15 @@ With the shared variables compiled first, these bounds are the exact max
 and min over the free shared variables (Oztok, Choi and Darwiche, KR 2016).
 Once ``v`` is assigned, the other branch's indicator is 0.0 (``-inf`` in log
 mode) and its own 1.0 (0.0), so for finite masses the rule and the interval
-sum give the same float. A fully assigned ``BoundState`` sets the same
-leaves as ``marginal``, so it then reproduces ``marginal`` bit for bit.
+sum give the same float. A NaN weighted branch ub (in linear mode, an
+overflow times a zero indicator) makes the decision sum NaN, as it makes
+the interval sum. A fully assigned ``BoundState`` sets the same leaves as
+``marginal``, so it then reproduces ``marginal`` bit for bit, NaN included.
 """
 
 from __future__ import annotations
 
 import enum
-from array import array
 import math
 import operator
 from collections import defaultdict
@@ -130,27 +124,22 @@ def _update_linear(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: l
     row, over `ub` and over `lb` (``marginal`` passes one list as both): a
     product is the product of its children, and a sum the sum of each
     weight times its child, folded left to right from 1.0 and 0.0. A product
-    of 2 or 3 children and a sum of 2 are written out as the fold's own
+    of 3 children and a sum of 2 are written out as the fold's own
     operations in its own order, so they give the loop's floats. Every
     node is written, whether or not its value compares equal, so a zero
     takes the sign the kernel computes. The row of a decision sum of a
     shared variable is ``(None, branches)`` (see ``BoundState``): its ub
     is the largest weighted branch ub, its lb the smallest weighted
     product of the non-indicator lbs of a branch whose indicator ub is not
-    0."""
-    inf = math.inf
+    0, and both are NaN when a weighted branch ub is."""
+    inf, nan = math.inf, math.nan
     for nid in ids:
         children, weights = rows[nid]
         if weights is None:
-            n = len(children)
-            if n == 3:
+            if len(children) == 3:
                 x, y, z = children
                 u = 1.0 * ub[x] * ub[y] * ub[z]
                 l = 1.0 * lb[x] * lb[y] * lb[z]
-            elif n == 2:
-                x, y = children
-                u = 1.0 * ub[x] * ub[y]
-                l = 1.0 * lb[x] * lb[y]
             else:
                 u = l = 1.0
                 for child in children:
@@ -172,12 +161,17 @@ def _update_linear(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: l
             # branches, ``(weight, product, indicator, other children)``.
             # As in the interval sum, the weight multiplies last and the lb
             # adds to 0.0, so both give the same float once one branch is
-            # left, signed zeros included.
+            # left, signed zeros included. A NaN weighted branch ub (an
+            # overflow times a zero) makes the node NaN, as it makes the
+            # interval sum NaN.
             u, l = 0.0, inf
             for w, prod, ind, rest in weights:
                 x = w * ub[prod]
                 if x > u:
                     u = x
+                elif x != x:
+                    u = l = nan
+                    break
                 if ub[ind] > 0.0:
                     x = 1.0
                     for child in rest:
@@ -193,21 +187,16 @@ def _update_log(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list
     """``_update_linear`` in log space: a product is the sum of its
     children, folded from 0.0, and a sum the log-sum-exp of each weight
     plus its child, folded from ``-inf`` with ``_log_add`` inlined, its
-    branches unchanged. The same three shapes are written out. A decision
+    branches unchanged. The same two shapes are written out. A decision
     sum's branch max and min add where linear mode multiplies."""
     inf, neg_inf, log1p, exp = math.inf, -math.inf, math.log1p, math.exp
     for nid in ids:
         children, weights = rows[nid]
         if weights is None:
-            n = len(children)
-            if n == 3:
+            if len(children) == 3:
                 x, y, z = children
                 u = 0.0 + ub[x] + ub[y] + ub[z]
                 l = 0.0 + lb[x] + lb[y] + lb[z]
-            elif n == 2:
-                x, y = children
-                u = 0.0 + ub[x] + ub[y]
-                l = 0.0 + lb[x] + lb[y]
             else:
                 u = l = 0.0
                 for child in children:
@@ -283,8 +272,8 @@ class Circuit:
     the bitmask scope of every node, its leaf and inner ids and its
     validation report. The rows each kernel reads are built on first use
     by ``_rows``, and kept in ``_memo`` with the other work that depends
-    only on the circuit: a fresh ``BoundState``'s bounds, the partition
-    function and the inner ids each batch mask recomputes."""
+    only on the circuit: the partition function and the inner ids each
+    batch mask recomputes."""
 
     def __init__(self, num_vars: int, nodes: Iterable[tuple]):
         self.num_vars = num_vars
@@ -335,12 +324,9 @@ class Circuit:
             "smoothness" not in kinds, "decomposability" not in kinds, tuple(violations)
         )
         # Work that no solve changes, memoized on first use: ("rows", mode,
-        # shared) -> the rows of `_rows`; ("init", mode, shared) -> a fresh
-        # BoundState's (ub, lb) as arrays of doubles, which free at once with
-        # the circuit, where a tuple would free one float at a time;
-        # ("partition", mode) -> the total mass; "ids" -> per batch bitmask,
-        # the inner ids that the batch recomputes, for at most
-        # _IDS_MEMO_CAP masks.
+        # shared) -> the rows of `_rows`; ("partition", mode) -> the total
+        # mass; "ids" -> per batch bitmask, the inner ids that the batch
+        # recomputes, for at most _IDS_MEMO_CAP masks.
         self._memo: dict = {"ids": {}}
 
     def __eq__(self, other: object) -> bool:
@@ -515,26 +501,22 @@ class BoundState:
     """Per-node upper/lower bounds on the root marginal under partial assignment.
 
     Variables in `shared` are assigned True/False in batches; all other
-    variables are latent and always marginalized. The first construction
-    for a circuit, mode and shared set runs ``_fold`` and stores the bounds
-    on the circuit as arrays of doubles; every construction copies them
-    into fresh lists, so no state shares a list with the memo or another
-    state. The decision sums of shared variables take the branch max and
-    min of the module docstring. The state reads the rows that ``_rows``
-    caches on the circuit for its mode and shared variables, in which such
-    a sum is ``(None, branches)`` in place of ``(children, weights)``, so
-    the kernels tell them apart with one identity test on a plain sum and
-    none on a product. Each batch sets its variables' leaves and runs the kernel
-    once, in ascending id order, over the inner nodes whose scope meets the
-    batch (memoized on the circuit per batch mask, for the first
-    ``_IDS_MEMO_CAP`` masks). It writes every node it visits and records
-    each one's previous bounds in one trail frame, so backtracking restores
-    them bit-exactly. The invariant: after every assign and backtrack, the
-    bounds equal ``_fold(circuit, mode, status, shared)``, bit for bit,
-    signed zeros included, because every inner node's bounds equal its
-    kernel over the bounds of its children, which come earlier in every
-    scan that reaches it. So the result does not depend on how the
-    assignments are split into batches.
+    variables are latent and always marginalized. Every construction takes
+    its bounds from ``_fold``, so no state shares a list with another. The
+    state reads the rows that ``_rows`` caches for its mode and shared
+    variables, in which a decision sum of a shared variable is ``(None,
+    branches)``, so the kernels tell it apart with one identity test on a
+    plain sum and none on a product. Each batch sets its variables' leaves
+    and runs the kernel once, in ascending id order, over the inner nodes
+    whose scope meets the batch (memoized on the circuit per batch mask,
+    for the first ``_IDS_MEMO_CAP`` masks). It writes every node it visits
+    and records each one's previous bounds in one trail frame, so
+    backtracking restores them bit-exactly. The invariant: after every
+    assign and backtrack, the bounds equal ``_fold(circuit, mode, status,
+    shared)``, bit for bit, signed zeros included, because every inner
+    node's bounds equal its kernel over the bounds of its children, which
+    come earlier in every scan that reaches it. So the result does not
+    depend on how the assignments are split into batches.
     """
 
     def __init__(
@@ -554,13 +536,10 @@ class BoundState:
         shared_set = frozenset(self.status)
         self._nodes = _rows(circuit, mode, shared_set)
         self._ids: dict[int, list[int]] = circuit._memo["ids"]
-        key = ("init", mode, shared_set)
-        init = circuit._memo.get(key)
-        if init is None:
-            ub, lb = _fold(circuit, mode, self.status, shared_set)
-            init = circuit._memo[key] = (array("d", ub), array("d", lb))
-        self.ub: list[float] = list(init[0])
-        self.lb: list[float] = list(init[1])
+        # With no shared variable `_fold` returns one list as both bounds;
+        # that is safe, since `assign` then rejects every item as not shared
+        # and nothing is ever written.
+        self.ub, self.lb = _fold(circuit, mode, self.status, shared_set)
         # frames: (level, batch vars, ids written, their previous ubs, lbs)
         self._frames: list[tuple[int, list[CircuitVar], list[int], list[float], list[float]]] = []
 

@@ -29,10 +29,11 @@ from .problems import (
     load_manifest,
     marginalize_false_circuit,
     parse_edge_list,
+    predicate_from_entry,
     save_manifest,
     select_shared_vars,
 )
-from .solver import SolveResult, SolveStatus, SolverConfig, solve
+from .solver import SmcProblem, SolveResult, SolveStatus, SolverConfig, solve
 from .sweep import sweep as run_sweep
 
 EXIT_SAT = 10
@@ -56,6 +57,9 @@ BENCH_COLUMNS = [
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
+    for flag, budget in (("--budget-conflicts", args.budget_conflicts), ("--budget-seconds", args.budget_seconds)):
+        if budget is not None and not budget >= 0:
+            raise ValueError(f"{flag}: {budget} is not a nonnegative budget")
     return SolverConfig(
         ulw_enabled=not args.no_ulw,
         numeric_mode=NumericMode(args.mode),
@@ -195,6 +199,10 @@ def _gen_kcolor(args: argparse.Namespace, out) -> int:
 
 
 def _gen_bn(args: argparse.Namespace, out) -> int:
+    if args.max_parents < 0:
+        raise ValueError(f"--max-parents: {args.max_parents} is not a nonnegative parent count")
+    if not 0.0 <= args.edge_fraction <= 1.0:
+        raise ValueError(f"--edge-fraction: {args.edge_fraction} is not a fraction in [0, 1]")
     fg = gen_random_bn(args.n, args.max_parents, args.edge_fraction, args.seed)
     _write_text(args.output, write_uai(fg))
     print(f"wrote {args.output} ({fg.num_vars} vars, {len(fg.factors)} factors)", file=out)
@@ -279,7 +287,12 @@ def _gen_smc(args: argparse.Namespace, out) -> int:
     )
     if args.b is not None:
         entry["b"] = args.b
-    doc = {"cnf": _relative_to(cnf_path, manifest_path.parent), "predicates": [entry]}
+    doc = build_manifest(_relative_to(cnf_path, manifest_path.parent), [entry])
+    # Build the problem first, so that no manifest is written that loading would reject.
+    try:
+        SmcProblem(formula, (predicate_from_entry(doc["predicates"][0], circ),))
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: not written: {exc}") from None
     save_manifest(doc, manifest_path)
     print(f"wrote {manifest_path} ({len(shared)} shared vars)", file=out)
     return 0
@@ -351,6 +364,8 @@ def _bench_row(path: Path, config: SolverConfig) -> list:
 
 
 def cmd_bench(args: argparse.Namespace, out) -> int:
+    if not Path(args.suite).is_dir():
+        raise ValueError(f"{args.suite}: not a directory")
     suite = sorted(Path(args.suite).glob("*.json"))
     config = _solver_config(args)
     rows = [_bench_row(p, config) for p in suite]

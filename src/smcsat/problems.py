@@ -415,6 +415,18 @@ def save_manifest(doc: dict, path: str | Path) -> None:
     path.write_text(json.dumps(_check_manifest(doc, path.parent), indent=2) + "\n")
 
 
+def predicate_from_entry(entry: dict, circuit: Circuit) -> PredicateSpec:
+    """The predicate of one normal-form manifest entry over `circuit`."""
+    return PredicateSpec(
+        circuit=circuit,
+        shared_map={int(k): v for k, v in entry["shared"].items()},
+        cmp=Comparator(entry["cmp"]),
+        threshold=entry["threshold"],
+        threshold_mode=ThresholdMode(entry["threshold_mode"]),
+        b=entry.get("b"),
+    )
+
+
 def load_manifest(path: str | Path) -> SmcProblem:
     """Load a manifest into an SmcProblem; paths resolve next to the manifest."""
     path = Path(path)
@@ -437,16 +449,7 @@ def load_manifest(path: str | Path) -> SmcProblem:
             else:
                 fg = parse_uai((base / entry["uai"]).read_text())
                 circuit = compile_factor_graph(fg, order=entry.get("order"))
-            predicates.append(
-                PredicateSpec(
-                    circuit=circuit,
-                    shared_map={int(k): v for k, v in entry["shared"].items()},
-                    cmp=Comparator(entry["cmp"]),
-                    threshold=entry["threshold"],
-                    threshold_mode=ThresholdMode(entry["threshold_mode"]),
-                    b=entry.get("b"),
-                )
-            )
+            predicates.append(predicate_from_entry(entry, circuit))
         except ValueError as exc:
             raise ManifestError(f"{path}: predicate {i}: {exc}") from exc
     try:

@@ -113,8 +113,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_conflicts is not None and self.max_conflicts < 0:
             raise ValueError("conflict budget must be nonnegative")
-        if self.max_seconds is not None and self.max_seconds < 0:
-            raise ValueError("time budget must be nonnegative")
+        # `not >=` also rejects NaN, which would never trip the budget.
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise ValueError("time budget must be a nonnegative number")
 
 
 @dataclass

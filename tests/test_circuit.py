@@ -26,6 +26,7 @@ from smcsat.circuit import (
 from smcsat.factorgraph import compile_factor_graph
 from smcsat.problems import gen_random_bn
 from util import (
+    NAN_BRANCH_PC,
     TWO_ROUTE_CIRCUIT_TEXT,
     _opposed_indicators,
     brute_joint_sum,
@@ -422,6 +423,12 @@ def test_assign_rejects_invalid(route_circuit):
         bs.assign([(0, False)], 2)  # already assigned
 
 
+def test_bound_state_rejects_shared_variable_out_of_range(route_circuit):
+    for var in (-1, 4):
+        with pytest.raises(ValueError, match=f"shared variable {var} out of range"):
+            BoundState(route_circuit, {0, var})
+
+
 def test_backtrack_restores_exactly(route_circuit):
     bs = BoundState(route_circuit, {0, 1})
     before_ub, before_lb = list(bs.ub), list(bs.lb)
@@ -812,7 +819,7 @@ def _edge_weighted(rows: Sequence[tuple], rng: random.Random) -> Circuit:
 
 
 def test_kernels_match_reference_bit_for_bit_on_every_shape():
-    # the kernels write out products of 2 and 3 and sums of 2 as the fold's
+    # the kernels write out products of 3 and sums of 2 as the fold's
     # own operations in its own order; reference_bounds folds every node, so
     # a written-out shape that rounds, signs a zero, overflows or makes a
     # NaN differently from the fold fails here
@@ -868,24 +875,79 @@ def test_fully_assigned_signed_zeros_equal_marginal():
         assert ub.hex() == lb.hex() == marginal(c, {0: True}, mode).hex()
 
 
+def test_nan_decision_branch_makes_the_sum_nan():
+    # the interval sum is NaN when a branch is, so marginal raises; the
+    # decision sum must not skip the NaN branch and answer the other one
+    c = parse_pc(NAN_BRANCH_PC)
+    linear, log = NumericMode.LINEAR, NumericMode.LOG
+    with pytest.raises(ValueError, match="marginal is NaN"):
+        marginal(c, {0: True})
+    bs = BoundState(c, {0}, linear)
+    assert bs.root_bounds() == (math.inf, 0.5)
+    assert _bits(list(bs.assign([(0, True)], 1))) == ["nan", "nan"]
+    assert (_bits(bs.ub), _bits(bs.lb)) == tuple(map(_bits, reference_bounds(c, linear, bs.status)))
+    bs.backtrack_bounds(0)
+    assert bs.assign([(0, False)], 1) == (math.inf, math.inf)
+    with pytest.raises(ValueError, match="marginal is infinite"):
+        marginal(c, {0: False})
+    # log mode has no +inf, so it never meets a NaN
+    for val in (True, False):
+        m = marginal(c, {0: val}, log)
+        assert BoundState(c, {0}, log).assign([(0, val)], 1) == (m, m)
+
+
+def _redrawn_bn(seed: int, rng: random.Random) -> Circuit:
+    """``_compiled_bn(seed, ...)`` with each leaf redrawn with chance 0.3,
+    half of its weights from _EDGE_WEIGHTS, so that decision sums meet
+    signed zeros and linear-mode overflow."""
+
+    def w() -> float:
+        return rng.choice(_EDGE_WEIGHTS) if rng.random() < 0.5 else rng.uniform(0.0, 2.0)
+
+    c = _compiled_bn(seed, seed % 2 == 0)
+    rows = [
+        (row[0], w(), w() if row[0] >= 0 else 0.0) if len(row) == 3 and rng.random() < 0.3 else row
+        for row in c.nodes
+    ]
+    return Circuit(c.num_vars, rows)
+
+
+def test_fully_assigned_linear_root_is_nan_exactly_when_marginal_is():
+    # compiled BNs with one leaf in three redrawn, some to 1e200 or a zero,
+    # their shared variables assigned in random batches: the root then
+    # equals marginal's fold bit for bit, so it is NaN exactly when marginal
+    # raises for a NaN mass
+    rng = random.Random(18)
+    linear = NumericMode.LINEAR
+    nans = 0
+    for seed in range(120):
+        c = _redrawn_bn(seed + 700, rng)
+        shared = rng.sample(range(c.num_vars), rng.randint(1, c.num_vars))
+        bs = BoundState(c, shared, linear)
+        for level in range(1, len(shared) + 1):
+            free = [v for v in shared if bs.status[v] is None]
+            if not free:
+                break
+            bs.assign([(v, rng.random() < 0.5) for v in rng.sample(free, rng.randint(1, len(free)))], level)
+        status = dict(bs.status)
+        root = _fold(c, linear, status)[0][c.root]
+        assert _bits(list(bs.root_bounds())) == _bits([root, root]), (seed, status)
+        if math.isnan(root):
+            nans += 1
+            with pytest.raises(ValueError, match="marginal is NaN"):
+                marginal(c, status)
+    assert nans > 0
+
+
 def test_bounds_equal_fresh_fold_after_every_step():
     # the BoundState invariant, on compiled BNs with one leaf in three
     # redrawn, half of those from _EDGE_WEIGHTS, so that decision sums and
     # signed zeros meet: after every assign and backtrack, every node's
     # bounds equal a fold from scratch of the state's status, bit for bit
     rng = random.Random(17)
-
-    def w() -> float:
-        return rng.choice(_EDGE_WEIGHTS) if rng.random() < 0.5 else rng.uniform(0.0, 2.0)
-
     decision_rows = 0
     for mode, seed in itertools.product(NumericMode, range(16)):
-        c = _compiled_bn(seed + 500, seed % 2 == 0)
-        rows = [
-            (row[0], w(), w() if row[0] >= 0 else 0.0) if len(row) == 3 and rng.random() < 0.3 else row
-            for row in c.nodes
-        ]
-        c = Circuit(c.num_vars, rows)
+        c = _redrawn_bn(seed + 500, rng)
         shared = frozenset(rng.sample(range(c.num_vars), rng.randint(1, c.num_vars)))
         bs = BoundState(c, shared, mode)
         decision_rows += sum(row[0] is None for row in _rows(c, mode, shared))
@@ -900,29 +962,25 @@ def test_bounds_equal_fresh_fold_after_every_step():
     assert decision_rows > 0
 
 
-def test_bound_state_memo_starts_each_state_fresh():
-    # a second BoundState on one circuit and shared set copies the memoized
-    # initial bounds; the copy equals a pass on a circuit with no memo, and
-    # neither assigning nor backtracking touches the memo or another state
+def test_bound_states_on_one_circuit_start_fresh_and_independent():
+    # a second BoundState on one circuit and shared set starts from fresh
+    # bounds while the first is assigned, and neither assigning nor
+    # backtracking one state touches the other
     for mode, seed in itertools.product(NumericMode, range(12)):
         c = _compiled_bn(seed + 300, seed % 2 == 0) if seed % 3 else random_circuit(seed + 300, 5)
         rng = random.Random(seed)
         shared = set(rng.sample(range(c.num_vars), rng.randint(1, c.num_vars)))
         first = BoundState(c, shared, mode)
-        memo = c._memo[("init", mode, frozenset(shared))]
-        assert (list(memo[0]), list(memo[1])) == (first.ub, first.lb)
+        assert first.ub is not first.lb
         first.assign([(v, rng.random() < 0.5) for v in sorted(shared)], 1)
         second = BoundState(c, shared, mode)
         fresh = BoundState(Circuit(c.num_vars, c.nodes), shared, mode)
         assert (second.ub, second.lb) == (fresh.ub, fresh.lb) == reference_bounds(c, mode, dict.fromkeys(shared))
-        assert c._memo[("init", mode, frozenset(shared))] is memo
-        assert (list(memo[0]), list(memo[1])) == (fresh.ub, fresh.lb)
         after_first = _bound_snapshot(first)
         second.assign([(min(shared), True)], 1)
         assert _bound_snapshot(first) == after_first
         first.backtrack_bounds(0)
         assert (first.ub, first.lb) == (fresh.ub, fresh.lb)
-        assert (list(memo[0]), list(memo[1])) == (fresh.ub, fresh.lb)
 
 
 def test_batch_ids_memo_is_capped():

@@ -12,7 +12,7 @@ from smcsat.circuit import parse_pc, partition
 from smcsat.cli import main
 from smcsat.factorgraph import enumerate_marginal, parse_uai
 from smcsat.formula import parse_dimacs
-from util import MALFORMED_MANIFESTS, TWO_ROUTE_CIRCUIT_TEXT
+from util import MALFORMED_MANIFESTS, NAN_BRANCH_PC, TWO_ROUTE_CIRCUIT_TEXT
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -212,6 +212,29 @@ def test_linear_overflow_pc_marginal_and_log_mode(overflow_manifest, infinite_ma
     assert code == 20 and out.splitlines() == ["s UNSATISFIABLE"]
     code, out = run_cli("solve", str(infinite_manifest.with_name("abs.json")), "--mode", "log")
     assert code == 10 and out.splitlines() == ["s SATISFIABLE", "v -1 0"]
+
+
+@pytest.mark.parametrize("q, log_code", [(0.1, 10), (0.6, 20)])
+def test_nan_decision_branch_is_an_error(tmp_path, capsys, q, log_code):
+    # the one clause forces formula variable 1, circuit variable 0, True,
+    # where the circuit's linear-mode mass is NaN: bound tracking must not
+    # answer from the decision sum's other branch, SAT at 0.1 or UNSAT at
+    # 0.6, while --no-ulw raises; log mode's mass is 0.5
+    (tmp_path / "n.pc").write_text(NAN_BRANCH_PC)
+    (tmp_path / "n.cnf").write_text("p cnf 1 1\n1 0\n")
+    pred = {"circuit": "n.pc", "shared": {"0": 1}, "cmp": "ge", "threshold": q, "threshold_mode": "absolute"}
+    manifest = tmp_path / "n.json"
+    manifest.write_text(json.dumps({"cnf": "n.cnf", "predicates": [pred]}))
+    for flags, message in [
+        ((), "error: predicate 0 unsettled at full assignment, root bounds (nan, nan): "),
+        (("--no-ulw",), "error: marginal is NaN: "),
+    ]:
+        code, out = run_cli("solve", str(manifest), *flags)
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert err[0].endswith("linear-mode overflow; try --mode log")
+    assert run_cli("solve", str(manifest), "--mode", "log")[0] == log_code
 
 
 def test_bench_names_the_failing_manifest(route_manifest, overflow_manifest, capsys):
@@ -641,3 +664,43 @@ def test_module_entry_point(route_manifest):
     )
     assert proc.returncode == 10
     assert "s SATISFIABLE" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ("gen", "smc", "--cnf", "g.cnf", "--uai", "n.uai", "--threshold", "0.1", "--b", "99", "-o", "k.json"),
+            "k.json: not written: predicate 0: b literal 99 out of range",
+            id="gen-smc-b-out-of-range",
+        ),
+        pytest.param(
+            ("solve", "m.json", "--budget-seconds", "nan"), "--budget-seconds: nan is not a nonnegative budget",
+            id="solve-budget-seconds-nan",
+        ),
+        pytest.param(
+            ("bench", "missing", "--csv", "out.csv"), "missing: not a directory", id="bench-missing-suite",
+        ),
+        pytest.param(
+            ("gen", "bn", "-n", "4", "--edge-fraction", "nan", "-o", "x.uai"),
+            "--edge-fraction: nan is not a fraction in [0, 1]",
+            id="gen-bn-edge-fraction-nan",
+        ),
+        pytest.param(
+            ("gen", "bn", "-n", "4", "--max-parents", "-1", "-o", "x.uai"),
+            "--max-parents: -1 is not a nonnegative parent count",
+            id="gen-bn-max-parents-negative",
+        ),
+    ],
+)
+def test_bad_flag_or_path_is_one_error_line_and_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    run_cli("gen", "kcolor", "--rows", "2", "--cols", "2", "-o", "g.cnf")
+    run_cli("gen", "bn", "-n", "6", "--seed", "7", "-o", "n.uai")
+    run_cli("gen", "smc", "--cnf", "g.cnf", "--uai", "n.uai", "--threshold", "0.1", "-o", "m.json")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    code, out = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before

@@ -96,6 +96,28 @@ def test_assign_rejects_double_assign():
     assert solver.trail == [1]
 
 
+def test_predicate_spec_rejects_bad_fields_through_the_api():
+    # the manifest layer catches these first, so only direct API use meets them
+    c = two_route_circuit()
+    with pytest.raises(ValueError, match="shared map is not injective"):
+        PredicateSpec(c, {0: 1, 1: 1}, Comparator.GE, 0.5)
+    with pytest.raises(ValueError, match="b literal must be nonzero"):
+        PredicateSpec(c, {0: 1}, Comparator.GE, 0.5, b=0)
+    negative = PredicateSpec(c, {0: 1}, Comparator.GE, -0.1)
+    assert negative.resolved_threshold(NumericMode.LINEAR) == -0.1
+    with pytest.raises(ValueError, match="log mode requires nonnegative thresholds"):
+        negative.resolved_threshold(NumericMode.LOG)
+
+
+def test_solver_config_rejects_negative_and_nan_budgets():
+    with pytest.raises(ValueError, match="conflict budget must be nonnegative"):
+        SolverConfig(max_conflicts=-1)
+    for seconds in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="time budget must be a nonnegative number"):
+            SolverConfig(max_seconds=seconds)
+    assert SolverConfig(max_conflicts=0, max_seconds=0.0).max_seconds == 0.0
+
+
 # ----------------------------------------------------- motivating example
 
 def test_route_problem_sat():
@@ -598,3 +620,19 @@ def test_sat_instance_beyond_oracle_cap():
     result = solve(problem)
     assert result.status is SolveStatus.SAT
     assert verify(problem, result.model).passed
+
+
+def test_activity_rescale_keeps_the_answer():
+    # a VSIDS bump that starts at 1e99 drives an activity past 1e100 within
+    # a few conflicts, so every activity and the bump are scaled by 1e-100
+    # mid-search; the answer must not change. The pinned instance is beyond
+    # brute_solve's cap, so its status is checked against the pinned one
+    # and its model by verify.
+    instance, mode, status, _ = _PINNED_COUNTERS[2]
+    problem = _pinned_instance(*instance)
+    solver = CdclSolver(problem, SolverConfig(numeric_mode=mode))
+    solver.var_inc = 1e99
+    result = solver.solve()
+    assert solver.var_inc < 1.0 and max(solver.activity) <= 1e100
+    assert result.status is status is SolveStatus.SAT
+    assert verify(problem, result.model, mode).passed

@@ -58,6 +58,16 @@ s 2 0.5 12 0.5 13
 """
 
 
+# A decision sum of variable 0 whose False branch holds two 1e200 leaves:
+# their product overflows to inf in linear mode, and once 0 is True that
+# branch's zero indicator makes it inf * 0.0 = NaN. Log mode's mass at 0 =
+# True is log(0.5).
+NAN_BRANCH_PC = (
+    "pc 9 3\ni 0 1\ni 0 0\nl 1 0.5 0.5\nl 2 0.5 0.5\nl 1 1e200 1e200\nl 2 1e200 1e200\n"
+    "p 3 0 2 3\np 3 4 5 1\ns 2 0.5 6 0.5 7\n"
+)
+
+
 def two_route_circuit() -> Circuit:
     return parse_pc(TWO_ROUTE_CIRCUIT_TEXT)
 
@@ -204,8 +214,9 @@ def reference_bounds(
     summed-out mass. A sum whose two product children hold opposite
     indicators of a shared variable takes, for ub, the largest weighted
     branch ub and, for lb, the smallest weight times the product of the
-    other children's lbs over the branches whose indicator ub is not zero.
-    Every other node folds its children left to right.
+    other children's lbs over the branches whose indicator ub is not zero;
+    a NaN weighted branch ub makes both NaN, as it makes the interval sum
+    NaN. Every other node folds its children left to right.
     """
     if mode is NumericMode.LOG:
         lift, mul, add, one, zero = _log_weight, operator.add, _log_add, 0.0, -math.inf
@@ -238,7 +249,12 @@ def reference_bounds(
             ub.append(reduce(add, (mul(w, ub[k]) for w, k in zip(ws, children)), zero))
             lb.append(reduce(add, (mul(w, lb[k]) for w, k in zip(ws, children)), zero))
             continue
-        ub.append(max(mul(w, ub[k]) for w, k in zip(ws, children)))
+        branch_ubs = [mul(w, ub[k]) for w, k in zip(ws, children)]
+        if any(math.isnan(x) for x in branch_ubs):
+            ub.append(math.nan)
+            lb.append(math.nan)
+            continue
+        ub.append(max(branch_ubs))
         lb.append(
             min(
                 mul(w, reduce(mul, (lb[k] for k in nodes[prod][0] if k != ind), one))
