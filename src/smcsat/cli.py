@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -209,11 +210,18 @@ def _gen_bn(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _relative_to(path: Path, base: Path) -> str:
+def _checked_manifest(manifest_path: Path, cnf: str, formula, entry: dict, circ) -> dict:
+    """The manifest for `cnf` and one predicate `entry` over `circ`, its file
+    names made relative to `manifest_path`'s directory. The problem is built
+    first, so that no file is written that loading the manifest would reject."""
+    base = manifest_path.parent
+    entry = {k: os.path.relpath(v, base) if k in ("circuit", "uai") else v for k, v in entry.items()}
+    doc = build_manifest(os.path.relpath(cnf, base), [entry])
     try:
-        return str(path.resolve().relative_to(base.resolve()))
-    except ValueError:
-        return str(path)
+        SmcProblem(formula, (predicate_from_entry(doc["predicates"][0], circ),))
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: not written: {exc}") from None
+    return doc
 
 
 def _gen_supply(args: argparse.Namespace, out) -> int:
@@ -232,13 +240,13 @@ def _gen_supply(args: argparse.Namespace, out) -> int:
     fg = gen_random_bn(net.num_edges, seed=args.disaster_seed)
     success = marginalize_false_circuit(compile_factor_graph(fg))
     predicate = {
-        "circuit": _relative_to(pc_path, manifest_path.parent),
+        "circuit": str(pc_path),
         "shared": {cvar: cvar + 1 for cvar in range(net.num_edges)},
         "cmp": args.cmp,
         "threshold": args.threshold,
         "threshold_mode": args.threshold_mode,
     }
-    doc = build_manifest(_relative_to(Path(args.output), manifest_path.parent), [predicate])
+    doc = _checked_manifest(manifest_path, args.output, formula, predicate, success)
     _write_text(args.output, write_dimacs(formula))
     print(f"wrote {args.output} ({formula.num_vars} edge vars)", file=out)
     _write_text(str(uai_path), write_uai(fg))
@@ -262,18 +270,15 @@ def _gen_smc(args: argparse.Namespace, out) -> int:
     order = None if args.order is None else _int_list("--order", args.order)
     if order is not None and args.circuit is not None:
         raise ValueError("--order: applies only to a compiled --uai model")
-    cnf_path = Path(args.cnf)
     formula = _parse_file(parse_dimacs, args.cnf)
     manifest_path = Path(args.output)
     if args.circuit is not None:
-        model_path = Path(args.circuit)
         circ = _parse_file(pc.parse_pc, args.circuit)
-        entry: dict = {"circuit": _relative_to(model_path, manifest_path.parent)}
+        entry: dict = {"circuit": args.circuit}
     else:
-        model_path = Path(args.uai)
         fg = _parse_file(parse_uai, args.uai)
         circ = compile_factor_graph(fg, order=order)
-        entry = {"uai": _relative_to(model_path, manifest_path.parent)}
+        entry = {"uai": args.uai}
         if order is not None:
             entry["order"] = order
     shared = select_shared_vars(circ.num_vars, formula.num_vars, args.seed)
@@ -287,12 +292,7 @@ def _gen_smc(args: argparse.Namespace, out) -> int:
     )
     if args.b is not None:
         entry["b"] = args.b
-    doc = build_manifest(_relative_to(cnf_path, manifest_path.parent), [entry])
-    # Build the problem first, so that no manifest is written that loading would reject.
-    try:
-        SmcProblem(formula, (predicate_from_entry(doc["predicates"][0], circ),))
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: not written: {exc}") from None
+    doc = _checked_manifest(manifest_path, args.cnf, formula, entry, circ)
     save_manifest(doc, manifest_path)
     print(f"wrote {manifest_path} ({len(shared)} shared vars)", file=out)
     return 0
@@ -332,6 +332,10 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
                         point.stats.wall_time,
                     ]
                 )
+    last = result.trace[-1]
+    if last.status is SolveStatus.BUDGET:
+        print(f"budget exhausted at threshold {last.q}", file=out)
+        return EXIT_BUDGET
     if not result.feasible:
         print("no feasible threshold in range", file=out)
         return EXIT_UNSAT

@@ -411,7 +411,9 @@ def build_manifest(
 
 
 def save_manifest(doc: dict, path: str | Path) -> None:
+    """Write `doc` at `path`, creating its directory."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_check_manifest(doc, path.parent), indent=2) + "\n")
 
 

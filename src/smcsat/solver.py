@@ -3,13 +3,17 @@
 Each predicate links a literal b to an inequality between a circuit's
 marginal mass (shared formula variables fixed, the rest summed out) and a
 threshold. During propagation the solver narrows each predicate's root
-bounds once per round: the shared variables assigned since the last check
-are applied as one batch, over the inner nodes whose scope they meet,
-before the bounds are read. Once the bounds decide the inequality it
-propagates b or raises a conflict, learning a clause over the assigned
-shared variables. With bound tracking disabled, predicates are checked
-exactly and only when fully assigned, which reproduces the naive
-solver-plus-inference loop as an ablation baseline.
+bounds once per round: the shared variables assigned in that round are
+applied as one batch, over the inner nodes whose scope they meet. Every
+undecided predicate is checked in every round, after its batch for that
+round, if any, is applied; no flag records which ones changed. That is
+safe because a batch is checked in the loop step that applies it, so a
+bounds state that a backtrack restores was already checked and found
+undecided, and checking it again decides nothing. Once the bounds decide
+the inequality it propagates b or raises a conflict, learning a clause
+over the assigned shared variables. With bound tracking disabled,
+predicates are checked exactly and only when fully assigned, which
+reproduces the naive solver-plus-inference loop as an ablation baseline.
 """
 
 from __future__ import annotations
@@ -205,9 +209,6 @@ class _PredState:
         self.bounds = BoundState(spec.circuit, spec.shared_map.keys(), mode) if ulw else None
         self.resolved_q = spec.resolved_threshold(mode)
         self.decided_level: int | None = None
-        self.dirty = True
-        # (circuit var, value) pairs scanned but not yet applied to `bounds`.
-        self.pending: list[tuple[int, bool]] = []
 
 
 class CdclSolver:
@@ -242,11 +243,13 @@ class CdclSolver:
         for clause in problem.cnf.clauses:
             self._add_clause(list(clause))
         self.preds = [_PredState(p, self.mode, self.cfg.ulw_enabled) for p in problem.predicates]
-        # formula var -> [(predicate index, circuit var)]
+        # formula var -> [(predicate index, circuit var)], for the bound
+        # updates; without bound tracking there are none.
         self.shared_occ: dict[Var, list[tuple[int, int]]] = {}
         for pi, ps in enumerate(self.preds):
-            for cvar, fvar in ps.shared_items:
-                self.shared_occ.setdefault(fvar, []).append((pi, cvar))
+            if ps.bounds is not None:
+                for cvar, fvar in ps.shared_items:
+                    self.shared_occ.setdefault(fvar, []).append((pi, cvar))
         self.qhead = 0
         self.pred_qhead = 0
 
@@ -262,7 +265,10 @@ class CdclSolver:
         idx = len(self.clauses)
         self.clauses.append(lits)
         if len(lits) == 1:
-            if not self._enqueue(lits[0], idx):
+            val = self.value[lits[0]]
+            if val is None:
+                self._assign(lits[0], idx)
+            elif not val:
                 self.ok = False
         else:
             self.watches[lits[0]].append(idx)
@@ -296,14 +302,6 @@ class CdclSolver:
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason_idx
         self.trail.append(lit)
-
-    def _enqueue(self, lit: Lit, reason_idx: int | None) -> bool:
-        """Assign `lit` unless it is set; False when it is already false."""
-        val = self.value[lit]
-        if val is None:
-            self._assign(lit, reason_idx)
-            return True
-        return val
 
     def _propagate_bool(self) -> int | None:
         """Watched-literal unit propagation; returns a falsified clause index."""
@@ -363,7 +361,7 @@ class CdclSolver:
         """Run Boolean and predicate propagation to fixpoint.
 
         Returns a conflict clause (as literals) or None. Predicate-implied
-        b literals are enqueued with materialized reason clauses and Boolean
+        b literals are assigned with materialized reason clauses and Boolean
         propagation is re-run until nothing changes.
         """
         while True:
@@ -373,25 +371,20 @@ class CdclSolver:
                 return list(self.clauses[confl])
             if not self.preds:
                 return None
+            # predicate index -> (circuit var, value) pairs assigned this round
+            batches: dict[int, list[tuple[int, bool]]] = {}
             while self.pred_qhead < len(self.trail):
                 lit = self.trail[self.pred_qhead]
                 self.pred_qhead += 1
                 for pi, cvar in self.shared_occ.get(abs(lit), ()):
-                    ps = self.preds[pi]
-                    if ps.decided_level is not None:
-                        continue
-                    if ps.bounds is not None:
-                        ps.pending.append((cvar, lit > 0))
-                    ps.dirty = True
+                    batches.setdefault(pi, []).append((cvar, lit > 0))
             progressed = False
-            for ps in self.preds:
-                if ps.decided_level is not None or not ps.dirty:
+            for pi, ps in enumerate(self.preds):
+                if ps.decided_level is not None:
                     continue
-                ps.dirty = False
-                if ps.pending:
+                if pi in batches:
                     # Every scanned literal is at the current level.
-                    ps.bounds.assign(ps.pending, len(self.trail_lim))
-                    ps.pending.clear()
+                    ps.bounds.assign(batches[pi], len(self.trail_lim))
                 bounds = self._pred_bounds(ps)
                 if bounds is None:
                     continue
@@ -413,8 +406,7 @@ class CdclSolver:
                 ps.decided_level = len(self.trail_lim)
                 if b_value is None:
                     idx = self._add_derived(probabilistic_clause(implied, self._assigned_shared_lits(ps)))
-                    assigned = self._enqueue(implied, idx)
-                    assert assigned
+                    self._assign(implied, idx)
                     self.stats.prob_entailments += 1
                     progressed = True
             if not progressed:
@@ -482,13 +474,10 @@ class CdclSolver:
         self.qhead = min(self.qhead, len(self.trail))
         self.pred_qhead = min(self.pred_qhead, len(self.trail))
         for ps in self.preds:
-            # A conflict can return before a later predicate's batch is applied.
-            ps.pending.clear()
             if ps.bounds is not None:
                 ps.bounds.backtrack_bounds(level)
             if ps.decided_level is not None and ps.decided_level > level:
                 ps.decided_level = None
-                ps.dirty = True
 
     def decide(self) -> Lit:
         """Pick the unassigned variable with highest activity, saved phase."""
@@ -535,9 +524,7 @@ class CdclSolver:
                     return SolveStatus.UNSAT, None
                 learned, backjump = self.analyze(conflict)
                 self.backtrack(backjump)
-                idx = self._add_derived(learned)
-                assigned = self._enqueue(learned[0], idx)
-                assert assigned
+                self._assign(learned[0], self._add_derived(learned))
                 self.var_inc /= _ACTIVITY_DECAY
                 conflicts_since_restart += 1
                 if self._out_of_budget(start):

@@ -1,13 +1,13 @@
 """Threshold sweeps: locate the feasibility boundary of one predicate.
 
 Re-solves the problem at evenly spaced thresholds, stopping at the first
-infeasible point; the last feasible threshold and its model are the "best
-plan". Every step is a fresh solve. Reusing learned clauses across steps is
-unsound for a soft predicate, whose entailment clauses depend on the
-threshold, and for a sweep that loosens the threshold. For a hard predicate
-that the sweep tightens (``ge`` going up, ``le`` going down), each step's
-models are a subset of the last step's, so earlier clauses would stay valid;
-the sweep does not exploit that.
+point not found feasible (UNSAT, or out of budget); the last feasible
+threshold and its model are the "best plan". Every step is a fresh solve.
+Reusing learned clauses across steps is unsound for a soft predicate, whose
+entailment clauses depend on the threshold, and for a sweep that loosens
+the threshold. For a hard predicate that the sweep tightens (``ge`` going
+up, ``le`` going down), each step's models are a subset of the last step's,
+so earlier clauses would stay valid; the sweep does not exploit that.
 """
 
 from __future__ import annotations
@@ -61,11 +61,13 @@ def sweep(
     hi: float = 1.0,
     config: SolverConfig | None = None,
 ) -> SweepResult:
-    """Linear threshold sweep with early exit at the first infeasible step.
+    """Linear threshold sweep that stops at the first step not found SAT.
 
     Direction "up" walks lo, lo+step, ... and tightens a lower-bound style
     predicate; "down" mirrors from hi. The threshold is interpreted in the
-    predicate's own threshold mode at every step.
+    predicate's own threshold mode at every step. An UNSAT step marks the
+    boundary; a step that ran out of budget (the last trace point's status
+    is BUDGET) marks none, and `best_threshold` is only the last one found SAT.
     """
     if not all(math.isfinite(x) for x in (step, lo, hi)):
         raise ValueError("step, lo and hi must be finite")
@@ -78,8 +80,11 @@ def sweep(
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
+    count = (hi - lo) / step
+    if not math.isfinite(count):
+        raise ValueError(f"step {step} from lo {lo} to hi {hi} gives no finite step count")
     # Generated one at a time: a fine step must not build the grid up front.
-    steps = range(int((hi - lo) / step + 1e-9) + 1)
+    steps = range(int(count + 1e-9) + 1)
     if direction == "up":
         thresholds = (lo + i * step for i in steps)
     else:

@@ -559,6 +559,36 @@ def test_gen_supply_bundle_and_sweep(tmp_path):
     assert statuses[-1] == "unsat" and all(s == "sat" for s in statuses[:-1])
 
 
+def _solve_and_sweep(manifest: str) -> list[tuple[int, str]]:
+    return [run_cli("solve", manifest), run_cli("sweep", manifest, "--step", "0.01")]
+
+
+def test_gen_manifests_with_files_in_another_directory(tmp_path, monkeypatch):
+    # Each manifest names its files relative to its own directory, so a
+    # bundle split over two directories solves as one in a single directory.
+    monkeypatch.chdir(tmp_path)
+    for d in ("a", "same"):
+        run_cli("gen", "kcolor", "--rows", "2", "--cols", "2", "-o", f"{d}/grid.cnf")
+        run_cli("gen", "bn", "-n", "6", "--seed", "7", "-o", f"{d}/net.uai")
+    results = {}
+    for d, out_dir in (("a", "b"), ("same", "same")):
+        code, _ = run_cli(
+            "gen", "smc", "--cnf", f"{d}/grid.cnf", "--uai", f"{d}/net.uai", "--threshold", "0.1",
+            "--threshold-mode", "partition_fraction", "--seed", "5", "-o", f"{out_dir}/inst.json",
+        )
+        assert code == 0
+        code, _ = run_cli(
+            "gen", "supply", "--layers", "2,2,2", "--k-up", "1", "--k-down", "1",
+            "-o", f"{d}/supply.cnf", "--manifest", f"{out_dir}/supply.json", "--disaster-seed", "0",
+        )
+        assert code == 0
+        results[d] = _solve_and_sweep(f"{out_dir}/inst.json") + _solve_and_sweep(f"{out_dir}/supply.json")
+    assert json.loads(Path("b/inst.json").read_text())["cnf"] == "../a/grid.cnf"
+    assert json.loads(Path("b/supply.json").read_text())["cnf"] == "../a/supply.cnf"
+    assert results["a"] == results["same"]
+    assert [code for code, _ in results["a"]] == [10, 0, 10, 0]
+
+
 def test_gen_supply_cnf_only(tmp_path):
     cnf = tmp_path / "s.cnf"
     code, out = run_cli("gen", "supply", "--layers", "2,2,2", "-o", str(cnf))
@@ -588,6 +618,30 @@ def test_gen_supply_bundle_error_writes_nothing(tmp_path, capsys, argv, message)
     assert out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_infinite_step_count_is_one_error_line(route_manifest, capsys):
+    code, out = run_cli("sweep", str(route_manifest(0.5)), "--lo=-1e308", "--hi=1e308", "--step=1")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: step 1.0 from lo -1e+308 to hi 1e+308 gives no finite step count\n"
+
+
+@pytest.mark.parametrize(
+    "budget, at", [(("--budget-seconds", "0"), "0.0"), (("--budget-conflicts", "0"), "0.13")], ids=["seconds", "conflicts"]
+)
+def test_sweep_budget_stop_is_not_a_boundary(tmp_path, monkeypatch, budget, at):
+    # README's example: 0.12 is the best threshold, and 0.13 takes a conflict
+    monkeypatch.chdir(tmp_path)
+    run_cli("gen", "kcolor", "--rows", "2", "--cols", "2", "-o", "grid.cnf")
+    run_cli("gen", "bn", "-n", "6", "--seed", "7", "-o", "net.uai")
+    run_cli(
+        "gen", "smc", "--cnf", "grid.cnf", "--uai", "net.uai",
+        "--threshold", "0.1", "--threshold-mode", "partition_fraction", "--seed", "5", "-o", "inst.json",
+    )
+    assert run_cli("sweep", "inst.json", "--step", "0.01")[1].startswith("best threshold 0.12\n")
+    code, out = run_cli("sweep", "inst.json", "--step", "0.01", *budget, "--trace", "trace.csv")
+    assert code == 30 and out == f"budget exhausted at threshold {at}\n"
+    assert Path("trace.csv").read_text().splitlines()[-1].startswith(f"{at},budget-exhausted,")
 
 
 def test_sweep_rejects_stats(route_manifest):

@@ -166,7 +166,7 @@ def test_early_conflict_before_second_shared_var():
     assert solver.stats.prob_conflicts == 1
 
 
-def test_propagate_one_batch_per_dirty_predicate_per_round(monkeypatch):
+def test_propagate_one_batch_per_predicate_per_round(monkeypatch):
     # Each call's items are exactly the predicate's shared variables that the
     # solver has assigned and the bound state has not yet seen.
     solver: CdclSolver | None = None
@@ -222,10 +222,10 @@ def test_backjump_clears_unapplied_batches():
     solver._assign(5, None)
     conflict = solver.propagate()
     assert conflict is not None and solver.stats.prob_conflicts == 1
-    assert solver.preds[1].pending == [(2, True), (3, True)]
+    assert all(val is None for val in solver.preds[1].bounds.status.values())
     learned, backjump = solver.analyze(conflict)
     solver.backtrack(backjump)
-    assert all(ps.pending == [] for ps in solver.preds)
+    assert all(val is None for val in solver.preds[1].bounds.status.values())
     assert all(val is None for ps in solver.preds for val in ps.bounds.status.values())
     assert solve(SmcProblem(cnf, (p1, p2))).status is brute_solve(SmcProblem(cnf, (p1, p2))).status
 
@@ -636,3 +636,53 @@ def test_activity_rescale_keeps_the_answer():
     assert solver.var_inc < 1.0 and max(solver.activity) <= 1e100
     assert result.status is status is SolveStatus.SAT
     assert verify(problem, result.model, mode).passed
+
+
+# ------------------------------------------------------------ pigeonhole
+
+def _pigeonhole(pigeons: int, holes: int, soft: bool) -> SmcProblem:
+    """PHP(pigeons, holes): variable i * holes + j + 1 puts pigeon i in hole
+    j; every pigeon sits in a hole and no hole holds two. With `soft`, a
+    predicate over four pigeon variables gets a fresh b, which no clause
+    mentions, so the answer is the CNF's."""
+    def var(i: int, j: int) -> int:
+        return i * holes + j + 1
+
+    clauses = [tuple(var(i, j) for j in range(holes)) for i in range(pigeons)]
+    clauses += [
+        (-var(i, j), -var(k, j)) for j in range(holes) for i in range(pigeons) for k in range(i + 1, pigeons)
+    ]
+    n = pigeons * holes
+    if not soft:
+        return SmcProblem(CnfFormula(n, tuple(clauses)))
+    circuit = compile_factor_graph(gen_random_bn(4, seed=holes))
+    shared = {0: var(0, 0), 1: var(1, 0), 2: var(0, 1), 3: var(pigeons - 1, holes - 1)}
+    pred = PredicateSpec(circuit, shared, Comparator.GE, 0.3, ThresholdMode.PARTITION_FRACTION, b=n + 1)
+    return SmcProblem(CnfFormula(n + 1, tuple(clauses)), (pred,))
+
+
+@pytest.mark.parametrize("ulw", [True, False], ids=["ulw", "no-ulw"])
+@pytest.mark.parametrize("soft", [False, True], ids=["cnf", "soft"])
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_pigeonhole_unsat_through_restarts_and_rescales(k, soft, ulw):
+    # k + 1 pigeons do not fit in k holes: UNSAT with no enumeration. The
+    # search takes hundreds of conflicts, restarts from k = 5 on, and a
+    # VSIDS bump that starts at 1e99 passes 1e100 and rescales.
+    solver = CdclSolver(_pigeonhole(k + 1, k, soft), SolverConfig(ulw_enabled=ulw))
+    solver.var_inc = 1e99
+    result = solver.solve()
+    assert result.status is SolveStatus.UNSAT
+    assert solver.var_inc < 1e99  # it only grows, unless rescaled
+    assert max(solver.activity) <= 1e100
+    if k >= 5:
+        assert result.stats.restarts >= 1
+
+
+@pytest.mark.parametrize("ulw", [True, False], ids=["ulw", "no-ulw"])
+@pytest.mark.parametrize("soft", [False, True], ids=["cnf", "soft"])
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_pigeonhole_with_a_hole_each_is_sat(k, soft, ulw):
+    problem = _pigeonhole(k, k, soft)
+    result = solve(problem, SolverConfig(ulw_enabled=ulw))
+    assert result.status is SolveStatus.SAT
+    assert verify(problem, result.model).passed

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -90,6 +91,14 @@ def test_sweep_validates_arguments():
     for bad in ({"step": math.nan}, {"lo": -math.inf}, {"hi": math.inf}, {"lo": math.nan}):
         with pytest.raises(ValueError, match="must be finite"):
             sweep(problem, 1, **bad)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step", [(-1e308, 1e308, 1.0), (0.0, 1.0, 5e-324)], ids=["range-overflows", "step-underflows"]
+)
+def test_sweep_rejects_an_infinite_step_count(lo, hi, step):
+    with pytest.raises(ValueError, match=re.escape(f"step {step!r} from lo {lo!r} to hi {hi!r}")):
+        sweep(hard_route_problem(), 1, step=step, lo=lo, hi=hi)
 
 
 def test_sweep_fine_step_builds_no_grid():
