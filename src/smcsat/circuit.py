@@ -677,6 +677,8 @@ def parse_pc(text: str) -> Circuit:
         num_nodes, num_vars = int(header[1]), int(header[2])
     except ValueError as exc:
         raise PcFormatError(f"malformed header: {lines[0]!r}") from exc
+    if num_nodes < 0 or num_vars < 0:
+        raise PcFormatError(f"malformed header: {lines[0]!r}")
     if len(lines) - 1 != num_nodes:
         raise PcFormatError(f"header declares {num_nodes} nodes, found {len(lines) - 1}")
     nodes: list[tuple] = []

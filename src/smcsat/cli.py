@@ -11,7 +11,7 @@ import csv
 import io
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import circuit as pc
@@ -34,7 +34,7 @@ from .problems import (
     save_manifest,
     select_shared_vars,
 )
-from .solver import SmcProblem, SolveResult, SolveStatus, SolverConfig, solve
+from .solver import SmcProblem, SolveStatus, SolverConfig, Stats, solve
 from .sweep import sweep as run_sweep
 
 EXIT_SAT = 10
@@ -43,18 +43,9 @@ EXIT_BUDGET = 30
 EXIT_VERIFY_FAIL = 2
 EXIT_ERROR = 1
 
-BENCH_COLUMNS = [
-    "instance",
-    "q",
-    "status",
-    "decisions",
-    "propagations",
-    "bool_conflicts",
-    "prob_conflicts",
-    "learned",
-    "restarts",
-    "wall_ms",
-]
+# The one schema of a solve's statistics: the `c stat` names and the CSV
+# columns of `bench` and `sweep --trace`, in `Stats`'s field order.
+STAT_COLUMNS = [f.name for f in fields(Stats)]
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
@@ -80,16 +71,16 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget-seconds", type=float, default=None)
 
 
-def _print_result(result: SolveResult, show_stats: bool, out) -> int:
-    if show_stats:
-        for name, value in asdict(result.stats).items():
+def _print_result(status: SolveStatus, model: dict[int, bool] | None, stats: Stats | None, out) -> int:
+    if stats is not None:
+        for name, value in zip(STAT_COLUMNS, astuple(stats)):
             print(f"c stat {name} {value}", file=out)
-    if result.status is SolveStatus.SAT:
+    if status is SolveStatus.SAT:
         print("s SATISFIABLE", file=out)
-        assert result.model is not None
-        _print_model(result.model, out)
+        assert model is not None
+        _print_model(model, out)
         return EXIT_SAT
-    if result.status is SolveStatus.UNSAT:
+    if status is SolveStatus.UNSAT:
         print("s UNSATISFIABLE", file=out)
         return EXIT_UNSAT
     print("s UNKNOWN", file=out)
@@ -98,18 +89,20 @@ def _print_result(result: SolveResult, show_stats: bool, out) -> int:
 
 def _print_model(model: dict[int, bool], out) -> None:
     lits = [v if model[v] else -v for v in sorted(model)]
-    print("v " + " ".join(str(l) for l in lits) + " 0", file=out)
+    print(" ".join(["v", *map(str, lits), "0"]), file=out)
 
 
 def _read_model_file(path: str, num_vars: int) -> dict[int, bool]:
     """The model on the ``v`` lines of `path`: every token an integer literal
-    over variables 1..num_vars, each variable assigned exactly one value."""
+    over variables 1..num_vars, each variable assigned exactly one value.
+    A file with a ``v`` line but no literals is the model of 0 variables."""
+    lines = (line.split() for line in Path(path).read_text().splitlines())
+    v_lines = [tokens[1:] for tokens in lines if tokens[:1] == ["v"]]
+    if not v_lines:
+        raise ValueError(f"{path}: no v-lines found")
     model: dict[int, bool] = {}
-    for line in Path(path).read_text().splitlines():
-        tokens = line.split()
-        if not tokens or tokens[0] != "v":
-            continue
-        for tok in tokens[1:]:
+    for tokens in v_lines:
+        for tok in tokens:
             try:
                 lit = int(tok)
             except ValueError:
@@ -121,8 +114,6 @@ def _read_model_file(path: str, num_vars: int) -> dict[int, bool]:
                 raise ValueError(f"{path}: variable {var} out of range 1..{num_vars}")
             if model.setdefault(var, lit > 0) != (lit > 0):
                 raise ValueError(f"{path}: variable {var} assigned both values")
-    if not model:
-        raise ValueError(f"{path}: no v-lines found")
     for var in range(1, num_vars + 1):
         if var not in model:
             raise ValueError(f"{path}: model does not assign variable {var}")
@@ -152,10 +143,18 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text)
 
 
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def cmd_solve(args: argparse.Namespace, out) -> int:
     problem = load_manifest(args.manifest)
     result = solve(problem, _solver_config(args))
-    return _print_result(result, args.stats, out)
+    return _print_result(result.status, result.model, result.stats if args.stats else None, out)
 
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
@@ -184,12 +183,7 @@ def cmd_oracle(args: argparse.Namespace, out) -> int:
     problem = load_manifest(args.manifest)
     result = brute_solve(problem, cap=args.cap, mode=NumericMode(args.mode))
     print(f"c models {result.model_count}", file=out)
-    if result.status is SolveStatus.SAT:
-        print("s SATISFIABLE", file=out)
-        _print_model(result.models[0], out)
-        return EXIT_SAT
-    print("s UNSATISFIABLE", file=out)
-    return EXIT_UNSAT
+    return _print_result(result.status, result.models[0] if result.models else None, None, out)
 
 
 def _gen_kcolor(args: argparse.Namespace, out) -> int:
@@ -319,19 +313,8 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
         config=_solver_config(args),
     )
     if args.trace is not None:
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["q", "status", "decisions", "conflicts", "wall_time"])
-            for point in result.trace:
-                writer.writerow(
-                    [
-                        point.q,
-                        point.status.value,
-                        point.stats.decisions,
-                        point.stats.conflicts,
-                        point.stats.wall_time,
-                    ]
-                )
+        rows = [[point.q, point.status.value, *astuple(point.stats)] for point in result.trace]
+        _write_text(args.trace, _csv_text(["q", "status", *STAT_COLUMNS], rows))
     last = result.trace[-1]
     if last.status is SolveStatus.BUDGET:
         print(f"budget exhausted at threshold {last.q}", file=out)
@@ -352,19 +335,7 @@ def _bench_row(path: Path, config: SolverConfig) -> list:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     q = problem.predicates[0].threshold if problem.predicates else ""
-    stats = result.stats
-    return [
-        path.name,
-        q,
-        result.status.value,
-        stats.decisions,
-        stats.boolean_propagations,
-        stats.boolean_conflicts,
-        stats.prob_conflicts,
-        stats.learned_clauses,
-        stats.restarts,
-        round(stats.wall_time * 1000.0, 3),
-    ]
+    return [path.name, q, result.status.value, *astuple(result.stats)]
 
 
 def cmd_bench(args: argparse.Namespace, out) -> int:
@@ -373,11 +344,7 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
     suite = sorted(Path(args.suite).glob("*.json"))
     config = _solver_config(args)
     rows = [_bench_row(p, config) for p in suite]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(BENCH_COLUMNS)
-    writer.writerows(rows)
-    text = buf.getvalue()
+    text = _csv_text(["instance", "q", "status", *STAT_COLUMNS], rows)
     if args.csv is not None:
         _write_text(args.csv, text)
         print(f"wrote {args.csv} ({len(rows)} instances)", file=out)

@@ -99,6 +99,7 @@ def test_parse_errors():
         pytest.param("# nothing but a comment\n\n", "empty circuit document", id="comment-only"),
         pytest.param("pc 1\nc 1.0", "malformed header: 'pc 1'", id="header-short"),
         pytest.param("pc x 1\nc 1.0", "malformed header: 'pc x 1'", id="header-non-integer"),
+        pytest.param("pc 1 -5\nc 1.0", "malformed header: 'pc 1 -5'", id="header-negative-vars"),
         pytest.param("circuit 1 1\nc 1.0", "malformed header: 'circuit 1 1'", id="header-tag"),
         pytest.param("pc 1 1\nl 0 abc 0.5", "node 0: bad number 'abc'", id="bad-weight"),
         pytest.param("pc 1 1\nl -1 0.5 0.5", "node 0: variable -1 out of range", id="negative-var"),

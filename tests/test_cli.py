@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,11 @@ from smcsat.circuit import parse_pc, partition
 from smcsat.cli import main
 from smcsat.factorgraph import enumerate_marginal, parse_uai
 from smcsat.formula import parse_dimacs
+from smcsat.solver import Stats
 from util import MALFORMED_MANIFESTS, NAN_BRANCH_PC, TWO_ROUTE_CIRCUIT_TEXT
+
+# The columns `bench` and `sweep --trace` write after their labels.
+STATS_HEADER = ",".join(f.name for f in fields(Stats))
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -83,6 +88,14 @@ def test_solve_malformed_manifest(route_manifest, tmp_path, capsys, doc, message
     assert code == 1 and out == ""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+def test_solve_invalid_json_manifest(tmp_path, capsys):
+    manifest = tmp_path / "bad.json"
+    manifest.write_text("{not json")
+    code, out = run_cli("solve", str(manifest))
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith(f"error: {manifest}: invalid JSON")
 
 
 @pytest.mark.parametrize(
@@ -294,6 +307,22 @@ def test_verify_model_file_errors(route_manifest, tmp_path, capsys, text, messag
     code, out = run_cli("verify", str(manifest), str(bad))
     assert code == 1 and out == ""
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def test_zero_variable_model_round_trips(tmp_path):
+    (tmp_path / "e.cnf").write_text("p cnf 0 0\n")
+    (tmp_path / "k.pc").write_text("pc 1 0\nc 0.5\n")
+    manifest = str(tmp_path / "e.json")
+    code, _ = run_cli("gen", "smc", "--cnf", str(tmp_path / "e.cnf"), "--circuit", str(tmp_path / "k.pc"),
+                      "--threshold", "0.1", "-o", manifest)
+    assert code == 0
+    code, out = run_cli("solve", manifest)
+    assert code == 10 and out == "s SATISFIABLE\nv 0\n"
+    (tmp_path / "model.txt").write_text(out)
+    code, report = run_cli("verify", manifest, str(tmp_path / "model.txt"))
+    assert code == 0 and report.splitlines()[-1] == "verdict PASS"
+    code, out = run_cli("oracle", manifest)
+    assert code == 10 and out.splitlines()[-1] == "v 0"
 
 
 def test_oracle_reports_count(route_manifest):
@@ -554,7 +583,7 @@ def test_gen_supply_bundle_and_sweep(tmp_path):
     assert code == 0
     assert "best threshold" in out
     lines = trace.read_text().strip().splitlines()
-    assert lines[0] == "q,status,decisions,conflicts,wall_time"
+    assert lines[0] == "q,status," + STATS_HEADER
     statuses = [l.split(",")[1] for l in lines[1:]]
     assert statuses[-1] == "unsat" and all(s == "sat" for s in statuses[:-1])
 
@@ -644,6 +673,18 @@ def test_sweep_budget_stop_is_not_a_boundary(tmp_path, monkeypatch, budget, at):
     assert Path("trace.csv").read_text().splitlines()[-1].startswith(f"{at},budget-exhausted,")
 
 
+def test_sweep_trace_into_new_directory_has_stat_line_columns(route_manifest, tmp_path):
+    manifest = str(route_manifest(0.5))
+    trace = tmp_path / "nodir" / "t.csv"
+    code, _ = run_cli("sweep", manifest, "--lo", "0.5", "--hi", "0.6", "--step", "0.1", "--trace", str(trace))
+    assert code == 0
+    stat_names = [l.split()[2] for l in run_cli("solve", manifest, "--stats")[1].splitlines() if l.startswith("c stat ")]
+    rows = [line.split(",") for line in trace.read_text().splitlines()]
+    assert rows[0] == ["q", "status", *stat_names]
+    assert [row[:2] for row in rows[1:]] == [["0.5", "sat"], ["0.6", "sat"]]
+    assert all(len(row) == len(rows[0]) for row in rows)
+
+
 def test_sweep_rejects_stats(route_manifest):
     with pytest.raises(SystemExit) as exc:
         run_cli("sweep", str(route_manifest(0.5)), "--stats")
@@ -657,7 +698,7 @@ def test_bench_csv(route_manifest, tmp_path):
     code, _ = run_cli("bench", str(tmp_path), "--csv", str(csv_file))
     assert code == 0
     lines = csv_file.read_text().strip().splitlines()
-    assert lines[0] == "instance,q,status,decisions,propagations,bool_conflicts,prob_conflicts,learned,restarts,wall_ms"
+    assert lines[0] == "instance,q,status," + STATS_HEADER
     assert len(lines) == 3
 
 
@@ -681,9 +722,7 @@ def test_bench_empty_suite(tmp_path):
     csv_file = tmp_path / "empty.csv"
     code, _ = run_cli("bench", str(empty), "--csv", str(csv_file))
     assert code == 0
-    assert csv_file.read_text().strip().splitlines() == [
-        "instance,q,status,decisions,propagations,bool_conflicts,prob_conflicts,learned,restarts,wall_ms"
-    ]
+    assert csv_file.read_text().strip().splitlines() == ["instance,q,status," + STATS_HEADER]
 
 
 def test_budget_exit_code(tmp_path):

@@ -33,6 +33,16 @@ MALFORMED_MANIFESTS = [
     pytest.param(5, "manifest must be a JSON object", id="non-object"),
     pytest.param(_route_doc(uai="route.uai"), "exactly one of 'circuit' or 'uai'", id="circuit-and-uai"),
     pytest.param(_route_doc(circuit=None, uai="route.uai", order=3), "'order' must be a list", id="order-not-list"),
+    pytest.param({"cnf": 3, "predicates": []}, "'cnf' must be a file name", id="cnf-not-string"),
+    pytest.param({"cnf": "route.cnf", "predicates": {}}, "'predicates' must be a list", id="predicates-not-list"),
+    pytest.param({"cnf": "route.cnf", "predicates": [7]}, "predicate 0: must be an object", id="predicate-not-object"),
+    pytest.param(_route_doc(circuit=3), "'circuit' must be a file name", id="circuit-not-string"),
+    pytest.param(_route_doc(order=[0, 1]), "'order' is allowed only with 'uai'", id="order-with-circuit"),
+    pytest.param(_route_doc(shared={"x": 1}), "'shared' entry 'x'", id="shared-key-not-int"),
+    pytest.param(_route_doc(shared={"0": "1"}), "'shared' entry '0'", id="shared-value-not-int"),
+    pytest.param(_route_doc(threshold="0.5"), "'threshold' must be a finite number", id="threshold-string"),
+    pytest.param(_route_doc(threshold=10**400), "'threshold' must be a finite number", id="threshold-beyond-float"),
+    pytest.param(_route_doc(threshold_mode="relative"), "unknown threshold mode 'relative'", id="unknown-threshold-mode"),
 ]
 
 
