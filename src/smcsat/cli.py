@@ -92,31 +92,31 @@ def _print_model(model: dict[int, bool], out) -> None:
     print(" ".join(["v", *map(str, lits), "0"]), file=out)
 
 
-def _read_model_file(path: str, num_vars: int) -> dict[int, bool]:
-    """The model on the ``v`` lines of `path`: every token an integer literal
+def _parse_model(text: str, num_vars: int) -> dict[int, bool]:
+    """The model on the ``v`` lines of `text`: every token an integer literal
     over variables 1..num_vars, each variable assigned exactly one value.
-    A file with a ``v`` line but no literals is the model of 0 variables."""
-    lines = (line.split() for line in Path(path).read_text().splitlines())
+    A text with a ``v`` line but no literals is the model of 0 variables."""
+    lines = (line.split() for line in text.splitlines())
     v_lines = [tokens[1:] for tokens in lines if tokens[:1] == ["v"]]
     if not v_lines:
-        raise ValueError(f"{path}: no v-lines found")
+        raise ValueError("no v-lines found")
     model: dict[int, bool] = {}
     for tokens in v_lines:
         for tok in tokens:
             try:
                 lit = int(tok)
             except ValueError:
-                raise ValueError(f"{path}: bad literal {tok!r}") from None
+                raise ValueError(f"bad literal {tok!r}") from None
             if lit == 0:
                 continue
             var = abs(lit)
             if var > num_vars:
-                raise ValueError(f"{path}: variable {var} out of range 1..{num_vars}")
+                raise ValueError(f"variable {var} out of range 1..{num_vars}")
             if model.setdefault(var, lit > 0) != (lit > 0):
-                raise ValueError(f"{path}: variable {var} assigned both values")
+                raise ValueError(f"variable {var} assigned both values")
     for var in range(1, num_vars + 1):
         if var not in model:
-            raise ValueError(f"{path}: model does not assign variable {var}")
+            raise ValueError(f"model does not assign variable {var}")
     return model
 
 
@@ -130,10 +130,9 @@ def _int_list(flag: str, text: str) -> list[int]:
 
 def _parse_file(parse, path: str):
     """`parse` applied to the text of the file at `path`; a malformed file's
-    error names the file, as manifest loads do."""
-    text = Path(path).read_text()
+    error, or a file that is not UTF-8, names the file, as manifest loads do."""
     try:
-        return parse(text)
+        return parse(Path(path).read_text())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -145,7 +144,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
@@ -159,7 +158,7 @@ def cmd_solve(args: argparse.Namespace, out) -> int:
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
     problem = load_manifest(args.manifest)
-    model = _read_model_file(args.model, problem.cnf.num_vars)
+    model = _parse_file(lambda text: _parse_model(text, problem.cnf.num_vars), args.model)
     mode = NumericMode(args.mode)
     report = verify(problem, model, mode)
     for i, ok in enumerate(report.clause_ok):
@@ -204,49 +203,46 @@ def _gen_bn(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _checked_manifest(manifest_path: Path, cnf: str, formula, entry: dict, circ) -> dict:
-    """The manifest for `cnf` and one predicate `entry` over `circ`, its file
-    names made relative to `manifest_path`'s directory. The problem is built
-    first, so that no file is written that loading the manifest would reject."""
-    base = manifest_path.parent
+def _write_bundle(args: argparse.Namespace, manifest: Path, cnf: str, formula, entry: dict, circ, files=()) -> None:
+    """Write the (path, text) pairs of `files`, then the manifest at `manifest`
+    for the CNF at `cnf` and one predicate over `circ`: `entry`'s source file,
+    shared map and `b`, with the comparator and threshold flags of `args`.
+    File names are made relative to the manifest's directory. The problem is
+    built first, so that a bundle that loading the manifest would reject
+    writes no file."""
+    base = manifest.parent
     entry = {k: os.path.relpath(v, base) if k in ("circuit", "uai") else v for k, v in entry.items()}
+    entry.update(cmp=args.cmp, threshold=args.threshold, threshold_mode=args.threshold_mode)
     doc = build_manifest(os.path.relpath(cnf, base), [entry])
     try:
         SmcProblem(formula, (predicate_from_entry(doc["predicates"][0], circ),))
     except ValueError as exc:
-        raise ValueError(f"{manifest_path}: not written: {exc}") from None
-    return doc
+        raise ValueError(f"{manifest}: not written: {exc}") from None
+    for path, text in files:
+        _write_text(path, text)
+    save_manifest(doc, manifest)
 
 
 def _gen_supply(args: argparse.Namespace, out) -> int:
     net = LayeredNetwork(tuple(_int_list("--layers", args.layers)))
     formula = encode_supply_chain(net, args.k_up, args.k_down)
+    wrote_cnf = f"wrote {args.output} ({formula.num_vars} edge vars)"
     if args.manifest is None:
         _write_text(args.output, write_dimacs(formula))
-        print(f"wrote {args.output} ({formula.num_vars} edge vars)", file=out)
+        print(wrote_cnf, file=out)
         return 0
     # Full bundle: disaster BN over the edges, success circuit, manifest.
-    # All of it is built and checked before the first file is written, so a
-    # failure (too many edges to compile, a bad --cmp) leaves no partial bundle.
-    manifest_path = Path(args.manifest)
-    stem = manifest_path.with_suffix("")
-    uai_path, pc_path = Path(f"{stem}.uai"), Path(f"{stem}.pc")
+    # A failure (too many edges to compile, a bad --cmp) writes no file.
+    manifest = Path(args.manifest)
+    stem = manifest.with_suffix("")
+    uai_path, pc_path = f"{stem}.uai", f"{stem}.pc"
     fg = gen_random_bn(net.num_edges, seed=args.disaster_seed)
     success = marginalize_false_circuit(compile_factor_graph(fg))
-    predicate = {
-        "circuit": str(pc_path),
-        "shared": {cvar: cvar + 1 for cvar in range(net.num_edges)},
-        "cmp": args.cmp,
-        "threshold": args.threshold,
-        "threshold_mode": args.threshold_mode,
-    }
-    doc = _checked_manifest(manifest_path, args.output, formula, predicate, success)
-    _write_text(args.output, write_dimacs(formula))
-    print(f"wrote {args.output} ({formula.num_vars} edge vars)", file=out)
-    _write_text(str(uai_path), write_uai(fg))
-    _write_text(str(pc_path), pc.write_pc(success))
-    save_manifest(doc, manifest_path)
-    print(f"wrote {uai_path}, {pc_path}, {manifest_path}", file=out)
+    entry = {"circuit": pc_path, "shared": {cvar: cvar + 1 for cvar in range(net.num_edges)}}
+    files = ((args.output, write_dimacs(formula)), (uai_path, write_uai(fg)), (pc_path, pc.write_pc(success)))
+    _write_bundle(args, manifest, args.output, formula, entry, success, files)
+    print(wrote_cnf, file=out)
+    print(f"wrote {uai_path}, {pc_path}, {manifest}", file=out)
     return 0
 
 
@@ -265,30 +261,16 @@ def _gen_smc(args: argparse.Namespace, out) -> int:
     if order is not None and args.circuit is not None:
         raise ValueError("--order: applies only to a compiled --uai model")
     formula = _parse_file(parse_dimacs, args.cnf)
-    manifest_path = Path(args.output)
     if args.circuit is not None:
         circ = _parse_file(pc.parse_pc, args.circuit)
         entry: dict = {"circuit": args.circuit}
     else:
-        fg = _parse_file(parse_uai, args.uai)
-        circ = compile_factor_graph(fg, order=order)
-        entry = {"uai": args.uai}
-        if order is not None:
-            entry["order"] = order
+        circ = compile_factor_graph(_parse_file(parse_uai, args.uai), order=order)
+        entry = {"uai": args.uai} if order is None else {"uai": args.uai, "order": order}
     shared = select_shared_vars(circ.num_vars, formula.num_vars, args.seed)
-    entry.update(
-        {
-            "shared": shared,
-            "cmp": args.cmp,
-            "threshold": args.threshold,
-            "threshold_mode": args.threshold_mode,
-        }
-    )
-    if args.b is not None:
-        entry["b"] = args.b
-    doc = _checked_manifest(manifest_path, args.cnf, formula, entry, circ)
-    save_manifest(doc, manifest_path)
-    print(f"wrote {manifest_path} ({len(shared)} shared vars)", file=out)
+    manifest = Path(args.output)
+    _write_bundle(args, manifest, args.cnf, formula, {**entry, "shared": shared, "b": args.b}, circ)
+    print(f"wrote {manifest} ({len(shared)} shared vars)", file=out)
     return 0
 
 
@@ -398,8 +380,17 @@ def cmd_pc(args: argparse.Namespace, out) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, as input errors do:
+    argparse's own 2 is `verify`'s FAIL status. Subparsers share the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="smcsat")
+    parser = _ArgumentParser(prog="smcsat")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve an SMC manifest")

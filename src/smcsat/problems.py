@@ -401,17 +401,15 @@ def _check_manifest(doc: object, base_dir: str | Path | None = None) -> dict:
     return {"cnf": cnf, "predicates": entries}
 
 
-def build_manifest(
-    cnf: str,
-    predicates: list[dict],
-    base_dir: str | Path | None = None,
-) -> dict:
-    """Assemble and validate a manifest document (JSON-serializable dict)."""
-    return _check_manifest({"cnf": cnf, "predicates": predicates}, base_dir)
+def build_manifest(cnf: str, predicates: list[dict]) -> dict:
+    """Assemble and validate a manifest document (JSON-serializable dict).
+    The files it names are checked when it is saved or loaded."""
+    return _check_manifest({"cnf": cnf, "predicates": predicates})
 
 
 def save_manifest(doc: dict, path: str | Path) -> None:
-    """Write `doc` at `path`, creating its directory."""
+    """Write `doc` at `path`, creating its directory; every file it names
+    must exist relative to that directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_check_manifest(doc, path.parent), indent=2) + "\n")
@@ -435,10 +433,10 @@ def load_manifest(path: str | Path) -> SmcProblem:
     base = path.parent
     try:
         doc = _check_manifest(json.loads(path.read_text()), base)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
     except ManifestError as exc:
         raise ManifestError(f"{path}: {exc}") from None
+    except ValueError as exc:  # not UTF-8, not JSON, or a number past int's digit limit
+        raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
     try:
         cnf = parse_dimacs((base / doc["cnf"]).read_text())
     except ValueError as exc:

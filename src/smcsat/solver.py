@@ -65,6 +65,8 @@ class PredicateSpec:
                 raise ValueError(f"shared circuit variable {cvar} out of range")
         if self.b == 0:
             raise ValueError("b literal must be nonzero")
+        if self.threshold != self.threshold:  # NaN; math.isnan overflows on a huge int
+            raise ValueError(f"threshold {self.threshold} is not a number")
         self.circuit.require_valid()
 
     def resolved_threshold(self, mode: NumericMode = NumericMode.LINEAR) -> float:

@@ -92,10 +92,24 @@ def test_solve_malformed_manifest(route_manifest, tmp_path, capsys, doc, message
 
 def test_solve_invalid_json_manifest(tmp_path, capsys):
     manifest = tmp_path / "bad.json"
-    manifest.write_text("{not json")
-    code, out = run_cli("solve", str(manifest))
+    # the second number is past int's 4,300-digit limit, where json.loads
+    # raises a plain ValueError, not a JSONDecodeError
+    for text in ("{not json", '{"cnf": "t.cnf", "threshold": ' + "1" * 5000 + "}"):
+        manifest.write_text(text)
+        code, out = run_cli("solve", str(manifest))
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: invalid JSON")
+
+
+@pytest.mark.parametrize("command", ["solve", "pc", "verify"])
+def test_non_utf8_input_names_the_file(route_manifest, tmp_path, capsys, command):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff\xfe not UTF-8\n")
+    argv = {"solve": ("solve", bad), "pc": ("pc", "validate", bad), "verify": ("verify", route_manifest(0.5), bad)}
+    code, out = run_cli(*map(str, argv[command]))
     assert code == 1 and out == ""
-    assert capsys.readouterr().err.startswith(f"error: {manifest}: invalid JSON")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and "can't decode byte 0xff" in err[0]
 
 
 @pytest.mark.parametrize(
@@ -555,6 +569,11 @@ def test_gen_smc_rejects_order_with_circuit(tmp_path, capsys):
         pytest.param((), "0 1\n1 1\n", "{graph}: self-loop at node 1", id="self-loop"),
         pytest.param(("--nodes", "2"), "0 1\n1 5\n", "{graph}: edge (1, 5) out of range", id="out-of-range"),
         pytest.param(("--nodes", "0"), "0 1\n", "--nodes: 0 is not a positive node count", id="nodes-0"),
+        pytest.param(("kcolor", "--rows", "0", "--cols", "2"), None, "grid dimensions must be positive", id="rows-0"),
+        pytest.param(("kcolor", "--rows", "1", "--cols", "1", "--colors", "1"), None, "need at least 2 colors", id="colors-1"),
+        pytest.param(("supply", "--layers", "3"), None, "need at least two layers", id="one-layer"),
+        pytest.param(("supply", "--layers", "2,0"), None, "layer sizes must be positive", id="layer-0"),
+        pytest.param(("bn", "-n", "0"), None, "need at least one variable", id="bn-0"),
     ],
 )
 def test_gen_input_errors_name_flag_or_file(tmp_path, capsys, argv, edges, message):
@@ -562,9 +581,10 @@ def test_gen_input_errors_name_flag_or_file(tmp_path, capsys, argv, edges, messa
     if edges is not None:
         graph.write_text(edges)
         argv = ("hampath", "--graph", str(graph), *argv)
-    code, _ = run_cli("gen", *argv, "-o", str(tmp_path / "out.cnf"))
-    assert code == 1
+    code, out = run_cli("gen", *argv, "-o", str(tmp_path / "out.cnf"))
+    assert code == 1 and out == ""
     assert capsys.readouterr().err == f"error: {message.format(graph=graph)}\n"
+    assert list(tmp_path.iterdir()) == ([graph] if edges is not None else [])
 
 
 def test_gen_supply_bundle_and_sweep(tmp_path):
@@ -679,6 +699,7 @@ def test_sweep_trace_into_new_directory_has_stat_line_columns(route_manifest, tm
     code, _ = run_cli("sweep", manifest, "--lo", "0.5", "--hi", "0.6", "--step", "0.1", "--trace", str(trace))
     assert code == 0
     stat_names = [l.split()[2] for l in run_cli("solve", manifest, "--stats")[1].splitlines() if l.startswith("c stat ")]
+    assert b"\r" not in trace.read_bytes()
     rows = [line.split(",") for line in trace.read_text().splitlines()]
     assert rows[0] == ["q", "status", *stat_names]
     assert [row[:2] for row in rows[1:]] == [["0.5", "sat"], ["0.6", "sat"]]
@@ -688,7 +709,21 @@ def test_sweep_trace_into_new_directory_has_stat_line_columns(route_manifest, tm
 def test_sweep_rejects_stats(route_manifest):
     with pytest.raises(SystemExit) as exc:
         run_cli("sweep", str(route_manifest(0.5)), "--stats")
-    assert exc.value.code == 2
+    assert exc.value.code == 1
+
+
+def test_usage_error_exits_1_not_verify_fail(route_manifest, tmp_path, capsys):
+    # argparse's own exit status, 2, is what verify returns for verdict FAIL
+    model = tmp_path / "model.txt"
+    model.write_text("v 1 2 3 4 5 6 0\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", str(route_manifest(0.5)), str(model), "--bogus")
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: smcsat ") and err[-1] == "smcsat: error: unrecognized arguments: --bogus"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "-h")
+    assert exc.value.code == 0
 
 
 def test_bench_csv(route_manifest, tmp_path):
@@ -697,6 +732,7 @@ def test_bench_csv(route_manifest, tmp_path):
     csv_file = tmp_path / "bench.csv"
     code, _ = run_cli("bench", str(tmp_path), "--csv", str(csv_file))
     assert code == 0
+    assert b"\r" not in csv_file.read_bytes()
     lines = csv_file.read_text().strip().splitlines()
     assert lines[0] == "instance,q,status," + STATS_HEADER
     assert len(lines) == 3

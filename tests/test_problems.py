@@ -161,6 +161,17 @@ def test_hampath_models_decode_to_valid_paths():
             assert g.adjacent(a, b)
 
 
+def test_graph_without_nodes_and_path_position_without_one_city_rejected():
+    # the CLI's --nodes check and edge-list parse never build either
+    with pytest.raises(ValueError, match="need at least one node"):
+        GraphSpec(0, frozenset())
+    g = GraphSpec.from_edges(2, [(0, 1)])
+    for cities in ((False, False), (True, True)):
+        model = {1: True, 2: False, 3: cities[0], 4: cities[1]}
+        with pytest.raises(ValueError, match=f"position 1 holds {sum(cities)} cities"):
+            decode_hamiltonian_path(g, model)
+
+
 def test_parse_edge_list():
     g = parse_edge_list("0 1\n1 2\n# comment\n")
     assert g.n == 3 and g.adjacent(0, 1) and not g.adjacent(0, 2)
@@ -243,7 +254,6 @@ def test_manifest_roundtrip_hard(tmp_path):
     doc = build_manifest(
         "route.cnf",
         [{"circuit": "route.pc", "shared": {2: 3, 3: 4}, "cmp": "ge", "threshold": 0.5}],
-        base_dir=tmp_path,
     )
     save_manifest(doc, tmp_path / "m.json")
     problem = load_manifest(tmp_path / "m.json")
@@ -267,7 +277,6 @@ def test_manifest_roundtrip_soft_and_fraction(tmp_path):
                 "threshold_mode": "partition_fraction",
             },
         ],
-        base_dir=tmp_path,
     )
     save_manifest(doc, tmp_path / "m.json")
     problem = load_manifest(tmp_path / "m.json")
@@ -285,7 +294,6 @@ def test_manifest_uai_predicate(tmp_path):
     doc = build_manifest(
         "t.cnf",
         [{"uai": "m.uai", "shared": {0: 1, 1: 2}, "threshold": 0.1}],
-        base_dir=tmp_path,
     )
     save_manifest(doc, tmp_path / "m.json")
     problem = load_manifest(tmp_path / "m.json")
@@ -293,8 +301,12 @@ def test_manifest_uai_predicate(tmp_path):
 
 
 def test_manifest_dangling_path(tmp_path):
-    with pytest.raises(ManifestError):
-        build_manifest("missing.cnf", [], base_dir=tmp_path)
+    # a manifest names its files relative to where it is saved, so only
+    # saving (and loading) can check that they exist
+    doc = build_manifest("missing.cnf", [])
+    with pytest.raises(ManifestError, match="referenced file does not exist: missing.cnf"):
+        save_manifest(doc, tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_manifest_non_injective_shared(tmp_path):
@@ -303,7 +315,6 @@ def test_manifest_non_injective_shared(tmp_path):
         build_manifest(
             "route.cnf",
             [{"circuit": "route.pc", "shared": {0: 1, 1: 1}, "threshold": 0.5}],
-            base_dir=tmp_path,
         )
 
 
@@ -313,7 +324,6 @@ def test_manifest_bad_cmp(tmp_path):
         build_manifest(
             "route.cnf",
             [{"circuit": "route.pc", "shared": {}, "cmp": "eq", "threshold": 0.5}],
-            base_dir=tmp_path,
         )
 
 
@@ -328,4 +338,4 @@ def test_manifest_malformed_rejected_on_read_and_write(tmp_path, doc, message):
         save_manifest(doc, tmp_path / "out.json")
     if isinstance(doc, dict):
         with pytest.raises(ManifestError, match=message):
-            build_manifest(doc["cnf"], doc["predicates"], base_dir=tmp_path)
+            build_manifest(doc["cnf"], doc["predicates"])

@@ -103,6 +103,11 @@ def test_predicate_spec_rejects_bad_fields_through_the_api():
         PredicateSpec(c, {0: 1, 1: 1}, Comparator.GE, 0.5)
     with pytest.raises(ValueError, match="b literal must be nonzero"):
         PredicateSpec(c, {0: 1}, Comparator.GE, 0.5, b=0)
+    with pytest.raises(ValueError, match="threshold nan is not a number"):
+        PredicateSpec(c, {0: 1, 1: 2}, Comparator.GE, math.nan)
+    # an infinite threshold stays legal: no marginal reaches it
+    unreachable = SmcProblem(CnfFormula(2, ()), (PredicateSpec(c, {0: 1, 1: 2}, Comparator.GE, math.inf),))
+    assert solve(unreachable).status is brute_solve(unreachable).status is SolveStatus.UNSAT
     negative = PredicateSpec(c, {0: 1}, Comparator.GE, -0.1)
     assert negative.resolved_threshold(NumericMode.LINEAR) == -0.1
     with pytest.raises(ValueError, match="log mode requires nonnegative thresholds"):
