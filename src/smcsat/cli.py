@@ -204,12 +204,25 @@ def _gen_bn(args: argparse.Namespace, out) -> int:
 
 
 def _write_bundle(args: argparse.Namespace, manifest: Path, cnf: str, formula, entry: dict, circ, files=()) -> None:
-    """Write the (path, text) pairs of `files`, then the manifest at `manifest`
+    """Write the (role, path, text) triples of `files`, then the manifest at `manifest`
     for the CNF at `cnf` and one predicate over `circ`: `entry`'s source file,
     shared map and `b`, with the comparator and threshold flags of `args`.
-    File names are made relative to the manifest's directory. The problem is
-    built first, so that a bundle that loading the manifest would reject
-    writes no file."""
+    File names are made relative to the manifest's directory. The paths and
+    the problem are checked first, so that a bundle whose files would
+    overwrite each other, or that loading the manifest would reject, writes
+    no file."""
+    # Every file written, then each input the manifest names that this
+    # bundle does not write: no two may be the same file.
+    roles = [("manifest", str(manifest)), *((role, path) for role, path, _ in files)]
+    written = {role for role, _ in roles}
+    named = (("cnf", cnf), ("circuit", entry.get("circuit")), ("uai", entry.get("uai")))
+    roles += [(role, path) for role, path in named if path is not None and role not in written]
+    seen: dict[Path, str] = {}
+    for role, path in roles:
+        key = Path(path).resolve()
+        if key in seen:
+            raise ValueError(f"{manifest}: not written: the {seen[key]} and the {role} {path} are the same file")
+        seen[key] = f"{role} {path}"
     base = manifest.parent
     entry = {k: os.path.relpath(v, base) if k in ("circuit", "uai") else v for k, v in entry.items()}
     entry.update(cmp=args.cmp, threshold=args.threshold, threshold_mode=args.threshold_mode)
@@ -218,7 +231,7 @@ def _write_bundle(args: argparse.Namespace, manifest: Path, cnf: str, formula, e
         SmcProblem(formula, (predicate_from_entry(doc["predicates"][0], circ),))
     except ValueError as exc:
         raise ValueError(f"{manifest}: not written: {exc}") from None
-    for path, text in files:
+    for _, path, text in files:
         _write_text(path, text)
     save_manifest(doc, manifest)
 
@@ -239,7 +252,11 @@ def _gen_supply(args: argparse.Namespace, out) -> int:
     fg = gen_random_bn(net.num_edges, seed=args.disaster_seed)
     success = marginalize_false_circuit(compile_factor_graph(fg))
     entry = {"circuit": pc_path, "shared": {cvar: cvar + 1 for cvar in range(net.num_edges)}}
-    files = ((args.output, write_dimacs(formula)), (uai_path, write_uai(fg)), (pc_path, pc.write_pc(success)))
+    files = (
+        ("cnf", args.output, write_dimacs(formula)),
+        ("uai", uai_path, write_uai(fg)),
+        ("circuit", pc_path, pc.write_pc(success)),
+    )
     _write_bundle(args, manifest, args.output, formula, entry, success, files)
     print(wrote_cnf, file=out)
     print(f"wrote {uai_path}, {pc_path}, {manifest}", file=out)

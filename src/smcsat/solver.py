@@ -143,9 +143,14 @@ class Stats:
 
 @dataclass
 class SolveResult:
+    """`learned` lists the clauses the solve derived (learned conflict
+    clauses and predicate reasons), in the order it attached them; each is
+    implied by the problem."""
+
     status: SolveStatus
     model: dict[Var, bool] | None
     stats: Stats
+    learned: list[list[Lit]]
 
 
 # Per comparator: the test that the value satisfies it, the test that it
@@ -244,6 +249,8 @@ class CdclSolver:
         self.ok = True
         for clause in problem.cnf.clauses:
             self._add_clause(list(clause))
+        # Clauses past this index are derived (`_add_derived`).
+        self.num_original = len(self.clauses)
         self.preds = [_PredState(p, self.mode, self.cfg.ulw_enabled) for p in problem.predicates]
         # formula var -> [(predicate index, circuit var)], for the bound
         # updates; without bound tracking there are none.
@@ -505,7 +512,7 @@ class CdclSolver:
             status, model = self._search(start)
         finally:
             self.stats.wall_time = time.monotonic() - start
-        return SolveResult(status, model, self.stats)
+        return SolveResult(status, model, self.stats, self.clauses[self.num_original :])
 
     def _out_of_budget(self, start: float) -> bool:
         if self.cfg.max_conflicts is not None and self.stats.conflicts > self.cfg.max_conflicts:

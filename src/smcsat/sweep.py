@@ -2,12 +2,16 @@
 
 Re-solves the problem at evenly spaced thresholds, stopping at the first
 point not found feasible (UNSAT, or out of budget); the last feasible
-threshold and its model are the "best plan". Every step is a fresh solve.
-Reusing learned clauses across steps is unsound for a soft predicate, whose
-entailment clauses depend on the threshold, and for a sweep that loosens
-the threshold. For a hard predicate that the sweep tightens (``ge`` going
-up, ``le`` going down), each step's models are a subset of the last step's,
-so earlier clauses would stay valid; the sweep does not exploit that.
+threshold and its model are the "best plan". Each step is one `solve` call.
+For a hard predicate that the sweep tightens (``ge``/``gt`` going up,
+``le``/``lt`` going down), each step's CNF is the last step's plus the
+clauses that step learned: root bounds do not depend on the threshold, so
+a partial assignment refuted at q is refuted at every tighter q' (an
+absolute, partition-fraction or log threshold is monotone in q), and every
+carried clause holds in every model of every later step. A soft
+predicate's entailment clauses depend on the threshold, and a loosening
+sweep admits models that earlier clauses exclude, so those sweeps solve
+every step afresh.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .solver import SmcProblem, SolveResult, SolveStatus, SolverConfig, Stats, solve
-from .formula import Var
+from .formula import CnfFormula, Var
+from .solver import Comparator, SmcProblem, SolveResult, SolveStatus, SolverConfig, Stats, solve
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,8 @@ def sweep(
     predicate's own threshold mode at every step. An UNSAT step marks the
     boundary; a step that ran out of budget (the last trace point's status
     is BUDGET) marks none, and `best_threshold` is only the last one found SAT.
+    A sweep that tightens a hard predicate carries each SAT step's learned
+    clauses into the next step's CNF.
     """
     if not all(math.isfinite(x) for x in (step, lo, hi)):
         raise ValueError("step, lo and hi must be finite")
@@ -90,6 +96,10 @@ def sweep(
     else:
         thresholds = (hi - i * step for i in steps)
 
+    pred = p.predicates[predicate_index]
+    rising = pred.cmp in (Comparator.GE, Comparator.GT)
+    carry = pred.b is None and rising == (direction == "up")
+
     best_q: float | None = None
     best_model: dict[Var, bool] | None = None
     trace: list[SweepPoint] = []
@@ -100,4 +110,7 @@ def sweep(
             break
         best_q = q
         best_model = result.model
+        if carry:
+            clauses = p.cnf.clauses + tuple(tuple(c) for c in result.learned)
+            p = replace(p, cnf=CnfFormula(p.cnf.num_vars, clauses))
     return SweepResult(best_q, best_model, tuple(trace))

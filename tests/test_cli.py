@@ -669,6 +669,34 @@ def test_gen_supply_bundle_error_writes_nothing(tmp_path, capsys, argv, message)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_supply_refuses_outputs_that_are_one_file(tmp_path, capsys):
+    # the CNF would be named like the success circuit, `<manifest stem>.pc`
+    cnf, manifest = tmp_path / "s.pc", tmp_path / "s.json"
+    code, out = run_cli(
+        "gen", "supply", "--layers", "2,2", "--k-up", "1", "--k-down", "1", "-o", str(cnf), "--manifest", str(manifest)
+    )
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err == f"error: {manifest}: not written: the cnf {cnf} and the circuit {cnf} are the same file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_smc_refuses_a_manifest_over_its_own_input(tmp_path, capsys):
+    cnf, circuit = tmp_path / "e.cnf", tmp_path / "k.pc"
+    cnf.write_text("p cnf 0 0\n")
+    circuit.write_text("pc 1 0\nc 0.5\n")
+    # the second spelling differs from the circuit's but names the same file
+    for output, role, named in ((str(cnf), "cnf", cnf), (f"{tmp_path}/d/../k.pc", "circuit", circuit)):
+        code, out = run_cli(
+            "gen", "smc", "--cnf", str(cnf), "--circuit", str(circuit), "--threshold", "0.1", "-o", output
+        )
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert err == f"error: {output}: not written: the manifest {output} and the {role} {named} are the same file\n"
+    assert cnf.read_text() == "p cnf 0 0\n" and circuit.read_text() == "pc 1 0\nc 0.5\n"
+    assert sorted(tmp_path.iterdir()) == [cnf, circuit]
+
+
 def test_sweep_infinite_step_count_is_one_error_line(route_manifest, capsys):
     code, out = run_cli("sweep", str(route_manifest(0.5)), "--lo=-1e308", "--hi=1e308", "--step=1")
     assert code == 1 and out == ""

@@ -333,15 +333,53 @@ def test_agreement_with_oracle_fuzz():
 def test_learned_clauses_sound_fuzz():
     for seed in range(15):
         problem = _random_instance(seed + 500)
-        solver = CdclSolver(problem)
-        solver.solve()
-        # every learned or predicate-reason clause is appended after the originals
-        learned = solver.clauses[len(solver.clauses) - solver.stats.learned_clauses :]
-        if not learned:
-            continue
+        learned = solve(problem).learned
         for model in brute_solve(problem).models:
             for clause in learned:
                 assert any(model[abs(l)] == (l > 0) for l in clause), f"seed {seed}"
+
+
+# Thresholds as fractions of the largest marginal over the shared
+# variables; a hard predicate's learned clauses are also checked at every
+# tighter one.
+_GRID = tuple(i / 8 for i in range(1, 9))
+
+
+@pytest.mark.parametrize("mode", list(NumericMode))
+@pytest.mark.parametrize("ulw", [True, False], ids=["ulw", "no-ulw"])
+def test_solve_result_learned_holds_in_every_model(mode, ulw):
+    config = SolverConfig(ulw_enabled=ulw, numeric_mode=mode)
+    checked_tighter = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(6, 12)
+        cnf = random_cnf(seed * 11 + 3, n, rng.randint(n // 2, n))
+        circuit = random_circuit(seed * 5 + 1, rng.randint(4, 8), max_nodes=120)
+        cvars = rng.sample(range(circuit.num_vars), min(circuit.num_vars, n))
+        shared = dict(zip(cvars, rng.sample(range(1, n + 1), len(cvars))))
+        cmp = rng.choice(list(Comparator))
+        b = None if seed % 3 else rng.choice((1, -1)) * rng.randint(1, n)
+        tmode = rng.choice(list(ThresholdMode))
+        top = max(
+            marginal(circuit, dict(zip(cvars, bits)))
+            for bits in itertools.product((False, True), repeat=len(cvars))
+        )
+        scale = top / partition(circuit) if tmode is ThresholdMode.PARTITION_FRACTION else top
+        i = rng.randrange(len(_GRID))
+        problem = SmcProblem(cnf, (PredicateSpec(circuit, shared, cmp, _GRID[i] * scale, tmode, b),))
+        result = solve(problem, config)
+        assert result.stats.learned_clauses == len(result.learned), f"seed {seed}"
+        rising = cmp in (Comparator.GE, Comparator.GT)
+        tighter = _GRID[i + 1 :] if rising else _GRID[:i]
+        for q in (_GRID[i], *(tighter if b is None else ())):
+            at_q = SmcProblem(cnf, (PredicateSpec(circuit, shared, cmp, q * scale, tmode, b),))
+            models = brute_solve(at_q, mode=mode).models
+            for clause in result.learned:
+                for model in models:
+                    assert any(model[abs(lit)] == (lit > 0) for lit in clause), f"seed {seed}, q {q}"
+            if q != _GRID[i] and models and result.learned:
+                checked_tighter += 1
+    assert checked_tighter > 0
 
 
 def test_no_ulw_agreement_fuzz():

@@ -1,22 +1,29 @@
+import itertools
 import math
+import random
 import re
 import tracemalloc
+from dataclasses import asdict, replace
+from importlib import import_module
 
 import pytest
 
-from smcsat.circuit import parse_pc
+from smcsat.circuit import NumericMode, marginal, parse_pc, partition
 from smcsat.factorgraph import compile_factor_graph, enumerate_marginal
 from smcsat.formula import CnfFormula
-from smcsat.oracle import brute_solve
+from smcsat.oracle import brute_solve, verify
 from smcsat.problems import (
     LayeredNetwork,
     encode_supply_chain,
     gen_random_bn,
     marginalize_false_circuit,
 )
-from smcsat.solver import Comparator, PredicateSpec, SmcProblem, SolveStatus
+from smcsat.solver import Comparator, PredicateSpec, SmcProblem, SolveStatus, SolverConfig, ThresholdMode, solve
 from smcsat.sweep import sweep, with_threshold
-from util import two_route_circuit, motivating_problem
+from util import two_route_circuit, motivating_problem, random_circuit, random_cnf
+
+# The module, not the package's re-exported `sweep` function.
+sweep_mod = import_module("smcsat.sweep")
 
 
 def hard_route_problem(q: float = 0.5) -> SmcProblem:
@@ -157,3 +164,99 @@ def test_supply_sweep_best_model_is_argmax_plan():
         chosen = tuple(sorted(v for v, on in result.best_model.items() if on))
         # within one step of optimal
         assert best_prob - probs[chosen] < 1e-2
+
+
+def _step_counts(result) -> list[dict]:
+    return [{**asdict(point.stats), "wall_time": None} for point in result.trace]
+
+
+def _fresh_counts(problem: SmcProblem, index: int, result) -> list[dict]:
+    """Per-step stats of a fresh solve at each of the trace's thresholds."""
+    return [
+        {**asdict(solve(with_threshold(problem, index, point.q)).stats), "wall_time": None}
+        for point in result.trace
+    ]
+
+
+def test_supply_sweep_carries_learned_clauses_into_later_steps():
+    problem, _, _ = supply_problem(seed=0)
+    result = sweep(problem, 0, direction="up", step=1e-2, lo=0.0, hi=1.0)
+    assert result.best_threshold == 0.17 and len(result.trace) == 19
+    # the clauses learned at 0.05 settle every later step without a conflict
+    # but the last, UNSAT one
+    assert [point.stats.conflicts for point in result.trace] == [0] * 5 + [1] + [0] * 12 + [3]
+    fresh = [count["boolean_conflicts"] + count["prob_conflicts"] for count in _fresh_counts(problem, 0, result)]
+    assert fresh == [0] * 5 + [1] * 13 + [4]
+    assert sum(point.stats.conflicts for point in result.trace) < sum(fresh)
+
+
+def test_soft_and_loosening_sweeps_solve_every_step_afresh():
+    problem, _, _ = supply_problem(seed=0)
+    # a soft predicate whose b is forced true searches as the hard one does
+    nv = problem.cnf.num_vars + 1
+    soft = SmcProblem(
+        CnfFormula(nv, problem.cnf.clauses + ((nv,),)), (replace(problem.predicates[0], b=nv),)
+    )
+    soft_result = sweep(soft, 0, direction="up", step=1e-2, lo=0.0, hi=1.0)
+    assert soft_result.best_threshold == 0.17 and len(soft_result.trace) == 19
+    assert _step_counts(soft_result) == _fresh_counts(soft, 0, soft_result)
+    # `ge` swept down loosens: every step is SAT, and each from 0.17 down
+    # to 0.05 has a conflict
+    loose = sweep(problem, 0, direction="down", step=1e-2, lo=0.0, hi=0.17)
+    assert len(loose.trace) == 18 and all(point.status is SolveStatus.SAT for point in loose.trace)
+    counts = _step_counts(loose)
+    assert counts == _fresh_counts(problem, 0, loose)
+    assert [count["prob_conflicts"] for count in counts] == [1] * 13 + [0] * 5
+
+
+def _random_hard_sweep_problem(seed: int, cmp: Comparator, tmode: ThresholdMode):
+    """A random CNF with one hard predicate over a random circuit whose
+    variables are all shared, and the (lo, hi, step) of a 16-point grid up
+    to the largest marginal over those variables."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 10)
+    cnf = random_cnf(seed * 13 + 5, n, rng.randint(n // 2, n))
+    circuit = random_circuit(seed * 7 + 2, rng.randint(4, 7), max_nodes=120)
+    cvars = rng.sample(range(circuit.num_vars), min(circuit.num_vars, n))
+    shared = dict(zip(cvars, rng.sample(range(1, n + 1), len(cvars))))
+    top = max(
+        marginal(circuit, dict(zip(cvars, bits))) for bits in itertools.product((False, True), repeat=len(cvars))
+    )
+    if tmode is ThresholdMode.PARTITION_FRACTION:
+        top /= partition(circuit)
+    problem = SmcProblem(cnf, (PredicateSpec(circuit, shared, cmp, 0.0, tmode),))
+    return problem, top / 16, top, top / 16
+
+
+@pytest.mark.parametrize("tmode", list(ThresholdMode))
+@pytest.mark.parametrize("mode", list(NumericMode))
+@pytest.mark.parametrize("cmp", list(Comparator))
+def test_carried_sweep_matches_brute_solve_at_every_step(monkeypatch, cmp, mode, tmode):
+    direction = "up" if cmp in (Comparator.GE, Comparator.GT) else "down"
+    config = SolverConfig(numeric_mode=mode)
+    steps: list[tuple[SmcProblem, object]] = []
+
+    def recording_solve(problem, config):
+        result = solve(problem, config)
+        steps.append((problem, result))
+        return result
+
+    monkeypatch.setattr(sweep_mod, "solve", recording_solve)
+    carried = 0
+    for seed in range(12):
+        problem, lo, hi, step = _random_hard_sweep_problem(seed, cmp, tmode)
+        steps.clear()
+        result = sweep(problem, 0, direction, step, lo, hi, config)
+        assert len(steps) == len(result.trace)
+        for point in result.trace:
+            expected = brute_solve(with_threshold(problem, 0, point.q), mode=mode).status
+            assert point.status is expected, f"seed {seed}, q {point.q}"
+        # each step's CNF is the last step's plus the clauses it learned
+        clauses = problem.cnf.clauses
+        for step_problem, step_result in steps:
+            assert step_problem.cnf.clauses == clauses
+            clauses += tuple(tuple(c) for c in step_result.learned)
+        carried += len(steps[-1][0].cnf.clauses) - len(problem.cnf.clauses)
+        if result.feasible:
+            assert verify(with_threshold(problem, 0, result.best_threshold), result.best_model, mode).passed
+    assert carried > 0
