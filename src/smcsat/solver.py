@@ -14,6 +14,15 @@ the inequality it propagates b or raises a conflict, learning a clause
 over the assigned shared variables. With bound tracking disabled,
 predicates are checked exactly and only when fully assigned, which
 reproduces the naive solver-plus-inference loop as an ablation baseline.
+
+The Boolean core follows MiniSat. Binary clauses, which make up most of
+an encoding such as the Hamiltonian path's, sit in per-literal
+implication lists (`bins`) and never on the watch lists, which hold only
+clauses of three or more literals. When a literal becomes false,
+propagation walks its binary list first, then its watched clauses. A
+variable's reason is the implying clause, or, when a binary clause
+implied it, that clause's falsified literal, so a binary implication
+allocates nothing.
 """
 
 from __future__ import annotations
@@ -221,13 +230,23 @@ class _PredState:
 class CdclSolver:
     """Single-use solver instance; build one per solve call.
 
-    The assignment is kept in plain lists, as in MiniSat. ``value`` and
-    ``watches`` are indexed by literal: slot ``v`` for the literal ``v`` and,
-    through Python's negative indexing, slot ``-v`` for ``-v``, so
-    ``value[lit]`` is the literal's truth value (None while unassigned).
-    ``level`` and ``reason`` are indexed by variable; ``trail`` lists the
-    assigned literals in order and ``trail_lim`` where each decision level
-    starts on it.
+    The assignment is kept in plain lists, as in MiniSat. ``value``,
+    ``bins`` and ``watches`` are indexed by literal: slot ``v`` for the
+    literal ``v`` and, through Python's negative indexing, slot ``-v`` for
+    ``-v``, so ``value[lit]`` is the literal's truth value (None while
+    unassigned). ``level`` and ``reason`` are indexed by variable; ``trail``
+    lists the assigned literals in order and ``trail_lim`` where each
+    decision level starts on it.
+
+    Binary clauses, original or derived, live in implication lists:
+    ``bins[lit]`` holds the other literal of each binary clause that
+    contains ``lit``. ``watches[lit]`` holds the clauses of three or more
+    literals watched on ``lit``, as the clause lists themselves. When a
+    literal becomes false, propagation walks its binary list first and then
+    its watched clauses. A variable's reason is None for a decision, the
+    falsified literal of the binary clause that implied it (an ``int``),
+    or else the implying clause itself. ``clauses`` lists every clause in
+    the order it was attached, binaries included.
     """
 
     def __init__(self, problem: SmcProblem, config: SolverConfig | None = None):
@@ -237,11 +256,12 @@ class CdclSolver:
         self.num_vars = nv
         self.value: list[bool | None] = [None] * (2 * nv + 1)
         self.level = [0] * (nv + 1)
-        self.reason: list[int | None] = [None] * (nv + 1)
+        self.reason: list[Lit | list[Lit] | None] = [None] * (nv + 1)
         self.trail: list[Lit] = []
         self.trail_lim: list[int] = []
         self.clauses: list[list[Lit]] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * nv + 1)]
+        self.bins: list[list[Lit]] = [[] for _ in range(2 * nv + 1)]
+        self.watches: list[list[list[Lit]]] = [[] for _ in range(2 * nv + 1)]
         self.activity = [0.0] * (nv + 1)
         self.var_inc = 1.0
         self.phase = [False] * (nv + 1)
@@ -264,6 +284,17 @@ class CdclSolver:
 
     # ------------------------------------------------------------------ db
 
+    def _attach(self, lits: list[Lit]) -> None:
+        """Put a clause of two or more literals in the binary lists or on
+        the watch lists of its first two literals."""
+        a, b = lits[0], lits[1]
+        if len(lits) == 2:
+            self.bins[a].append(b)
+            self.bins[b].append(a)
+        else:
+            self.watches[a].append(lits)
+            self.watches[b].append(lits)
+
     def _add_clause(self, lits: list[Lit]) -> None:
         """Attach an original clause and enqueue it at level 0 if it is a
         unit; an empty clause or a unit that is already false makes the
@@ -271,79 +302,112 @@ class CdclSolver:
         if not lits:
             self.ok = False
             return
-        idx = len(self.clauses)
         self.clauses.append(lits)
         if len(lits) == 1:
             val = self.value[lits[0]]
             if val is None:
-                self._assign(lits[0], idx)
+                self._assign(lits[0], lits)
             elif not val:
                 self.ok = False
         else:
-            self.watches[lits[0]].append(idx)
-            self.watches[lits[1]].append(idx)
+            self._attach(lits)
 
-    def _add_derived(self, lits: list[Lit]) -> int:
-        """Attach a learned or predicate-reason clause.
+    def _add_derived(self, lits: list[Lit]) -> Lit | list[Lit]:
+        """Attach a learned or predicate-reason clause; returns the reason
+        to record for its first literal.
 
-        lits[0] must be the asserting/implied literal; the second watch is
-        the deepest-assigned remaining literal so the watch invariant
-        survives backtracking.
+        lits[0] must be the asserting/implied literal; lits[1] becomes the
+        deepest-assigned remaining literal, so a long clause's watch
+        invariant survives backtracking.
         """
-        idx = len(self.clauses)
         self.clauses.append(lits)
         self.stats.learned_clauses += 1
-        if len(lits) >= 2:
-            deepest = max(range(1, len(lits)), key=lambda i: self.level[abs(lits[i])])
-            lits[1], lits[deepest] = lits[deepest], lits[1]
-            self.watches[lits[0]].append(idx)
-            self.watches[lits[1]].append(idx)
-        return idx
+        if len(lits) == 1:
+            return lits
+        level = self.level
+        deepest, deepest_level = 1, level[abs(lits[1])]
+        for i in range(2, len(lits)):
+            lvl = level[abs(lits[i])]
+            if lvl > deepest_level:
+                deepest, deepest_level = i, lvl
+        lits[1], lits[deepest] = lits[deepest], lits[1]
+        self._attach(lits)
+        return lits[1] if len(lits) == 2 else lits
 
     # --------------------------------------------------------- propagation
 
-    def _assign(self, lit: Lit, reason_idx: int | None) -> None:
+    def _assign(self, lit: Lit, reason: Lit | list[Lit] | None) -> None:
         """Make `lit` true at the current decision level."""
         var = abs(lit)
         assert self.value[lit] is None, f"variable {var} already assigned"
         self.value[lit] = True
         self.value[-lit] = False
         self.level[var] = len(self.trail_lim)
-        self.reason[var] = reason_idx
+        self.reason[var] = reason
         self.trail.append(lit)
 
-    def _propagate_bool(self) -> int | None:
-        """Watched-literal unit propagation; returns a falsified clause index."""
-        value, clauses, watches, trail = self.value, self.clauses, self.watches, self.trail
-        while self.qhead < len(trail):
-            false_lit = -trail[self.qhead]
-            self.qhead += 1
+    def _propagate_bool(self) -> list[Lit] | None:
+        """Unit propagation over the binary lists and the watched long
+        clauses; returns a falsified clause as a new list, or None."""
+        value, level, reason, trail = self.value, self.level, self.reason, self.trail
+        bins, watches = self.bins, self.watches
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        start = len(trail)
+        conflict: list[Lit] | None = None
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            for other in bins[false_lit]:
+                val = value[other]
+                if val is None:
+                    value[other] = True
+                    value[-other] = False
+                    var = other if other > 0 else -other
+                    level[var] = lvl
+                    reason[var] = false_lit
+                    trail.append(other)
+                elif val is False:
+                    conflict = [other, false_lit]
+                    break
+            if conflict is not None:
+                break
             old = watches[false_lit]
-            kept: list[int] = []
-            for pos, idx in enumerate(old):
-                cl = clauses[idx]
-                if cl[0] == false_lit:
-                    cl[0], cl[1] = cl[1], cl[0]
-                first = value[cl[0]]
-                if first is True:
-                    kept.append(idx)
+            kept: list[list[Lit]] = []
+            for pos, cl in enumerate(old):
+                first = cl[0]
+                if first == false_lit:
+                    first = cl[0] = cl[1]
+                    cl[1] = false_lit
+                val = value[first]
+                if val is True:
+                    kept.append(cl)
                     continue
                 for k in range(2, len(cl)):
-                    if value[cl[k]] is not False:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        watches[cl[1]].append(idx)
+                    lit = cl[k]
+                    if value[lit] is not False:
+                        cl[1] = lit
+                        cl[k] = false_lit
+                        watches[lit].append(cl)
                         break
                 else:
-                    kept.append(idx)
-                    if first is False:
+                    kept.append(cl)
+                    if val is False:
                         kept.extend(old[pos + 1 :])
-                        watches[false_lit] = kept
-                        self.qhead = len(trail)
-                        return idx
-                    self._assign(cl[0], idx)
-                    self.stats.boolean_propagations += 1
+                        conflict = list(cl)
+                        break
+                    value[first] = True
+                    value[-first] = False
+                    var = first if first > 0 else -first
+                    level[var] = lvl
+                    reason[var] = cl
+                    trail.append(first)
             watches[false_lit] = kept
-        return None
+            if conflict is not None:
+                break
+        self.stats.boolean_propagations += len(trail) - start
+        self.qhead = len(trail)
+        return conflict
 
     def _pred_bounds(self, ps: _PredState) -> tuple[float, float] | None:
         """Current (ub, lb) for a predicate, or None when not yet available."""
@@ -374,10 +438,10 @@ class CdclSolver:
         propagation is re-run until nothing changes.
         """
         while True:
-            confl = self._propagate_bool()
-            if confl is not None:
+            conflict = self._propagate_bool()
+            if conflict is not None:
                 self.stats.boolean_conflicts += 1
-                return list(self.clauses[confl])
+                return conflict
             if not self.preds:
                 return None
             # predicate index -> (circuit var, value) pairs assigned this round
@@ -414,8 +478,8 @@ class CdclSolver:
                     return probabilistic_clause(implied, self._assigned_shared_lits(ps))
                 ps.decided_level = len(self.trail_lim)
                 if b_value is None:
-                    idx = self._add_derived(probabilistic_clause(implied, self._assigned_shared_lits(ps)))
-                    self._assign(implied, idx)
+                    reason = self._add_derived(probabilistic_clause(implied, self._assigned_shared_lits(ps)))
+                    self._assign(implied, reason)
                     self.stats.prob_entailments += 1
                     progressed = True
             if not progressed:
@@ -423,62 +487,69 @@ class CdclSolver:
 
     # ------------------------------------------------------------ conflicts
 
-    def _bump(self, var: Var) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in range(1, self.num_vars + 1):
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
+    def _rescale(self) -> None:
+        """Scale every activity and the bump by 1e-100 once one passes 1e100."""
+        activity = self.activity
+        for v in range(1, self.num_vars + 1):
+            activity[v] *= 1e-100
+        self.var_inc *= 1e-100
 
     def analyze(self, conflict: Sequence[Lit]) -> tuple[list[Lit], int]:
         """First-UIP conflict analysis; returns (learned clause, backjump level).
 
         The learned clause's first literal is the asserting one. Must only
-        be called for conflicts above decision level 0.
+        be called for conflicts above decision level 0. A reason that is an
+        ``int`` is the one other literal of a binary clause.
         """
+        levels, reason, trail, activity = self.level, self.reason, self.trail, self.activity
         level = len(self.trail_lim)
+        inc = self.var_inc
         seen = [False] * (self.num_vars + 1)
         tail: list[Lit] = []
         counter = 0
         reason_lits: Sequence[Lit] = conflict
         p: Lit | None = None
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         while True:
             for q in reason_lits:
-                if p is not None and q == p:
+                if q == p:
                     continue
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                v = q if q > 0 else -q
+                if not seen[v] and levels[v] > 0:
                     seen[v] = True
-                    self._bump(v)
-                    if self.level[v] >= level:
+                    activity[v] += inc
+                    if activity[v] > 1e100:
+                        self._rescale()
+                        inc = self.var_inc
+                    if levels[v] >= level:
                         counter += 1
                     else:
                         tail.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             idx -= 1
             counter -= 1
             if counter == 0:
                 break
-            reason_idx = self.reason[abs(p)]
-            assert reason_idx is not None, "resolved a decision before the UIP"
-            reason_lits = self.clauses[reason_idx]
+            r = reason[abs(p)]
+            assert r is not None, "resolved a decision before the UIP"
+            reason_lits = (r,) if type(r) is int else r
         learned = [-p] + tail
         backjump = 0
         if tail:
-            backjump = max(self.level[abs(q)] for q in tail)
+            backjump = max(levels[abs(q)] for q in tail)
         return learned, backjump
 
     def backtrack(self, level: int) -> None:
         """Undo assignments, bound updates and settled flags above `level`."""
         if level < len(self.trail_lim):
+            value, phase, trail = self.value, self.phase, self.trail
             cut = self.trail_lim[level]
-            for lit in self.trail[cut:]:
-                self.value[lit] = self.value[-lit] = None
-                self.phase[abs(lit)] = lit > 0
-            del self.trail[cut:]
+            for lit in trail[cut:]:
+                value[lit] = value[-lit] = None
+                phase[abs(lit)] = lit > 0
+            del trail[cut:]
             del self.trail_lim[level:]
         self.qhead = min(self.qhead, len(self.trail))
         self.pred_qhead = min(self.pred_qhead, len(self.trail))
@@ -490,12 +561,13 @@ class CdclSolver:
 
     def decide(self) -> Lit:
         """Pick the unassigned variable with highest activity, saved phase."""
+        value, activity = self.value, self.activity
         best: Var | None = None
         best_act = -1.0
         for v in range(1, self.num_vars + 1):
-            if self.value[v] is None and self.activity[v] > best_act:
+            if value[v] is None and activity[v] > best_act:
                 best = v
-                best_act = self.activity[v]
+                best_act = activity[v]
         assert best is not None
         lit = best if self.phase[best] else -best
         self.trail_lim.append(len(self.trail))

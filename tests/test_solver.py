@@ -10,7 +10,9 @@ from smcsat.factorgraph import compile_factor_graph
 from smcsat.formula import CnfFormula
 from smcsat.oracle import brute_solve, verify
 from smcsat.problems import (
+    GraphSpec,
     GridSpec,
+    encode_hamiltonian_path,
     gen_kcolor,
     gen_random_bn,
     select_shared_vars,
@@ -382,6 +384,51 @@ def test_solve_result_learned_holds_in_every_model(mode, ulw):
     assert checked_tighter > 0
 
 
+def _binary_instance(seed: int) -> SmcProblem:
+    """At most 12 variables and mostly binary clauses, with a few long ones,
+    a unit, a duplicate-literal binary (a, a) and a tautology (a, -a): the
+    last two only the API admits, since parse_dimacs cleans both away. One
+    compiled-BN predicate, hard on every third seed and soft otherwise."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 12)
+
+    def clause(width: int) -> tuple[int, ...]:
+        return tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), width))
+
+    clauses = [clause(2) for _ in range(rng.randint(7 * n // 10, 13 * n // 10))]
+    clauses += [clause(rng.randint(3, 4)) for _ in range(rng.randint(1, 3))]
+    a, t = clause(1)[0], rng.randint(1, n)
+    clauses += [clause(1), (a, a), (t, -t)]
+    rng.shuffle(clauses)
+    circuit = compile_factor_graph(gen_random_bn(rng.randint(3, 6), max_parents=2, seed=seed))
+    shared = select_shared_vars(circuit.num_vars, n, seed)
+    b = None if seed % 3 == 0 else rng.choice((1, -1)) * rng.randint(1, n)
+    cmp = rng.choice(list(Comparator))
+    pred = PredicateSpec(circuit, shared, cmp, rng.choice((0.1, 0.25, 0.4)), ThresholdMode.PARTITION_FRACTION, b=b)
+    return SmcProblem(CnfFormula(n, tuple(clauses)), (pred,))
+
+
+@pytest.mark.parametrize("mode", list(NumericMode))
+@pytest.mark.parametrize("ulw", [True, False], ids=["ulw", "no-ulw"])
+def test_binary_clauses_agree_with_oracle_fuzz(mode, ulw):
+    config = SolverConfig(ulw_enabled=ulw, numeric_mode=mode)
+    statuses, searched = set(), 0
+    for seed in range(150):
+        problem = _binary_instance(seed)
+        result = solve(problem, config)
+        expected = brute_solve(problem, mode=mode)
+        assert result.status is expected.status, f"seed {seed}"
+        if result.status is SolveStatus.SAT:
+            assert verify(problem, result.model, mode).passed, f"seed {seed}"
+        for clause in result.learned:
+            for model in expected.models:
+                assert any(model[abs(lit)] == (lit > 0) for lit in clause), f"seed {seed}"
+        statuses.add(result.status)
+        searched += result.stats.decisions > 0 and result.stats.conflicts > 0
+    assert statuses == {SolveStatus.SAT, SolveStatus.UNSAT}
+    assert searched >= 40
+
+
 def test_no_ulw_agreement_fuzz():
     for seed in range(15):
         problem = _random_instance(seed + 900)
@@ -500,6 +547,49 @@ def test_pinned_instances_agree_without_ulw(instance, mode, status, counters):
         assert verify(problem, result.model, mode).passed
 
 
+def _hampath_instance(seed: int) -> tuple[GraphSpec, SmcProblem]:
+    """A Hamiltonian path on a random graph of 7 or 8 nodes, with a soft
+    GE predicate over a compiled 6-variable BN that shares 3 position
+    variables. Its b is a fresh variable, so the answer is the graph's."""
+    rng = random.Random(seed)
+    n = rng.choice((7, 8))
+    graph = GraphSpec.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+    path = encode_hamiltonian_path(graph)
+    cnf = CnfFormula(path.num_vars + 1, path.clauses)
+    circuit = compile_factor_graph(gen_random_bn(6, max_parents=2, seed=seed))
+    shared = select_shared_vars(circuit.num_vars, path.num_vars, seed)
+    pred = PredicateSpec(circuit, shared, Comparator.GE, 0.3, ThresholdMode.PARTITION_FRACTION, b=cnf.num_vars)
+    return graph, SmcProblem(cnf, (pred,))
+
+
+# Nearly every clause of these CNFs is binary, so the order in which
+# propagation visits clauses shows in their counters, while the k-colouring
+# grids above keep theirs under a change of that order.
+_HAMPATH_COUNTERS = [
+    (153, SolveStatus.SAT, (70, 877, 39, 0, 1, 40, 0, 23)),
+    (208, SolveStatus.UNSAT, (184, 2264, 120, 0, 1, 120, 1, 18)),
+    (250, SolveStatus.UNSAT, (62, 595, 22, 0, 1, 22, 0, 7)),
+]
+
+
+@pytest.mark.parametrize("seed, status, counters", _HAMPATH_COUNTERS)
+def test_hampath_counters_pinned(seed, status, counters):
+    graph, problem = _hampath_instance(seed)
+    result = solve(problem)
+    stats = asdict(result.stats)
+    stats.pop("wall_time")
+    assert result.status is status
+    assert stats == dict(zip(_COUNTER_NAMES, counters))
+    # too large for brute_solve: the status is checked against the graph
+    has_path = any(
+        all(graph.adjacent(a, b) for a, b in zip(order, order[1:]))
+        for order in itertools.permutations(range(graph.n))
+    )
+    assert has_path is (status is SolveStatus.SAT)
+    if status is SolveStatus.SAT:
+        assert verify(problem, result.model).passed
+
+
 def _decision_instance(seed: int) -> SmcProblem:
     """At most 14 formula variables and one compiled-BN predicate that shares
     some of its variables, hard or soft, GE or LE; the threshold lies midway
@@ -545,16 +635,21 @@ def test_decision_bounds_solver_agreement(mode):
 # ----------------------------------------------------------------- budget
 
 def test_conflict_budget_exhaustion():
-    # exactly-one constraints that force lots of conflicts on a hard UNSAT core
+    # A refutation at level 0 takes no decision and is UNSAT under any
+    # budget: a grid node with every colour forbidden by a unit, and a hard
+    # predicate above the partition.
     cnf = gen_kcolor(GridSpec(2, 3, 3))
-    clauses = cnf.clauses + ((1, 2, 3),) * 0
-    problem = SmcProblem(CnfFormula(cnf.num_vars, clauses + ((-1,), (-2,), (-3,))))
-    result = solve(problem, SolverConfig(max_conflicts=0))
-    assert result.status in (SolveStatus.UNSAT, SolveStatus.BUDGET)
-    # a budget of zero conflicts must stop a conflict-heavy search
-    hard = motivating_problem(1.5)
-    budget = solve(hard, SolverConfig(max_conflicts=0))
-    assert budget.status in (SolveStatus.BUDGET, SolveStatus.UNSAT)
+    problem = SmcProblem(CnfFormula(cnf.num_vars, cnf.clauses + ((-1,), (-2,), (-3,))))
+    for level_zero in (problem, motivating_problem(1.5)):
+        result = solve(level_zero, SolverConfig(max_conflicts=0))
+        assert result.status is SolveStatus.UNSAT
+        assert result.stats.decisions == 0
+    # PHP(5, 4) needs conflicts above level 0: the search stops at the
+    # first conflict past the budget.
+    for budget in (0, 5):
+        result = solve(_pigeonhole(5, 4, soft=False), SolverConfig(max_conflicts=budget))
+        assert result.status is SolveStatus.BUDGET
+        assert result.stats.conflicts == budget + 1
 
 
 def test_time_budget_exhaustion():
