@@ -20,46 +20,52 @@ class DimacsError(ValueError):
 class CnfFormula:
     """A CNF formula over variables 1..num_vars.
 
-    Clauses are tuples of signed literals. Parsed formulas carry no
-    duplicate literals and no tautological clauses; an empty clause is
-    legal and marks the formula as trivially falsified.
+    ``clauses`` may be given as any sequences of literals. Every formula,
+    parsed or built through the API, stores them in one normal form: tuples
+    of signed literals with duplicates merged (first occurrence kept, in
+    order), and no tautology (a clause with both ``v`` and ``-v``). Every
+    literal is range-checked first, a tautology's included. An empty clause
+    is legal and marks the formula as trivially falsified.
     """
 
     num_vars: int
     clauses: tuple[tuple[Lit, ...], ...]
 
     def __post_init__(self) -> None:
+        n = self.num_vars
+        cleaned = []
         for clause in self.clauses:
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range for {self.num_vars} vars")
+            lits = dict.fromkeys(clause)
+            tautology = False
+            for lit in lits:
+                if not 0 < abs(lit) <= n:
+                    raise ValueError(f"literal {lit} out of range for {n} vars")
+                if -lit in lits:
+                    tautology = True
+            if tautology:
+                continue
+            # Keep a clean tuple, as every parsed clause is: a copy would
+            # double the objects the cyclic collector counts during a parse.
+            if type(clause) is not tuple or len(lits) < len(clause):
+                clause = tuple(lits)
+            cleaned.append(clause)
+        object.__setattr__(self, "clauses", tuple(cleaned))
 
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
 
 
-def _clean_clause(lits: list[Lit]) -> tuple[Lit, ...] | None:
-    """Deduplicate literals; returns None for tautologies."""
-    seen: dict[Lit, None] = {}
-    for lit in lits:
-        if -lit in seen:
-            return None
-        seen.setdefault(lit, None)
-    return tuple(seen)
-
-
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse a DIMACS CNF document.
 
-    Tautological clauses are dropped and duplicate literals removed.
-    An empty clause (a bare ``0``) is kept: the formula then evaluates
-    to falsified.
+    The header's clause count must match the clauses read, before
+    `CnfFormula` brings them to normal form. An empty clause (a bare ``0``)
+    is kept: the formula then evaluates to falsified.
     """
     num_vars: int | None = None
     num_clauses: int | None = None
     clauses: list[tuple[Lit, ...]] = []
-    clauses_read = 0
     current: list[Lit] = []
 
     for raw in text.splitlines():
@@ -87,10 +93,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             except ValueError as exc:
                 raise DimacsError(f"bad token {tok!r}") from exc
             if lit == 0:
-                clauses_read += 1
-                cleaned = _clean_clause(current)
-                if cleaned is not None:
-                    clauses.append(cleaned)
+                clauses.append(tuple(current))
                 current = []
             else:
                 current.append(lit)
@@ -99,8 +102,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise DimacsError("missing header")
     if current:
         raise DimacsError("unterminated clause at end of input")
-    if clauses_read != num_clauses:
-        raise DimacsError(f"header declares {num_clauses} clauses, found {clauses_read}")
+    if len(clauses) != num_clauses:
+        raise DimacsError(f"header declares {num_clauses} clauses, found {len(clauses)}")
     try:
         return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
     except ValueError as exc:  # a literal out of range
@@ -108,7 +111,7 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 
 def write_dimacs(f: CnfFormula) -> str:
-    """Serialize to DIMACS; round-trips through parse_dimacs."""
+    """Serialize to DIMACS; ``parse_dimacs(write_dimacs(f)) == f``."""
     lines = [f"p cnf {f.num_vars} {f.num_clauses}"]
     for clause in f.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + (" 0" if clause else "0"))

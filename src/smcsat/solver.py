@@ -245,8 +245,14 @@ class CdclSolver:
     literal becomes false, propagation walks its binary list first and then
     its watched clauses. A variable's reason is None for a decision, the
     falsified literal of the binary clause that implied it (an ``int``),
-    or else the implying clause itself. ``clauses`` lists every clause in
-    the order it was attached, binaries included.
+    or else the implying clause itself.
+
+    Original clauses are attached straight from the formula's tuples: a
+    unit is assigned at level 0 with its tuple as reason, a binary goes
+    into ``bins``, and only a clause of three or more literals is copied,
+    once, into a list for the watches. ``learned`` lists the derived
+    clauses (learned conflict clauses and predicate reasons) in the order
+    they were attached.
     """
 
     def __init__(self, problem: SmcProblem, config: SolverConfig | None = None):
@@ -256,10 +262,10 @@ class CdclSolver:
         self.num_vars = nv
         self.value: list[bool | None] = [None] * (2 * nv + 1)
         self.level = [0] * (nv + 1)
-        self.reason: list[Lit | list[Lit] | None] = [None] * (nv + 1)
+        self.reason: list[Lit | Sequence[Lit] | None] = [None] * (nv + 1)
         self.trail: list[Lit] = []
         self.trail_lim: list[int] = []
-        self.clauses: list[list[Lit]] = []
+        self.learned: list[list[Lit]] = []
         self.bins: list[list[Lit]] = [[] for _ in range(2 * nv + 1)]
         self.watches: list[list[list[Lit]]] = [[] for _ in range(2 * nv + 1)]
         self.activity = [0.0] * (nv + 1)
@@ -268,9 +274,12 @@ class CdclSolver:
         self.stats = Stats()
         self.ok = True
         for clause in problem.cnf.clauses:
-            self._add_clause(list(clause))
-        # Clauses past this index are derived (`_add_derived`).
-        self.num_original = len(self.clauses)
+            if len(clause) > 1:
+                self._attach(clause if len(clause) == 2 else list(clause))
+            elif not clause or self.value[clause[0]] is False:
+                self.ok = False  # an empty clause, or a unit already false
+            elif self.value[clause[0]] is None:
+                self._assign(clause[0], clause)
         self.preds = [_PredState(p, self.mode, self.cfg.ulw_enabled) for p in problem.predicates]
         # formula var -> [(predicate index, circuit var)], for the bound
         # updates; without bound tracking there are none.
@@ -284,9 +293,10 @@ class CdclSolver:
 
     # ------------------------------------------------------------------ db
 
-    def _attach(self, lits: list[Lit]) -> None:
-        """Put a clause of two or more literals in the binary lists or on
-        the watch lists of its first two literals."""
+    def _attach(self, lits: Sequence[Lit]) -> None:
+        """Put a binary clause in the binary lists, or a longer one, as a
+        list that propagation reorders, on the watch lists of its first two
+        literals."""
         a, b = lits[0], lits[1]
         if len(lits) == 2:
             self.bins[a].append(b)
@@ -294,23 +304,6 @@ class CdclSolver:
         else:
             self.watches[a].append(lits)
             self.watches[b].append(lits)
-
-    def _add_clause(self, lits: list[Lit]) -> None:
-        """Attach an original clause and enqueue it at level 0 if it is a
-        unit; an empty clause or a unit that is already false makes the
-        problem UNSAT."""
-        if not lits:
-            self.ok = False
-            return
-        self.clauses.append(lits)
-        if len(lits) == 1:
-            val = self.value[lits[0]]
-            if val is None:
-                self._assign(lits[0], lits)
-            elif not val:
-                self.ok = False
-        else:
-            self._attach(lits)
 
     def _add_derived(self, lits: list[Lit]) -> Lit | list[Lit]:
         """Attach a learned or predicate-reason clause; returns the reason
@@ -320,7 +313,7 @@ class CdclSolver:
         deepest-assigned remaining literal, so a long clause's watch
         invariant survives backtracking.
         """
-        self.clauses.append(lits)
+        self.learned.append(lits)
         self.stats.learned_clauses += 1
         if len(lits) == 1:
             return lits
@@ -336,7 +329,7 @@ class CdclSolver:
 
     # --------------------------------------------------------- propagation
 
-    def _assign(self, lit: Lit, reason: Lit | list[Lit] | None) -> None:
+    def _assign(self, lit: Lit, reason: Lit | Sequence[Lit] | None) -> None:
         """Make `lit` true at the current decision level."""
         var = abs(lit)
         assert self.value[lit] is None, f"variable {var} already assigned"
@@ -584,7 +577,7 @@ class CdclSolver:
             status, model = self._search(start)
         finally:
             self.stats.wall_time = time.monotonic() - start
-        return SolveResult(status, model, self.stats, self.clauses[self.num_original :])
+        return SolveResult(status, model, self.stats, self.learned)
 
     def _out_of_budget(self, start: float) -> bool:
         if self.cfg.max_conflicts is not None and self.stats.conflicts > self.cfg.max_conflicts:

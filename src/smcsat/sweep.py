@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .formula import CnfFormula, Var
-from .solver import Comparator, SmcProblem, SolveResult, SolveStatus, SolverConfig, Stats, solve
+from .solver import _COMPARATORS, SmcProblem, SolveResult, SolveStatus, SolverConfig, Stats, solve
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def sweep(
         thresholds = (hi - i * step for i in steps)
 
     pred = p.predicates[predicate_index]
-    rising = pred.cmp in (Comparator.GE, Comparator.GT)
+    rising = _COMPARATORS[pred.cmp][2]
     carry = pred.b is None and rising == (direction == "up")
 
     best_q: float | None = None
@@ -111,6 +111,5 @@ def sweep(
         best_q = q
         best_model = result.model
         if carry:
-            clauses = p.cnf.clauses + tuple(tuple(c) for c in result.learned)
-            p = replace(p, cnf=CnfFormula(p.cnf.num_vars, clauses))
+            p = replace(p, cnf=CnfFormula(p.cnf.num_vars, p.cnf.clauses + tuple(result.learned)))
     return SweepResult(best_q, best_model, tuple(trace))

@@ -48,6 +48,7 @@ def test_parse_malformed_header():
         pytest.param("p cnf 1 -1\n", "malformed header: 'p cnf 1 -1'", id="negative-count"),
         pytest.param("1 0\np cnf 1 1\n", "clause before header", id="clause-first"),
         pytest.param("c no header\n", "missing header", id="no-header"),
+        pytest.param("p cnf 2 1\n1 -1 9 0\n", "literal 9 out of range for 2 vars", id="tautology-out-of-range"),
     ],
 )
 def test_parse_dimacs_rejects_malformed(text, message):
@@ -71,6 +72,51 @@ def test_parse_unterminated_clause():
 def test_parse_drops_tautology_and_duplicates():
     f = parse_dimacs("p cnf 2 2\n1 -1 0\n2 2 0")
     assert f.clauses == ((2,),)
+
+
+def test_api_formula_rejects_out_of_range_literal_in_tautology():
+    with pytest.raises(ValueError) as err:
+        CnfFormula(2, ((1, -1, 9),))
+    assert str(err.value) == "literal 9 out of range for 2 vars"
+
+
+def test_api_formula_is_cleaned():
+    f = CnfFormula(3, ((1, 1, 2), (2, -2), (), (-3,)))
+    assert f.clauses == ((1, 2), (), (-3,))
+    assert parse_dimacs(write_dimacs(f)) == f
+
+
+def _reference_clauses(clauses):
+    """Each clause's literals deduplicated through a set, first occurrence
+    kept in order; a clause that holds some literal and its negation is
+    dropped."""
+    out = []
+    for clause in clauses:
+        lits = set(clause)
+        if any(-lit in lits for lit in lits):
+            continue
+        seen: set[int] = set()
+        kept = []
+        for lit in clause:
+            if lit not in seen:
+                seen.add(lit)
+                kept.append(lit)
+        out.append(tuple(kept))
+    return tuple(out)
+
+
+def test_api_formulas_with_duplicates_tautologies_and_empty_clauses():
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        raw = [
+            [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 6))]
+            for _ in range(rng.randint(0, 12))
+        ]
+        f = CnfFormula(n, tuple(raw))
+        assert f.clauses == _reference_clauses(raw), f"seed {seed}"
+        assert all(type(clause) is tuple for clause in f.clauses)
+        assert parse_dimacs(write_dimacs(f)) == f, f"seed {seed}"
 
 
 def test_parse_empty_clause_is_falsified_formula():

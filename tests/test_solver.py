@@ -386,9 +386,9 @@ def test_solve_result_learned_holds_in_every_model(mode, ulw):
 
 def _binary_instance(seed: int) -> SmcProblem:
     """At most 12 variables and mostly binary clauses, with a few long ones,
-    a unit, a duplicate-literal binary (a, a) and a tautology (a, -a): the
-    last two only the API admits, since parse_dimacs cleans both away. One
-    compiled-BN predicate, hard on every third seed and soft otherwise."""
+    a unit, a duplicate-literal binary (a, a) and a tautology (a, -a), which
+    `CnfFormula` cleans to the unit (a,) and drops. One compiled-BN
+    predicate, hard on every third seed and soft otherwise."""
     rng = random.Random(seed)
     n = rng.randint(8, 12)
 
@@ -413,7 +413,7 @@ def _binary_instance(seed: int) -> SmcProblem:
 def test_binary_clauses_agree_with_oracle_fuzz(mode, ulw):
     config = SolverConfig(ulw_enabled=ulw, numeric_mode=mode)
     statuses, searched = set(), 0
-    for seed in range(150):
+    for seed in range(400):
         problem = _binary_instance(seed)
         result = solve(problem, config)
         expected = brute_solve(problem, mode=mode)
@@ -427,6 +427,17 @@ def test_binary_clauses_agree_with_oracle_fuzz(mode, ulw):
         searched += result.stats.decisions > 0 and result.stats.conflicts > 0
     assert statuses == {SolveStatus.SAT, SolveStatus.UNSAT}
     assert searched >= 40
+
+
+def test_duplicate_literal_clause_searches_as_its_unit():
+    # `CnfFormula` merges (1, 1) into the unit (1,), so 1 is assigned at
+    # level 0 and the search does not have to learn it.
+    def counters(clauses):
+        return {k: v for k, v in asdict(solve(SmcProblem(CnfFormula(3, clauses))).stats).items() if k != "wall_time"}
+
+    merged = counters(((1, 1), (2, 3)))
+    assert merged == counters(((1,), (2, 3)))
+    assert (merged["decisions"], merged["boolean_conflicts"], merged["learned_clauses"]) == (1, 0, 0)
 
 
 def test_no_ulw_agreement_fuzz():
