@@ -33,11 +33,16 @@ class CnfFormula:
 
     def __post_init__(self) -> None:
         n = self.num_vars
+        if type(n) is not int or n < 0:
+            raise ValueError(f"number of variables {n!r} is not a nonnegative integer")
         cleaned = []
         for clause in self.clauses:
             lits = dict.fromkeys(clause)
             tautology = False
-            for lit in lits:
+            # `clause`, not `lits`: a `1.0` or `True` merges into an equal `1`.
+            for lit in clause:
+                if type(lit) is not int:
+                    raise ValueError(f"literal {lit!r} is not an integer")
                 if not 0 < abs(lit) <= n:
                     raise ValueError(f"literal {lit} out of range for {n} vars")
                 if -lit in lits:

@@ -3,11 +3,12 @@
 Each predicate links a literal b to an inequality between a circuit's
 marginal mass (shared formula variables fixed, the rest summed out) and a
 threshold. During propagation the solver narrows each predicate's root
-bounds once per round: the shared variables assigned in that round are
-applied as one batch, over the inner nodes whose scope they meet. Every
-undecided predicate is checked in every round, after its batch for that
-round, if any, is applied; no flag records which ones changed. That is
-safe because a batch is checked in the loop step that applies it, so a
+bounds once per round, whose literals are those one Boolean fixpoint
+added, from `qhead` at the round's start: the shared variables among them
+are applied as one batch, over the inner nodes whose scope they meet.
+Every undecided predicate is checked in every round, after its batch for
+that round, if any, is applied; no flag records which ones changed. That
+is safe because a batch is checked in the loop step that applies it, so a
 bounds state that a backtrack restores was already checked and found
 undecided, and checking it again decides nothing. Once the bounds decide
 the inequality it propagates b or raises a conflict, learning a clause
@@ -69,9 +70,13 @@ class PredicateSpec:
     def __post_init__(self) -> None:
         if len(set(self.shared_map.values())) != len(self.shared_map):
             raise ValueError("shared map is not injective")
-        for cvar in self.shared_map:
+        for cvar, fvar in self.shared_map.items():
+            if type(cvar) is not int or type(fvar) is not int:
+                raise ValueError(f"shared map entry {cvar!r}: {fvar!r} is not an integer pair")
             if cvar < 0 or cvar >= self.circuit.num_vars:
                 raise ValueError(f"shared circuit variable {cvar} out of range")
+        if self.b is not None and type(self.b) is not int:
+            raise ValueError(f"b literal {self.b!r} is not an integer")
         if self.b == 0:
             raise ValueError("b literal must be nonzero")
         if self.threshold != self.threshold:  # NaN; math.isnan overflows on a huge int
@@ -235,8 +240,10 @@ class CdclSolver:
     literal ``v`` and, through Python's negative indexing, slot ``-v`` for
     ``-v``, so ``value[lit]`` is the literal's truth value (None while
     unassigned). ``level`` and ``reason`` are indexed by variable; ``trail``
-    lists the assigned literals in order and ``trail_lim`` where each
-    decision level starts on it.
+    lists the assigned literals in order, ``trail_lim`` where each decision
+    level starts on it, and ``qhead`` where propagation stands on it. A
+    propagation round reads the literals that its Boolean fixpoint added,
+    from ``qhead`` at the round's start to the trail's end.
 
     Binary clauses, original or derived, live in implication lists:
     ``bins[lit]`` holds the other literal of each binary clause that
@@ -257,7 +264,6 @@ class CdclSolver:
 
     def __init__(self, problem: SmcProblem, config: SolverConfig | None = None):
         self.cfg = config or SolverConfig()
-        self.mode = self.cfg.numeric_mode
         nv = problem.cnf.num_vars
         self.num_vars = nv
         self.value: list[bool | None] = [None] * (2 * nv + 1)
@@ -280,7 +286,7 @@ class CdclSolver:
                 self.ok = False  # an empty clause, or a unit already false
             elif self.value[clause[0]] is None:
                 self._assign(clause[0], clause)
-        self.preds = [_PredState(p, self.mode, self.cfg.ulw_enabled) for p in problem.predicates]
+        self.preds = [_PredState(p, self.cfg.numeric_mode, self.cfg.ulw_enabled) for p in problem.predicates]
         # formula var -> [(predicate index, circuit var)], for the bound
         # updates; without bound tracking there are none.
         self.shared_occ: dict[Var, list[tuple[int, int]]] = {}
@@ -289,7 +295,6 @@ class CdclSolver:
                 for cvar, fvar in ps.shared_items:
                     self.shared_occ.setdefault(fvar, []).append((pi, cvar))
         self.qhead = 0
-        self.pred_qhead = 0
 
     # ------------------------------------------------------------------ db
 
@@ -412,7 +417,7 @@ class CdclSolver:
             if val is None:
                 return None
             values[cvar] = val
-        m = marginal(ps.spec.circuit, values, self.mode)
+        m = marginal(ps.spec.circuit, values, self.cfg.numeric_mode)
         return m, m
 
     def _assigned_shared_lits(self, ps: _PredState) -> list[Lit]:
@@ -426,11 +431,12 @@ class CdclSolver:
     def propagate(self) -> list[Lit] | None:
         """Run Boolean and predicate propagation to fixpoint.
 
-        Returns a conflict clause (as literals) or None. Predicate-implied
-        b literals are assigned with materialized reason clauses and Boolean
-        propagation is re-run until nothing changes.
+        Returns a conflict clause (as literals) or None. A round that
+        entails b literals (assigned with materialized reason clauses)
+        appends past ``qhead``, and so starts another round.
         """
         while True:
+            start = self.qhead
             conflict = self._propagate_bool()
             if conflict is not None:
                 self.stats.boolean_conflicts += 1
@@ -439,12 +445,9 @@ class CdclSolver:
                 return None
             # predicate index -> (circuit var, value) pairs assigned this round
             batches: dict[int, list[tuple[int, bool]]] = {}
-            while self.pred_qhead < len(self.trail):
-                lit = self.trail[self.pred_qhead]
-                self.pred_qhead += 1
+            for lit in self.trail[start:]:
                 for pi, cvar in self.shared_occ.get(abs(lit), ()):
                     batches.setdefault(pi, []).append((cvar, lit > 0))
-            progressed = False
             for pi, ps in enumerate(self.preds):
                 if ps.decided_level is not None:
                     continue
@@ -474,8 +477,7 @@ class CdclSolver:
                     reason = self._add_derived(probabilistic_clause(implied, self._assigned_shared_lits(ps)))
                     self._assign(implied, reason)
                     self.stats.prob_entailments += 1
-                    progressed = True
-            if not progressed:
+            if self.qhead == len(self.trail):  # no entailment this round
                 return None
 
     # ------------------------------------------------------------ conflicts
@@ -545,7 +547,6 @@ class CdclSolver:
             del trail[cut:]
             del self.trail_lim[level:]
         self.qhead = min(self.qhead, len(self.trail))
-        self.pred_qhead = min(self.pred_qhead, len(self.trail))
         for ps in self.preds:
             if ps.bounds is not None:
                 ps.bounds.backtrack_bounds(level)

@@ -80,6 +80,29 @@ def test_api_formula_rejects_out_of_range_literal_in_tautology():
     assert str(err.value) == "literal 9 out of range for 2 vars"
 
 
+@pytest.mark.parametrize("num_vars", [-2, 2.0, True, "2"], ids=["negative", "float", "bool", "str"])
+def test_api_formula_rejects_bad_num_vars(num_vars):
+    # with -2 variables the solver would stop on an assertion in decide
+    with pytest.raises(ValueError) as err:
+        CnfFormula(num_vars, ())
+    assert str(err.value) == f"number of variables {num_vars!r} is not a nonnegative integer"
+
+
+@pytest.mark.parametrize(
+    "clauses, bad",
+    [
+        pytest.param(((1.0, 2), (-2,)), "1.0", id="float"),
+        pytest.param(((True,),), "True", id="bool"),
+        pytest.param(((1, 1.0),), "1.0", id="float-merged-into-int"),
+    ],
+)
+def test_api_formula_rejects_non_integer_literal(clauses, bad):
+    # the solver would fail on a float literal and take True for the literal 1
+    with pytest.raises(ValueError) as err:
+        CnfFormula(2, clauses)
+    assert str(err.value) == f"literal {bad} is not an integer"
+
+
 def test_api_formula_is_cleaned():
     f = CnfFormula(3, ((1, 1, 2), (2, -2), (), (-3,)))
     assert f.clauses == ((1, 2), (), (-3,))

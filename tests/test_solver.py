@@ -116,6 +116,19 @@ def test_predicate_spec_rejects_bad_fields_through_the_api():
         negative.resolved_threshold(NumericMode.LOG)
 
 
+def test_predicate_spec_rejects_non_integer_fields():
+    # what the manifest schema rejects, the API rejects too: the solver would
+    # take a float shared variable where brute_solve raises TypeError, and a
+    # bool b for the literal 1
+    c = parse_pc("pc 1 1\nl 0 0.3 0.7\n")
+    for shared in ({0: 1.0}, {0.0: 1}, {0: True}):
+        with pytest.raises(ValueError, match="is not an integer pair"):
+            PredicateSpec(c, shared, Comparator.GE, 0.5)
+    for b in (True, 1.5):
+        with pytest.raises(ValueError, match="is not an integer"):
+            PredicateSpec(c, {0: 1}, Comparator.GE, 0.5, b=b)
+
+
 def test_solver_config_rejects_negative_and_nan_budgets():
     with pytest.raises(ValueError, match="conflict budget must be nonnegative"):
         SolverConfig(max_conflicts=-1)
@@ -205,6 +218,13 @@ def test_propagate_one_batch_per_predicate_per_round(monkeypatch):
         solver = CdclSolver(motivating_problem(q))
         assert solver.solve().status is SolveStatus.SAT
         assert calls and len(set(calls)) == len(calls)
+    # The first three pinned searches apply batches across 10, 3 and 9
+    # predicate conflicts and the backjumps after them.
+    for (instance, mode, status, _), n_calls in zip(_PINNED_COUNTERS, (17, 8, 19)):
+        calls.clear()
+        solver = CdclSolver(_pinned_instance(*instance), SolverConfig(numeric_mode=mode))
+        assert solver.solve().status is status
+        assert len(calls) == n_calls and len(set(calls)) == len(calls)
     # Deciding b2 = True forces x3 and x4 in one round: one call, both items.
     calls.clear()
     solver = CdclSolver(motivating_problem(0.5))
