@@ -24,14 +24,17 @@ first use and cached on the circuit per numeric mode and set of shared
 variables: log mode maps every weight through ``math.log`` (zero to
 ``-inf``), and a decision sum (below) of a shared variable becomes a
 ``(None, branches)`` row. The same dict (``Circuit._memo``) keeps
-``partition`` per mode and, per batch of variables, the inner nodes that
-the batch recomputes. One function, ``_fold``, computes every node's
-bounds from scratch: it sets each leaf from a status (an assigned
-variable's weight for its value, a free shared variable's larger and
-smaller weight, any other leaf its summed-out mass) and runs the mode's
-bound-update kernel (below) once over the inner nodes. ``marginal``,
-``partition`` and every fresh ``BoundState`` are a fold; without shared
-variables one list serves as both the upper and the lower bounds.
+``partition`` and a leaf template per mode and, per batch of variables,
+the inner nodes that the batch recomputes. One function, ``_fold``,
+computes every node's bounds from scratch. It starts from a copy of the
+mode's leaf template, which holds every leaf's summed-out mass and NaN
+for every inner node and is built in the circuit's first fold in that
+mode. It then overwrites the leaves of the variables in a status (an
+assigned variable's weight for its value, a free shared variable's larger
+and smaller weight) and runs the mode's bound-update kernel (below) once
+over the inner nodes. ``marginal``, ``partition`` and every fresh
+``BoundState`` are a fold; without shared variables one list serves as
+both the upper and the lower bounds.
 
 ``BoundState`` maintains, per node, an upper and lower bound on the marginal
 mass under a partial assignment of the shared (decision) variables. Its work
@@ -272,8 +275,8 @@ class Circuit:
     the bitmask scope of every node, its leaf and inner ids and its
     validation report. The rows each kernel reads are built on first use
     by ``_rows``, and kept in ``_memo`` with the other work that depends
-    only on the circuit: the partition function and the inner ids each
-    batch mask recomputes."""
+    only on the circuit: the partition function and leaf template of each
+    mode, and the inner ids each batch mask recomputes."""
 
     def __init__(self, num_vars: int, nodes: Iterable[tuple]):
         self.num_vars = num_vars
@@ -325,8 +328,10 @@ class Circuit:
         )
         # Work that no solve changes, memoized on first use: ("rows", mode,
         # shared) -> the rows of `_rows`; ("partition", mode) -> the total
-        # mass; "ids" -> per batch bitmask, the inner ids that the batch
-        # recomputes, for at most _IDS_MEMO_CAP masks.
+        # mass; ("template", mode) -> the list `_fold` copies, each leaf's
+        # summed-out mass and NaN for each inner node; "ids" -> per batch
+        # bitmask, the inner ids that the batch recomputes, for at most
+        # _IDS_MEMO_CAP masks.
         self._memo: dict = {"ids": {}}
 
     def __eq__(self, other: object) -> bool:
@@ -433,24 +438,36 @@ def _rows(c: Circuit, mode: NumericMode, shared: frozenset[int] = frozenset()) -
 def _fold(
     c: Circuit, mode: NumericMode, status: dict, shared: frozenset[int] = frozenset()
 ) -> tuple[list[float], list[float]]:
-    """Every node's ``(ub, lb)`` from scratch, over the rows of `shared`. A
-    leaf whose variable `status` maps to a value takes that value's weight,
-    one it maps to None (a free shared variable, which must be in `shared`)
-    its larger and smaller weight, and any other leaf its summed-out mass.
-    The mode's kernel then runs once over the inner nodes, which start as
-    NaN; without shared variables one list serves as both bounds."""
+    """Every node's ``(ub, lb)`` from scratch, over the rows of `shared`.
+    Both start as copies of the mode's leaf template (every leaf's
+    summed-out mass, NaN for every inner node), built in the first fold
+    and never handed out. A leaf whose variable `status` maps to a value
+    then takes that value's weight, and one it maps to None (a free shared
+    variable, which must be in `shared`) its larger and smaller weight.
+    The mode's kernel then runs once over the inner nodes; without shared
+    variables one list serves as both bounds."""
     rows = _rows(c, mode, shared)
     add, update = _OPS[mode]
-    ub = [math.nan] * len(rows)
-    lb = [math.nan] * len(rows) if shared else ub
-    for nid in c.leaves:
-        var, t, f = rows[nid]
-        if var not in status:
-            ub[nid] = lb[nid] = add(t, f)
-        elif status[var] is None:
-            ub[nid], lb[nid] = max(t, f), min(t, f)
+    key = ("template", mode)
+    template = c._memo.get(key)
+    if template is None:
+        template = [math.nan] * len(rows)
+        for nid in c.leaves:
+            _, t, f = rows[nid]
+            template[nid] = add(t, f)
+        c._memo[key] = template
+    ub = template[:]
+    lb = template[:] if shared else ub
+    var_leaves = c.var_leaves
+    for var, val in status.items():
+        if val is None:
+            for nid in var_leaves.get(var, ()):
+                _, t, f = rows[nid]
+                ub[nid], lb[nid] = max(t, f), min(t, f)
         else:
-            ub[nid] = lb[nid] = t if status[var] else f
+            pos = 1 if val else 2
+            for nid in var_leaves.get(var, ()):
+                ub[nid] = lb[nid] = rows[nid][pos]
     update(c.inner, rows, ub, lb)
     return ub, lb
 

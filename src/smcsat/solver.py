@@ -15,6 +15,11 @@ the inequality it propagates b or raises a conflict, learning a clause
 over the assigned shared variables. With bound tracking disabled,
 predicates are checked exactly and only when fully assigned, which
 reproduces the naive solver-plus-inference loop as an ablation baseline.
+Either way, every predicate's shared variables start with a small VSIDS
+activity, so they are decided first, as in the constrained order of
+Oztok, Choi and Darwiche (KR 2016): a bound can decide a predicate only
+as its shared variables get assigned. The first conflict's bump outranks
+that start, and ties still go to the lowest index.
 
 The Boolean core follows MiniSat. Binary clauses, which make up most of
 an encoding such as the Hamiltonian path's, sit in per-literal
@@ -79,6 +84,8 @@ class PredicateSpec:
             raise ValueError(f"b literal {self.b!r} is not an integer")
         if self.b == 0:
             raise ValueError("b literal must be nonzero")
+        if type(self.threshold) not in (int, float):
+            raise ValueError(f"threshold {self.threshold!r} is not an int or float")
         if self.threshold != self.threshold:  # NaN; math.isnan overflows on a huge int
             raise ValueError(f"threshold {self.threshold} is not a number")
         self.circuit.require_valid()
@@ -113,6 +120,9 @@ class SmcProblem:
 
 # VSIDS: the activity bump grows by 1/decay after each conflict.
 _ACTIVITY_DECAY = 0.95
+# The starting activity of every predicate's shared formula variables, so
+# they are decided first; the first conflict's bump, 1.0, outranks it.
+_SHARED_ACTIVITY = 1e-6
 # Restart after this many conflicts times the next Luby term.
 _RESTART_BASE = 100
 
@@ -131,6 +141,8 @@ class SolverConfig:
     max_seconds: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.numeric_mode, NumericMode):
+            raise ValueError(f"numeric_mode {self.numeric_mode!r} is not a NumericMode")
         if self.max_conflicts is not None and self.max_conflicts < 0:
             raise ValueError("conflict budget must be nonnegative")
         # `not >=` also rejects NaN, which would never trip the budget.
@@ -291,8 +303,9 @@ class CdclSolver:
         # updates; without bound tracking there are none.
         self.shared_occ: dict[Var, list[tuple[int, int]]] = {}
         for pi, ps in enumerate(self.preds):
-            if ps.bounds is not None:
-                for cvar, fvar in ps.shared_items:
+            for cvar, fvar in ps.shared_items:
+                self.activity[fvar] = _SHARED_ACTIVITY
+                if ps.bounds is not None:
                     self.shared_occ.setdefault(fvar, []).append((pi, cvar))
         self.qhead = 0
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import struct
 import tracemalloc
 from typing import Sequence
 
@@ -14,6 +15,7 @@ from smcsat.circuit import (
     PcFormatError,
     ValidationReport,
     _IDS_MEMO_CAP,
+    _OPS,
     _fold,
     _rows,
     evaluate_joint,
@@ -328,6 +330,18 @@ def test_joint_single_leaf():
 def test_joint_rejects_unassigned(route_circuit):
     with pytest.raises(ValueError):
         evaluate_joint(route_circuit, {0: True})
+
+
+def test_joint_names_a_missing_variable_after_folds_over_leafless_ones():
+    # variable 2 has no leaf: folds that assign it must not make it one
+    # that a joint query needs
+    c = parse_pc("pc 3 3\nl 0 0.3 0.7\nl 1 0.4 0.6\np 2 0 1")
+    for mode in NumericMode:
+        assert marginal(c, {2: True}, mode) == marginal(c, {}, mode)
+        BoundState(c, {1, 2}, mode).assign([(2, False)], 1)
+    assert evaluate_joint(c, {0: True, 1: False}) == 0.3 * 0.6
+    with pytest.raises(ValueError, match="variable 1 unassigned in joint query"):
+        evaluate_joint(c, {0: True, 2: True})
 
 
 def test_marginal_two_route_values(route_circuit):
@@ -857,6 +871,74 @@ def test_kernels_match_reference_bit_for_bit_on_every_shape():
                 bs.backtrack_bounds(rng.randint(0, level - 1))
     linear, log = NumericMode.LINEAR, NumericMode.LOG
     assert {(linear, "nan"), (linear, "inf"), (linear, "-0x0.0p+0"), (log, "-inf")} <= reached
+
+
+def _fold_with_leaf_pass(
+    c: Circuit, mode: NumericMode, status: dict, shared: frozenset[int] = frozenset()
+) -> tuple[list[float], list[float]]:
+    """The reference for ``_fold``: every leaf set through a three-way
+    branch on its status, then the mode's kernel over the inner nodes."""
+    rows = _rows(c, mode, shared)
+    add, update = _OPS[mode]
+    ub = [math.nan] * len(rows)
+    lb = [math.nan] * len(rows) if shared else ub
+    for nid in c.leaves:
+        var, t, f = rows[nid]
+        if var not in status:
+            ub[nid] = lb[nid] = add(t, f)
+        elif status[var] is None:
+            ub[nid], lb[nid] = max(t, f), min(t, f)
+        else:
+            ub[nid] = lb[nid] = t if status[var] else f
+    update(c.inner, rows, ub, lb)
+    return ub, lb
+
+
+def _packed(values: list[float]) -> bytes:
+    """Every bit of every float, NaN payloads and signed zeros included."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def test_fold_from_the_leaf_template_equals_a_leaf_pass_bit_for_bit():
+    # the template holds each leaf's summed-out mass; a fold copies it and
+    # overwrites only the leaves of the variables in its status. max(t, f)
+    # and min(t, f) of a free leaf with weights 0.0 and -0.0 depend on their
+    # order, and variable 3 has no leaf
+    rng = random.Random(26)
+    signed = parse_pc("pc 6 4\nl 0 0.0 -0.0\nl 1 -0.0 0.0\nl 2 0.0 -0.0\nc 1.5\np 3 0 1 3\ns 2 1.0 2 0.5 2")
+    circuits = [signed, parse_pc(TWO_ROUTE_CIRCUIT_TEXT)]
+    circuits += [random_circuit(seed + 600, 1 + seed % 6) for seed in range(10)]
+    circuits += [_compiled_bn(seed + 700, seed % 2 == 0) for seed in range(6)]
+    circuits += [_edge_weighted(random_circuit(seed + 800, 2 + seed % 5).nodes, rng) for seed in range(10)]
+    for mode, c in itertools.product(NumericMode, circuits):
+        assert ("template", mode) not in c._memo
+        for _ in range(6):
+            shared = frozenset(v for v in range(c.num_vars) if rng.random() < 0.5)
+            status = {v: rng.choice((None, True, False)) for v in shared}
+            status.update((v, rng.random() < 0.5) for v in range(c.num_vars) if v not in shared and rng.random() < 0.3)
+            for args in ((status, shared), ({v: val for v, val in status.items() if val is not None},)):
+                got, want = _fold(c, mode, *args), _fold_with_leaf_pass(c, mode, *args)
+                assert (got[0] is got[1]) == (want[0] is want[1])
+                assert all(values is not c._memo[("template", mode)] for values in got)
+                assert tuple(map(_packed, got)) == tuple(map(_packed, want)), (mode, c.nodes, args)
+        assert len(c._memo[("template", mode)]) == len(c.nodes)
+
+
+def test_writes_to_fold_lists_leave_later_folds_unchanged():
+    # a BoundState owns its lists: writing into them, or into a state
+    # without shared variables whose ub is its lb, changes no later fold
+    for mode, seed in itertools.product(NumericMode, range(6)):
+        c = _compiled_bn(seed + 900, seed % 2 == 0) if seed % 2 else random_circuit(seed + 900, 4)
+        shared = set(range(0, c.num_vars, 2))
+        m = marginal(c, {0: True}, mode)
+        states = [BoundState(c, shared, mode), BoundState(c, (), mode)]
+        want = [tuple(map(_packed, (bs.ub, bs.lb))) for bs in states]
+        for bs in states:
+            assert bs.ub is not c._memo[("template", mode)]
+            for nid in range(len(bs.ub)):
+                bs.ub[nid] = bs.lb[nid] = -7.0
+        assert marginal(c, {0: True}, mode) == m
+        assert [tuple(map(_packed, (bs.ub, bs.lb))) for bs in (BoundState(c, shared, mode), BoundState(c, (), mode))] == want
 
 
 def test_fully_assigned_signed_zeros_equal_marginal():

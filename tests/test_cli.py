@@ -704,10 +704,11 @@ def test_sweep_infinite_step_count_is_one_error_line(route_manifest, capsys):
 
 
 @pytest.mark.parametrize(
-    "budget, at", [(("--budget-seconds", "0"), "0.0"), (("--budget-conflicts", "0"), "0.13")], ids=["seconds", "conflicts"]
+    "budget, at", [(("--budget-seconds", "0"), "0.0"), (("--budget-conflicts", "1"), "0.13")], ids=["seconds", "conflicts"]
 )
 def test_sweep_budget_stop_is_not_a_boundary(tmp_path, monkeypatch, budget, at):
-    # README's example: 0.12 is the best threshold, and 0.13 takes a conflict
+    # README's example: 0.12 is the best threshold, and 0.13 takes three
+    # conflicts, where every earlier step takes at most one
     monkeypatch.chdir(tmp_path)
     run_cli("gen", "kcolor", "--rows", "2", "--cols", "2", "-o", "grid.cnf")
     run_cli("gen", "bn", "-n", "6", "--seed", "7", "-o", "net.uai")

@@ -18,6 +18,7 @@ from smcsat.problems import (
     select_shared_vars,
 )
 from smcsat.solver import (
+    _SHARED_ACTIVITY,
     CdclSolver,
     Comparator,
     PredicateSpec,
@@ -129,6 +130,16 @@ def test_predicate_spec_rejects_non_integer_fields():
             PredicateSpec(c, {0: 1}, Comparator.GE, 0.5, b=b)
 
 
+@pytest.mark.parametrize("threshold", ["0.5", None, True], ids=["str", "none", "bool"])
+def test_predicate_spec_rejects_a_threshold_that_is_not_a_number(threshold):
+    # a string or None would fail inside the search, and True would be read
+    # as 1.0 and solve UNSAT
+    c = parse_pc("pc 1 1\nl 0 0.3 0.7\n")
+    with pytest.raises(ValueError, match=f"threshold {threshold!r} is not an int or float"):
+        PredicateSpec(c, {0: 1}, Comparator.GE, threshold)
+    assert PredicateSpec(c, {0: 1}, Comparator.GE, 1).threshold == 1
+
+
 def test_solver_config_rejects_negative_and_nan_budgets():
     with pytest.raises(ValueError, match="conflict budget must be nonnegative"):
         SolverConfig(max_conflicts=-1)
@@ -136,6 +147,15 @@ def test_solver_config_rejects_negative_and_nan_budgets():
         with pytest.raises(ValueError, match="time budget must be a nonnegative number"):
             SolverConfig(max_seconds=seconds)
     assert SolverConfig(max_conflicts=0, max_seconds=0.0).max_seconds == 0.0
+
+
+def test_solver_config_rejects_a_numeric_mode_that_is_not_a_mode():
+    # a mode's name is not the mode: the circuit code would fail on it with
+    # a bare KeyError
+    for mode in ("log", "linear", None):
+        with pytest.raises(ValueError, match=f"numeric_mode {mode!r} is not a NumericMode"):
+            SolverConfig(numeric_mode=mode)
+    assert SolverConfig(numeric_mode=NumericMode.LOG).numeric_mode is NumericMode.LOG
 
 
 # ----------------------------------------------------- motivating example
@@ -218,9 +238,9 @@ def test_propagate_one_batch_per_predicate_per_round(monkeypatch):
         solver = CdclSolver(motivating_problem(q))
         assert solver.solve().status is SolveStatus.SAT
         assert calls and len(set(calls)) == len(calls)
-    # The first three pinned searches apply batches across 10, 3 and 9
+    # The first three pinned searches apply batches across 6, 3 and 0
     # predicate conflicts and the backjumps after them.
-    for (instance, mode, status, _), n_calls in zip(_PINNED_COUNTERS, (17, 8, 19)):
+    for (instance, mode, status, _), n_calls in zip(_PINNED_COUNTERS, (10, 8, 5)):
         calls.clear()
         solver = CdclSolver(_pinned_instance(*instance), SolverConfig(numeric_mode=mode))
         assert solver.solve().status is status
@@ -548,9 +568,9 @@ _COUNTER_NAMES = (
     "max_decision_level",
 )
 _PINNED_COUNTERS = [
-    ((1, Comparator.GE, 0.002, False), NumericMode.LINEAR, SolveStatus.UNSAT, (14, 87, 0, 10, 0, 9, 0, 11)),
-    ((2, Comparator.GE, 0.0005, False), NumericMode.LOG, SolveStatus.SAT, (17, 62, 0, 3, 0, 3, 0, 9)),
-    ((1, Comparator.LE, 0.002, True), NumericMode.LINEAR, SolveStatus.SAT, (26, 124, 0, 9, 0, 9, 0, 14)),
+    ((1, Comparator.GE, 0.002, False), NumericMode.LINEAR, SolveStatus.UNSAT, (5, 29, 0, 6, 0, 5, 0, 5)),
+    ((2, Comparator.GE, 0.0005, False), NumericMode.LOG, SolveStatus.SAT, (10, 49, 0, 3, 0, 3, 0, 7)),
+    ((1, Comparator.LE, 0.002, True), NumericMode.LINEAR, SolveStatus.SAT, (13, 34, 0, 0, 1, 1, 0, 13)),
     ((0, Comparator.LE, 0.05, True), NumericMode.LOG, SolveStatus.SAT, (9, 38, 0, 0, 1, 1, 0, 9)),
 ]
 
@@ -597,9 +617,9 @@ def _hampath_instance(seed: int) -> tuple[GraphSpec, SmcProblem]:
 # propagation visits clauses shows in their counters, while the k-colouring
 # grids above keep theirs under a change of that order.
 _HAMPATH_COUNTERS = [
-    (153, SolveStatus.SAT, (70, 877, 39, 0, 1, 40, 0, 23)),
-    (208, SolveStatus.UNSAT, (184, 2264, 120, 0, 1, 120, 1, 18)),
-    (250, SolveStatus.UNSAT, (62, 595, 22, 0, 1, 22, 0, 7)),
+    (153, SolveStatus.SAT, (94, 854, 34, 0, 1, 35, 0, 21)),
+    (208, SolveStatus.UNSAT, (157, 1983, 99, 0, 1, 99, 0, 24)),
+    (250, SolveStatus.UNSAT, (54, 601, 22, 0, 1, 22, 0, 9)),
 ]
 
 
@@ -716,6 +736,23 @@ def test_decide_prefers_active_then_lowest_index():
     assert abs(lit) == 2
 
 
+def test_shared_variables_are_decided_first():
+    # variable 1 is free and lowest, but the predicate shares variable 3, so
+    # the first decision is on 3, with or without bound tracking; a bumped
+    # variable still outranks it
+    c = parse_pc("pc 1 1\nl 0 0.3 0.7\n")
+    cnf = CnfFormula(4, ((1, 2, 3), (-1, 2, 4)))
+    pred = PredicateSpec(c, {0: 3}, Comparator.GE, 0.1)
+    for ulw in (True, False):
+        solver = CdclSolver(SmcProblem(cnf, (pred,)), SolverConfig(ulw_enabled=ulw))
+        assert solver.activity[3] == _SHARED_ACTIVITY > 0.0
+        assert solver.propagate() is None
+        assert abs(solver.decide()) == 3
+        solver.activity[2] = 1.0
+        assert abs(solver.decide()) == 2
+    assert _SHARED_ACTIVITY < 1.0
+
+
 def test_overlapping_shared_vars_and_b_collisions():
     # one formula variable feeding two predicates, with a b literal that is
     # itself another predicate's shared variable
@@ -766,15 +803,17 @@ class _BacktrackCheckingSolver(CdclSolver):
 
 
 def test_backtrack_clears_both_polarity_slots(monkeypatch):
-    # Restarting after every conflict backtracks often, to level 0 and above.
+    # Restarting after every conflict backtracks often, to level 0 and above;
+    # the hampath searches, which conflict most, bring the binary lists in.
     monkeypatch.setattr("smcsat.solver._RESTART_BASE", 1)
     backtracks = 0
-    for instance, mode, status, _ in _PINNED_COUNTERS:
-        config = SolverConfig(numeric_mode=mode)
-        solver = _BacktrackCheckingSolver(_pinned_instance(*instance), config)
+    runs = [(_pinned_instance(*instance), mode, status) for instance, mode, status, _ in _PINNED_COUNTERS]
+    runs += [(_hampath_instance(seed)[1], NumericMode.LINEAR, status) for seed, status, _ in _HAMPATH_COUNTERS]
+    for problem, mode, status in runs:
+        solver = _BacktrackCheckingSolver(problem, SolverConfig(numeric_mode=mode))
         assert solver.solve().status is status
         backtracks += solver.backtracks
-    assert backtracks > 20
+    assert backtracks > 100
 
 
 def test_sat_instance_beyond_oracle_cap():
@@ -794,17 +833,17 @@ def test_sat_instance_beyond_oracle_cap():
 def test_activity_rescale_keeps_the_answer():
     # a VSIDS bump that starts at 1e99 drives an activity past 1e100 within
     # a few conflicts, so every activity and the bump are scaled by 1e-100
-    # mid-search; the answer must not change. The pinned instance is beyond
-    # brute_solve's cap, so its status is checked against the pinned one
-    # and its model by verify.
-    instance, mode, status, _ = _PINNED_COUNTERS[2]
-    problem = _pinned_instance(*instance)
-    solver = CdclSolver(problem, SolverConfig(numeric_mode=mode))
+    # mid-search; the answer must not change. The pinned hampath instance,
+    # with 34 conflicts, is beyond brute_solve's cap, so its status is
+    # checked against the pinned one and its model by verify.
+    seed, status, _ = _HAMPATH_COUNTERS[0]
+    problem = _hampath_instance(seed)[1]
+    solver = CdclSolver(problem)
     solver.var_inc = 1e99
     result = solver.solve()
     assert solver.var_inc < 1.0 and max(solver.activity) <= 1e100
     assert result.status is status is SolveStatus.SAT
-    assert verify(problem, result.model, mode).passed
+    assert verify(problem, result.model).passed
 
 
 # ------------------------------------------------------------ pigeonhole
