@@ -25,32 +25,37 @@ variables: log mode maps every weight through ``math.log`` (zero to
 ``-inf``), and a decision sum (below) of a shared variable becomes a
 ``(None, branches)`` row. The same dict (``Circuit._memo``) keeps
 ``partition`` and a leaf template per mode and, per batch of variables,
-the inner nodes that the batch recomputes. One function, ``_fold``,
-computes every node's bounds from scratch. It starts from a copy of the
-mode's leaf template, which holds every leaf's summed-out mass and NaN
-for every inner node and is built in the circuit's first fold in that
-mode. It then overwrites the leaves of the variables in a status (an
-assigned variable's weight for its value, a free shared variable's larger
-and smaller weight) and runs the mode's bound-update kernel (below) once
-over the inner nodes. ``marginal``, ``partition`` and every fresh
-``BoundState`` are a fold; without shared variables one list serves as
-both the upper and the lower bounds.
+the inner nodes that the batch recomputes.
+
+One function, ``_fold``, computes every node's bounds from scratch for
+``marginal``, ``partition``, ``evaluate_joint`` and every fresh
+``BoundState``, and it is the one place that checks a query: the circuit
+must be smooth and decomposable, and every variable a query names must be
+the circuit's. A fold copies the mode's leaf template (every leaf's
+summed-out mass, NaN for every inner node; built in the circuit's first
+fold in that mode), overwrites the leaves of the variables in a status
+(an assigned variable's weight for its value, a free shared variable's
+larger and smaller weight) and runs the mode's bound-update kernel once
+over the inner nodes; without shared variables one list serves as both
+the upper and the lower bounds.
 
 ``BoundState`` maintains, per node, an upper and lower bound on the marginal
-mass under a partial assignment of the shared (decision) variables. Its work
-is done by one update kernel per mode, which walks a list of inner-node ids
-in ascending order, reads each node's row in the mode's value space and
-computes its upper and lower bound together; a product of 3 children and a
-sum of 2, the commonest shapes in compiled circuits, are written out with
-the loop's operations in the loop's order, so they give its floats. An
-assignment is a batch, the shared variables that one propagation round
-fixed: it sets their leaves and runs the kernel once over the inner nodes
-whose scope meets the batch, so each node is recomputed once, from its
-children's final bounds. Every node visited is written, even when its new
-value compares equal to the old, so the nodes a batch writes are known
-before it runs: their old floats are its trail frame, which backtracking
-restores by decision level. So at every step the bounds equal a fresh fold
-of the state's status, bit for bit, signed zeros included.
+mass under a partial assignment of the shared (decision) variables. One
+kernel per mode walks a list of inner-node ids in ascending order and
+computes each node's upper and lower bound together. A product of 3
+children and a sum of 2, the commonest shapes in compiled circuits, are
+written out with the loop's operations in the loop's order, so they give
+its floats; each unroll was measured to pay on the benchmark that runs
+it. Other shapes keep the loop, and log mode's other sums call
+``_log_add``. An assignment is a batch, the shared variables that one
+propagation round fixed: it sets their leaves and runs the kernel once
+over the inner nodes whose scope meets the batch, so each node is
+recomputed once, from its children's final bounds. Every node visited is
+written, even when its new value compares equal to the old, so the nodes
+a batch writes are known before it runs: their old floats are its trail
+frame, which backtracking restores by decision level. So at every step
+the bounds equal a fresh fold of the state's status, bit for bit, signed
+zeros included.
 
 Most nodes get interval bounds: a product multiplies its children's bounds
 and a sum adds them. A *decision sum* is tighter. It has two product
@@ -126,15 +131,11 @@ def _update_linear(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: l
     """Recompute the bounds of each inner node of `ids` in order from its
     row, over `ub` and over `lb` (``marginal`` passes one list as both): a
     product is the product of its children, and a sum the sum of each
-    weight times its child, folded left to right from 1.0 and 0.0. A product
-    of 3 children and a sum of 2 are written out as the fold's own
-    operations in its own order, so they give the loop's floats. Every
-    node is written, whether or not its value compares equal, so a zero
-    takes the sign the kernel computes. The row of a decision sum of a
-    shared variable is ``(None, branches)`` (see ``BoundState``): its ub
-    is the largest weighted branch ub, its lb the smallest weighted
-    product of the non-indicator lbs of a branch whose indicator ub is not
-    0, and both are NaN when a weighted branch ub is."""
+    weight times its child, folded left to right from 1.0 and 0.0; a
+    product of 3 children and a sum of 2 are written out with the fold's
+    own operations in its own order. Every node is written, so a zero
+    takes the sign the kernel computes. A decision sum's row is ``(None,
+    branches)``; its bounds are those of the module docstring."""
     inf, nan = math.inf, math.nan
     for nid in ids:
         children, weights = rows[nid]
@@ -189,9 +190,12 @@ def _update_linear(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: l
 def _update_log(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list[float]) -> None:
     """``_update_linear`` in log space: a product is the sum of its
     children, folded from 0.0, and a sum the log-sum-exp of each weight
-    plus its child, folded from ``-inf`` with ``_log_add`` inlined, its
-    branches unchanged. The same two shapes are written out. A decision
-    sum's branch max and min add where linear mode multiplies."""
+    plus its child, folded from ``-inf`` with ``_log_add``. The same two
+    shapes are written out, the 2-child sum with ``_log_add`` inlined:
+    they are most of a log-mode supply-sweep circuit, whose solves took
+    11% and 21% longer without them. Other sums call ``_log_add``; no
+    benchmark circuit has one. A decision sum's branch max and min add
+    where linear mode multiplies."""
     inf, neg_inf, log1p, exp = math.inf, -math.inf, math.log1p, math.exp
     for nid in ids:
         children, weights = rows[nid]
@@ -225,16 +229,8 @@ def _update_log(ids: list[int], rows: Sequence[tuple], ub: list[float], lb: list
             else:
                 u = l = neg_inf
                 for w, child in zip(weights, children):
-                    x = w + ub[child]
-                    if u == neg_inf:
-                        u = x
-                    elif x != neg_inf:
-                        u = u + log1p(exp(x - u)) if u >= x else x + log1p(exp(u - x))
-                    x = w + lb[child]
-                    if l == neg_inf:
-                        l = x
-                    elif x != neg_inf:
-                        l = l + log1p(exp(x - l)) if l >= x else x + log1p(exp(l - x))
+                    u = _log_add(u, w + ub[child])
+                    l = _log_add(l, w + lb[child])
         else:
             u, l = neg_inf, inf
             for w, prod, ind, rest in weights:
@@ -438,14 +434,20 @@ def _rows(c: Circuit, mode: NumericMode, shared: frozenset[int] = frozenset()) -
 def _fold(
     c: Circuit, mode: NumericMode, status: dict, shared: frozenset[int] = frozenset()
 ) -> tuple[list[float], list[float]]:
-    """Every node's ``(ub, lb)`` from scratch, over the rows of `shared`.
-    Both start as copies of the mode's leaf template (every leaf's
-    summed-out mass, NaN for every inner node), built in the first fold
-    and never handed out. A leaf whose variable `status` maps to a value
-    then takes that value's weight, and one it maps to None (a free shared
-    variable, which must be in `shared`) its larger and smaller weight.
-    The mode's kernel then runs once over the inner nodes; without shared
-    variables one list serves as both bounds."""
+    """Every node's ``(ub, lb)`` from scratch, over the rows of `shared`;
+    the one gate of every query, it raises unless the circuit is valid and
+    every key of `status` is an ``int`` in ``[0, num_vars)``. Both lists
+    start as copies of the leaf template, which is never handed out. A
+    leaf whose variable `status` maps to a value takes that value's weight;
+    one it maps to None takes its larger and smaller weight if the
+    variable is in `shared` (free), and keeps its summed-out mass if not."""
+    c.require_valid()
+    num_vars = c.num_vars
+    for var in status:
+        if type(var) is not int or not 0 <= var < num_vars:
+            kind = "shared variable" if var in shared else "variable"
+            fault = f"out of range [0, {num_vars})" if type(var) is int else "is not an int"
+            raise ValueError(f"{kind} {var!r} {fault}")
     rows = _rows(c, mode, shared)
     add, update = _OPS[mode]
     key = ("template", mode)
@@ -461,6 +463,8 @@ def _fold(
     var_leaves = c.var_leaves
     for var, val in status.items():
         if val is None:
+            if var not in shared:
+                continue
             for nid in var_leaves.get(var, ()):
                 _, t, f = rows[nid]
                 ub[nid], lb[nid] = max(t, f), min(t, f)
@@ -493,9 +497,7 @@ def marginal(
     out. Raises ValueError when the mass is NaN or infinite: in linear mode
     a mass above the largest float overflows to infinity, and infinity
     times a zero gives NaN. Log mode's ``-inf``, zero mass, is a value."""
-    c.require_valid()
-    status = {var: val for var, val in (assignment or {}).items() if val is not None}
-    m = _fold(c, mode, status)[0][c.root]
+    m = _fold(c, mode, assignment or {})[0][c.root]
     if math.isnan(m):
         raise ValueError("marginal is NaN: linear-mode overflow; try --mode log")
     if m == math.inf:
@@ -523,12 +525,9 @@ class BoundState:
     state reads the rows that ``_rows`` caches for its mode and shared
     variables, in which a decision sum of a shared variable is ``(None,
     branches)``, so the kernels tell it apart with one identity test on a
-    plain sum and none on a product. Each batch sets its variables' leaves
-    and runs the kernel once, in ascending id order, over the inner nodes
-    whose scope meets the batch (memoized on the circuit per batch mask,
-    for the first ``_IDS_MEMO_CAP`` masks). It writes every node it visits
-    and records each one's previous bounds in one trail frame, so
-    backtracking restores them bit-exactly. The invariant: after every
+    plain sum and none on a product. Each batch records the previous
+    bounds of every node it writes in one trail frame, so backtracking
+    restores them bit-exactly. The invariant: after every
     assign and backtrack, the bounds equal ``_fold(circuit, mode, status,
     shared)``, bit for bit, signed zeros included, because every inner
     node's bounds equal its kernel over the bounds of its children, which
@@ -542,21 +541,17 @@ class BoundState:
         shared: Iterable[CircuitVar],
         mode: NumericMode = NumericMode.LINEAR,
     ):
-        circuit.require_valid()
         self.circuit = circuit
         # The shared variables, each mapped to its value or None while free.
         self.status: dict[CircuitVar, bool | None] = dict.fromkeys(shared)
-        for var in self.status:
-            if var < 0 or var >= circuit.num_vars:
-                raise ValueError(f"shared variable {var} out of range")
-        self._update = _OPS[mode][1]
         shared_set = frozenset(self.status)
-        self._nodes = _rows(circuit, mode, shared_set)
-        self._ids: dict[int, list[int]] = circuit._memo["ids"]
         # With no shared variable `_fold` returns one list as both bounds;
         # that is safe, since `assign` then rejects every item as not shared
         # and nothing is ever written.
         self.ub, self.lb = _fold(circuit, mode, self.status, shared_set)
+        self._update = _OPS[mode][1]
+        self._nodes = _rows(circuit, mode, shared_set)
+        self._ids: dict[int, list[int]] = circuit._memo["ids"]
         # frames: (level, batch vars, ids written, their previous ubs, lbs)
         self._frames: list[tuple[int, list[CircuitVar], list[int], list[float], list[float]]] = []
 
@@ -565,19 +560,19 @@ class BoundState:
         in one trail frame; returns the new (root ub, root lb). Every item is
         checked before any bound changes."""
         status = self.status
-        batch = [var for var, _ in items]
-        for var in batch:
+        batch: list[CircuitVar] = []
+        mask = 0
+        for var, _ in items:
             if var not in status:
                 raise ValueError(f"variable {var} is not shared")
             if status[var] is not None:
                 raise ValueError(f"variable {var} already assigned")
-        if len(set(batch)) != len(batch):
-            raise ValueError("variable repeated in one batch")
+            if mask >> var & 1:
+                raise ValueError("variable repeated in one batch")
+            mask |= 1 << var
+            batch.append(var)
         c, nodes, ub, lb = self.circuit, self._nodes, self.ub, self.lb
         var_leaves = c.var_leaves
-        mask = 0
-        for var in batch:
-            mask |= 1 << var
         # The inner nodes whose scope meets the batch, found by one scan of
         # the scopes per batch mask and memoized on the circuit. Ids are
         # topological, so each node settles after all its children and is

@@ -236,7 +236,14 @@ def _write_bundle(args: argparse.Namespace, manifest: Path, cnf: str, formula, e
     save_manifest(doc, manifest)
 
 
+# The flags that only `gen supply --manifest` reads, with their defaults.
+_SUPPLY_BUNDLE_FLAGS = {"disaster_seed": 0, "threshold": 0.0, "threshold_mode": "absolute", "cmp": "ge"}
+
+
 def _gen_supply(args: argparse.Namespace, out) -> int:
+    given = [name for name in _SUPPLY_BUNDLE_FLAGS if getattr(args, name) is not None]
+    if args.manifest is None and given:
+        raise ValueError(f"--{given[0].replace('_', '-')}: applies only with --manifest")
     net = LayeredNetwork(tuple(_int_list("--layers", args.layers)))
     formula = encode_supply_chain(net, args.k_up, args.k_down)
     wrote_cnf = f"wrote {args.output} ({formula.num_vars} edge vars)"
@@ -244,6 +251,9 @@ def _gen_supply(args: argparse.Namespace, out) -> int:
         _write_text(args.output, write_dimacs(formula))
         print(wrote_cnf, file=out)
         return 0
+    for name, default in _SUPPLY_BUNDLE_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     # Full bundle: disaster BN over the edges, success circuit, manifest.
     # A failure (too many edges to compile, a bad --cmp) writes no file.
     manifest = Path(args.manifest)
@@ -387,13 +397,11 @@ def cmd_pc(args: argparse.Namespace, out) -> int:
         return 0 if report.ok else EXIT_VERIFY_FAIL
     mode = NumericMode(args.mode)
     if args.action == "partition":
-        print(repr(pc.partition(circ, mode)), file=out)
-        return 0
-    assignment = _parse_assignment(args.assign or "", circ.num_vars)
-    if args.action == "eval":
-        print(repr(pc.evaluate_joint(circ, assignment, mode)), file=out)
+        value = pc.partition(circ, mode)
     else:
-        print(repr(pc.marginal(circ, assignment, mode)), file=out)
+        query = pc.evaluate_joint if args.action == "eval" else pc.marginal
+        value = query(circ, _parse_assignment(args.assign or "", circ.num_vars), mode)
+    print(repr(value), file=out)
     return 0
 
 
@@ -453,10 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
     g_supply.add_argument("--k-down", type=int, default=2)
     g_supply.add_argument("-o", "--output", required=True)
     g_supply.add_argument("--manifest", default=None, help="also emit disaster BN + manifest")
-    g_supply.add_argument("--disaster-seed", type=int, default=0)
-    g_supply.add_argument("--threshold", type=float, default=0.0)
-    g_supply.add_argument("--threshold-mode", default="absolute")
-    g_supply.add_argument("--cmp", default="ge")
+    # None marks a bundle flag not given; _SUPPLY_BUNDLE_FLAGS has the defaults.
+    g_supply.add_argument("--disaster-seed", type=int, default=None)
+    g_supply.add_argument("--threshold", type=float, default=None)
+    g_supply.add_argument("--threshold-mode", default=None)
+    g_supply.add_argument("--cmp", default=None)
     g_supply.set_defaults(func=_gen_supply)
 
     g_ham = gen_sub.add_parser("hampath")
@@ -503,11 +512,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_pc = sub.add_parser("pc", help="circuit utilities")
-    p_pc.add_argument("action", choices=["validate", "eval", "marginal", "partition"])
-    p_pc.add_argument("file")
-    p_pc.add_argument("--assign", default=None, help="<var>=0|1,..., e.g. 0=1,3=0")
-    _add_mode_flag(p_pc)
-    p_pc.set_defaults(func=cmd_pc)
+    pc_sub = p_pc.add_subparsers(dest="action", required=True)
+    # Each action takes only the flags it reads.
+    for action in ("validate", "eval", "marginal", "partition"):
+        p_action = pc_sub.add_parser(action)
+        p_action.add_argument("file")
+        if action in ("eval", "marginal"):
+            p_action.add_argument("--assign", default=None, help="<var>=0|1,..., e.g. 0=1,3=0")
+        if action != "validate":
+            _add_mode_flag(p_action)
+        p_action.set_defaults(func=cmd_pc)
 
     return parser
 

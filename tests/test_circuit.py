@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import struct
 import tracemalloc
 from typing import Sequence
@@ -442,6 +443,31 @@ def test_bound_state_rejects_shared_variable_out_of_range(route_circuit):
     for var in (-1, 4):
         with pytest.raises(ValueError, match=f"shared variable {var} out of range"):
             BoundState(route_circuit, {0, var})
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        pytest.param(lambda c, m: marginal(c, {7: True}, m), "variable 7 out of range", id="marginal-7"),
+        pytest.param(lambda c, m: marginal(c, {1.5: True}, m), "variable 1.5 is not an int", id="marginal-float"),
+        pytest.param(lambda c, m: marginal(c, {7: None}, m), "variable 7 out of range", id="marginal-7-none"),
+        pytest.param(
+            lambda c, m: marginal(parse_pc("pc 1 0\nc 0.5"), {-1: False}, m),
+            "variable -1 out of range",
+            id="marginal-constant",
+        ),
+        pytest.param(lambda c, m: evaluate_joint(c, {0: True, 9: False}, m), "variable 9 out of range", id="joint-9"),
+        pytest.param(lambda c, m: BoundState(c, {0.0}, m), "shared variable 0.0 is not an int", id="bound-state-float"),
+    ],
+)
+def test_every_query_rejects_a_variable_the_circuit_does_not_have(query, message):
+    # `_fold` checks every key, so a misnumbered variable is never summed
+    # out; a variable of the circuit mapped to None is
+    c = parse_pc("pc 1 1\nl 0 0.3 0.7")
+    for mode in NumericMode:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            query(c, mode)
+    assert marginal(c, {0: None}) == 1.0 and marginal(c, {0: True}) == 0.3
 
 
 def test_backtrack_restores_exactly(route_circuit):

@@ -755,6 +755,39 @@ def test_usage_error_exits_1_not_verify_fail(route_manifest, tmp_path, capsys):
     assert exc.value.code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(("validate", "--assign", "zzz"), "--assign zzz", id="validate-assign"),
+        pytest.param(("validate", "--mode", "log"), "--mode log", id="validate-mode"),
+        pytest.param(("partition", "--assign", "zzz"), "--assign zzz", id="partition-assign"),
+    ],
+)
+def test_pc_action_rejects_a_flag_it_does_not_read(tmp_path, capsys, argv, flag):
+    pc_file = tmp_path / "a.pc"
+    pc_file.write_text("pc 1 1\nl 0 0.3 0.7\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("pc", argv[0], str(pc_file), *argv[1:])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"smcsat: error: unrecognized arguments: {flag}"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(("--cmp", "bogus", "--threshold-mode", "nope"), "--threshold-mode", id="cmp-and-mode"),
+        pytest.param(("--cmp", "ge"), "--cmp", id="cmp"),
+        pytest.param(("--threshold", "0.5"), "--threshold", id="threshold"),
+        pytest.param(("--disaster-seed", "0"), "--disaster-seed", id="disaster-seed"),
+    ],
+)
+def test_gen_supply_bundle_flag_needs_a_manifest(tmp_path, capsys, argv, flag):
+    code, out = run_cli("gen", "supply", "--layers", "2,2,2", "-o", str(tmp_path / "s.cnf"), *argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {flag}: applies only with --manifest\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_csv(route_manifest, tmp_path):
     route_manifest(0.5)
     route_manifest(1.5)
