@@ -272,7 +272,13 @@ class Circuit:
     validation report. The rows each kernel reads are built on first use
     by ``_rows``, and kept in ``_memo`` with the other work that depends
     only on the circuit: the partition function and leaf template of each
-    mode, and the inner ids each batch mask recomputes."""
+    mode, and the inner ids each batch mask recomputes.
+
+    The constructor checks the rows' structure, not their weights: unlike
+    ``parse_pc`` it trusts every weight to be finite and nonnegative, and
+    the bounds are unsound when one is not. Over ``Circuit(2, [(0, -1.0,
+    2.0), (1, -1.0, 2.0), ((0, 1), None)])`` a ``le 0.0`` predicate solves
+    UNSAT, while ``brute_solve`` finds a model."""
 
     def __init__(self, num_vars: int, nodes: Iterable[tuple]):
         self.num_vars = num_vars
@@ -481,8 +487,9 @@ def evaluate_joint(
     assignment: dict[CircuitVar, bool],
     mode: NumericMode = NumericMode.LINEAR,
 ) -> float:
-    """Evaluate the root at a full assignment of the circuit variables."""
-    missing = c.var_leaves.keys() - assignment.keys()
+    """Evaluate the root at a full assignment of the circuit variables:
+    each variable that has a leaf must map to True or False, not None."""
+    missing = [var for var in c.var_leaves if assignment.get(var) is None]
     if missing:
         raise ValueError(f"variable {min(missing)} unassigned in joint query")
     return marginal(c, assignment, mode)

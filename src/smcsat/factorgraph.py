@@ -46,76 +46,97 @@ class Factor:
 
 @dataclass(frozen=True)
 class FactorGraph:
-    kind: str  # MARKOV or BAYES; metadata only, both are factor products
+    """A product of factors over binary variables 0..num_vars-1.
+
+    Every graph, parsed or built through the API, passes one gate: `kind`
+    is ``MARKOV`` or ``BAYES`` (metadata only, both are factor products),
+    `num_vars` is an ``int`` of at least 1, and each factor's scope holds
+    one or more distinct ``int`` variables in range, and its table
+    ``2 ** len(scope)`` finite, nonnegative entries.
+    """
+
+    kind: str
     num_vars: int
     factors: tuple[Factor, ...]
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("MARKOV", "BAYES"):
+            raise ValueError(f"unknown network kind {self.kind!r}")
+        n = self.num_vars
+        if type(n) is not int:
+            raise ValueError(f"variable count {n!r} is not an integer")
+        if n < 1:
+            raise ValueError("variable count must be positive")
+        for f, factor in enumerate(self.factors):
+            scope, table = factor.scope, factor.table
+            if not scope:
+                raise ValueError(f"factor {f}: empty scope")
+            for var in scope:
+                if type(var) is not int:
+                    raise ValueError(f"factor {f}: variable {var!r} is not an integer")
+                if not 0 <= var < n:
+                    raise ValueError(f"factor {f}: variable {var} out of range")
+            if len(set(scope)) != len(scope):
+                raise ValueError(f"factor {f}: repeated variable in scope")
+            if len(table) != 1 << len(scope):
+                raise ValueError(
+                    f"factor {f}: table size {len(table)} does not match scope of {len(scope)} vars"
+                )
+            for w in table:
+                if not 0.0 <= w < math.inf:  # false for NaN too
+                    raise ValueError(f"factor {f}: negative or non-finite table entry {w!r}")
+
 
 def parse_uai(text: str) -> FactorGraph:
-    """Parse the UAI file format restricted to binary variables."""
+    """Parse the UAI file format restricted to binary variables.
+
+    The reader checks only the token stream: it ends where the counts say,
+    every count and variable is an integer, every table entry a number and
+    every cardinality 2. `FactorGraph` checks the rest, and its
+    ``ValueError`` is re-raised as ``UaiFormatError``.
+    """
     tokens = text.split()
     pos = 0
 
-    def next_token(what: str) -> str:
+    def take(count: int, convert, what: str, f: int = 0) -> list:
+        """The next `count` tokens through `convert`. `what` names one of
+        them, with ``{i}`` its index among them and ``{f}`` the factor `f`;
+        it is formatted only for the error it goes into."""
         nonlocal pos
-        if pos >= len(tokens):
-            raise UaiFormatError(f"unexpected end of input, expected {what}")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def next_int(what: str) -> int:
-        tok = next_token(what)
+        chunk = tokens[pos : pos + max(count, 0)]
+        values = []
         try:
-            return int(tok)
-        except ValueError as exc:
-            raise UaiFormatError(f"expected integer {what}, got {tok!r}") from exc
+            for tok in chunk:
+                values.append(convert(tok))
+        except ValueError:
+            i = len(values)
+            noun = "integer" if convert is int else "number"
+            raise UaiFormatError(f"expected {noun} {what.format(i=i, f=f)}, got {chunk[i]!r}") from None
+        if len(chunk) < count:
+            raise UaiFormatError(f"unexpected end of input, expected {what.format(i=len(chunk), f=f)}")
+        pos += len(chunk)
+        return values
 
-    def next_float(what: str) -> float:
-        tok = next_token(what)
-        try:
-            val = float(tok)
-        except ValueError as exc:
-            raise UaiFormatError(f"expected number {what}, got {tok!r}") from exc
-        if not math.isfinite(val) or val < 0.0:
-            raise UaiFormatError(f"negative or non-finite table entry {tok}")
-        return val
-
-    kind = next_token("network kind").upper()
-    if kind not in ("MARKOV", "BAYES"):
-        raise UaiFormatError(f"unknown network kind {kind!r}")
-    num_vars = next_int("variable count")
-    if num_vars < 1:
-        raise UaiFormatError("variable count must be positive")
-    for i in range(num_vars):
-        card = next_int(f"cardinality of variable {i}")
+    [kind] = take(1, str.upper, "network kind")
+    [num_vars] = take(1, int, "variable count")
+    for i, card in enumerate(take(num_vars, int, "cardinality of variable {i}")):
         if card != 2:
             raise UaiFormatError(f"variable {i} has cardinality {card}; only binary supported")
-    num_factors = next_int("factor count")
-    scopes: list[tuple[int, ...]] = []
+    [num_factors] = take(1, int, "factor count")
+    scopes = []
     for f in range(num_factors):
-        k = next_int(f"scope size of factor {f}")
-        if k < 1:
-            raise UaiFormatError(f"factor {f}: empty scope")
-        scope = tuple(next_int(f"scope var of factor {f}") for _ in range(k))
-        if len(set(scope)) != len(scope):
-            raise UaiFormatError(f"factor {f}: repeated variable in scope")
-        for var in scope:
-            if var < 0 or var >= num_vars:
-                raise UaiFormatError(f"factor {f}: variable {var} out of range")
-        scopes.append(scope)
-    factors: list[Factor] = []
+        [size] = take(1, int, "scope size of factor {f}", f)
+        scopes.append(tuple(take(size, int, "scope var of factor {f}", f)))
+    factors = []
     for f, scope in enumerate(scopes):
-        count = next_int(f"table size of factor {f}")
-        if count != 1 << len(scope):
-            raise UaiFormatError(
-                f"factor {f}: table size {count} does not match scope of {len(scope)} vars"
-            )
-        table = tuple(next_float(f"table entry of factor {f}") for _ in range(count))
-        factors.append(Factor(scope, table))
+        [size] = take(1, int, "table size of factor {f}", f)
+        factors.append(Factor(scope, tuple(take(size, float, "table entry of factor {f}", f))))
     if pos != len(tokens):
         raise UaiFormatError(f"trailing tokens after factor tables: {tokens[pos]!r}")
-    return FactorGraph(kind, num_vars, tuple(factors))
+    try:
+        return FactorGraph(kind, num_vars, tuple(factors))
+    except ValueError as exc:
+        raise UaiFormatError(str(exc)) from exc
 
 
 def write_uai(fg: FactorGraph) -> str:
@@ -177,7 +198,8 @@ def compile_factor_graph(
         order = tuple(range(fg.num_vars))
     else:
         order = tuple(order)
-        if sorted(order) != list(range(fg.num_vars)):
+        # `any` first: a float or bool entry sorts like the int it equals
+        if any(type(v) is not int for v in order) or sorted(order) != list(range(fg.num_vars)):
             raise ValueError("order must be a permutation of all variables")
 
     position = {var: i for i, var in enumerate(order)}

@@ -241,8 +241,6 @@ def gen_random_bn(
     a total edge count of about `edge_fraction` of the maximum possible.
     Conditional tables are uniform draws normalized per parent configuration.
     """
-    if n < 1:
-        raise ValueError("need at least one variable")
     rng = random.Random(seed)
     capacity = sum(min(i, max_parents) for i in range(n))
     target = round(edge_fraction * capacity)

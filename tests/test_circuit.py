@@ -331,6 +331,11 @@ def test_joint_single_leaf():
 def test_joint_rejects_unassigned(route_circuit):
     with pytest.raises(ValueError):
         evaluate_joint(route_circuit, {0: True})
+    # None would sum the variable out and return a marginal
+    c = parse_pc("pc 1 1\nl 0 0.3 0.7\n")
+    for mode in NumericMode:
+        with pytest.raises(ValueError, match="^variable 0 unassigned in joint query$"):
+            evaluate_joint(c, {0: None}, mode)
 
 
 def test_joint_names_a_missing_variable_after_folds_over_leafless_ones():

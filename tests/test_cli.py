@@ -405,7 +405,7 @@ def test_pc_eval_joint(tmp_path, capsys):
     "name, text, message",
     [
         pytest.param("bad.pc", "pc 0 1\n", "circuit has no nodes", id="pc"),
-        pytest.param("bad.uai", "GRID\n1\n2\n", "unknown network kind 'GRID'", id="uai"),
+        pytest.param("bad.uai", "GRID\n1\n2\n1\n1 0\n2\n0.5 0.5\n", "unknown network kind 'GRID'", id="uai"),
         pytest.param("bad.cnf", "1 0\np cnf 1 1\n", "clause before header", id="dimacs"),
     ],
 )
@@ -439,7 +439,7 @@ def test_parser_error_names_the_input_file(tmp_path, capsys, command, kind, mess
     # each command prefixes a parser's message with the file it read, as a
     # manifest load does; the input of kind `kind` is the malformed one
     good = {"cnf": "p cnf 1 1\n1 0\n", "pc": "pc 1 1\nl 0 .5 .5\n", "uai": "BAYES\n1\n2\n1\n1 0\n2\n0.5 0.5\n"}
-    bad = {"cnf": "p cnf 1 1\n1 x 0\n", "pc": "pc 2 1\nl 0 .5 .5\np 1 x\n", "uai": "GRID\n1\n2\n"}
+    bad = {"cnf": "p cnf 1 1\n1 x 0\n", "pc": "pc 2 1\nl 0 .5 .5\np 1 x\n", "uai": "GRID\n1\n2\n1\n1 0\n2\n0.5 0.5\n"}
     for ext in good:
         (tmp_path / f"in.{ext}").write_text(bad[ext] if ext == kind else good[ext])
     path = tmp_path / f"in.{kind}"
@@ -573,7 +573,7 @@ def test_gen_smc_rejects_order_with_circuit(tmp_path, capsys):
         pytest.param(("kcolor", "--rows", "1", "--cols", "1", "--colors", "1"), None, "need at least 2 colors", id="colors-1"),
         pytest.param(("supply", "--layers", "3"), None, "need at least two layers", id="one-layer"),
         pytest.param(("supply", "--layers", "2,0"), None, "layer sizes must be positive", id="layer-0"),
-        pytest.param(("bn", "-n", "0"), None, "need at least one variable", id="bn-0"),
+        pytest.param(("bn", "-n", "0"), None, "variable count must be positive", id="bn-0"),
     ],
 )
 def test_gen_input_errors_name_flag_or_file(tmp_path, capsys, argv, edges, message):

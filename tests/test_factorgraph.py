@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import random
 from itertools import product
 
@@ -77,19 +78,77 @@ def test_parse_rejects_negative_entries():
         pytest.param(
             "MARKOV\n1\n2\n1\n1 0\n2\n0.5 abc\n", "expected number table entry of factor 0, got 'abc'", id="bad-number"
         ),
-        pytest.param("GRID\n1\n2\n", "unknown network kind 'GRID'", id="kind"),
+        pytest.param("GRID\n1\n2\n1\n1 0\n2\n0.5 0.5\n", "unknown network kind 'GRID'", id="kind"),
         pytest.param("MARKOV\n0\n0\n", "variable count must be positive", id="no-variables"),
-        pytest.param("MARKOV\n1\n2\n1\n0\n", "factor 0: empty scope", id="empty-scope"),
-        pytest.param("MARKOV\n2\n2 2\n1\n2 0 0\n", "factor 0: repeated variable in scope", id="repeated-var"),
-        pytest.param("MARKOV\n1\n2\n1\n1 1\n", "factor 0: variable 1 out of range", id="var-range"),
+        pytest.param("MARKOV\n1\n2\n1\n0\n1\n1.0\n", "factor 0: empty scope", id="empty-scope"),
+        pytest.param(
+            "MARKOV\n2\n2 2\n1\n2 0 0\n4\n0.1 0.2 0.3 0.4\n", "factor 0: repeated variable in scope", id="repeated-var"
+        ),
+        pytest.param("MARKOV\n1\n2\n1\n1 1\n2\n0.5 0.5\n", "factor 0: variable 1 out of range", id="var-range"),
         pytest.param(
             "MARKOV\n1\n2\n1\n1 0\n2\n0.5 0.5\n7\n", "trailing tokens after factor tables: '7'", id="trailing"
+        ),
+        pytest.param(
+            "MARKOV\n2\n2 3\n", "variable 1 has cardinality 3; only binary supported", id="cardinality"
+        ),
+        pytest.param(
+            "MARKOV\n1\n2\n1\n1 0\n3\n0.1 0.2 0.3\n",
+            "factor 0: table size 3 does not match scope of 1 vars",
+            id="table-size",
+        ),
+        pytest.param(
+            "MARKOV\n1\n2\n1\n1 0\n2\n0.5 -1\n", "factor 0: negative or non-finite table entry -1.0", id="negative"
+        ),
+        pytest.param(
+            "MARKOV\n1\n2\n2\n1 0\n1 0\n2\n0.5 0.5\n2\n1e400 1\n",
+            "factor 1: negative or non-finite table entry inf",
+            id="overflow",
         ),
     ],
 )
 def test_parse_uai_rejects_malformed(text, message):
     with pytest.raises(UaiFormatError) as err:
         parse_uai(text)
+    assert str(err.value) == message
+
+
+GOOD = Factor((0, 1), (0.1, 0.2, 0.3, 0.4))
+
+
+@pytest.mark.parametrize(
+    "kind, num_vars, factor, message",
+    [
+        pytest.param("markov", 2, GOOD, "unknown network kind 'markov'", id="lowercase-kind"),
+        pytest.param("MARKOV", 0, None, "variable count must be positive", id="no-variables"),
+        pytest.param("MARKOV", 2.0, GOOD, "variable count 2.0 is not an integer", id="float-count"),
+        pytest.param("MARKOV", True, None, "variable count True is not an integer", id="bool-count"),
+        pytest.param("MARKOV", 2, Factor((), (1.0,)), "factor 1: empty scope", id="empty-scope"),
+        pytest.param("MARKOV", 2, Factor((0, 5), (1.0,) * 4), "factor 1: variable 5 out of range", id="var-range"),
+        pytest.param("MARKOV", 2, Factor((-1,), (1.0,) * 2), "factor 1: variable -1 out of range", id="negative-var"),
+        pytest.param("MARKOV", 2, Factor((0, 0), (1.0,) * 4), "factor 1: repeated variable in scope", id="repeated-var"),
+        pytest.param("MARKOV", 2, Factor((True,), (1.0,) * 2), "factor 1: variable True is not an integer", id="bool-var"),
+        pytest.param("MARKOV", 2, Factor((1.0,), (1.0,) * 2), "factor 1: variable 1.0 is not an integer", id="float-var"),
+        pytest.param(
+            "MARKOV", 2, Factor((0, 1), (1.0,) * 3), "factor 1: table size 3 does not match scope of 2 vars",
+            id="short-table",
+        ),
+        pytest.param(
+            "MARKOV", 2, Factor((0,), (1.0, -0.5)), "factor 1: negative or non-finite table entry -0.5", id="negative"
+        ),
+        pytest.param(
+            "MARKOV", 2, Factor((0,), (math.nan, 1.0)), "factor 1: negative or non-finite table entry nan", id="nan"
+        ),
+        pytest.param(
+            "MARKOV", 2, Factor((0,), (1.0, math.inf)), "factor 1: negative or non-finite table entry inf", id="inf"
+        ),
+    ],
+)
+def test_factor_graph_rejects_malformed(kind, num_vars, factor, message):
+    # built through the API, each fault is a ValueError, never a KeyError
+    # or IndexError from a later query; the second factor is the bad one
+    factors = () if factor is None else (GOOD, factor)
+    with pytest.raises(ValueError) as err:
+        FactorGraph(kind, num_vars, factors)
     assert str(err.value) == message
 
 
@@ -185,8 +244,10 @@ def test_compile_respects_order():
     c1 = compile_factor_graph(fg, order=(3, 1, 0, 2))
     assert validate(c1).ok
     assert rel_close(partition(c1), enumerate_marginal(fg, {}), rel=1e-9)
-    with pytest.raises(ValueError):
-        compile_factor_graph(fg, order=(0, 1))
+    # a float or bool entry equals an int, so sorting alone would take it
+    for order in ((0, 1), (3, 1, 0, 2.0), (3, True, 0, 2), (3, 1, 0, "2")):
+        with pytest.raises(ValueError, match="^order must be a permutation of all variables$"):
+            compile_factor_graph(fg, order=order)
 
 
 def test_compile_rows_match_reference():
