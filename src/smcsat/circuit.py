@@ -14,18 +14,20 @@ space:
   unassigned leaf contributes its summed-out mass, the sum of its weights;
 - a product is ``(children, None)`` and a sum ``(children, weights)``.
 
-The constructor checks the rows in one pass, which also computes each
-node's scope as an ``int`` bitmask (``Circuit.scopes``, bit ``v`` set for
-variable ``v``), the ascending ids of the leaves, of each variable's leaves
-and of the inner nodes (``Circuit.leaves``, ``Circuit.var_leaves``,
-``Circuit.inner``) and the smoothness and decomposability verdict that
-``validate`` returns. The rows a kernel reads are built by ``_rows`` on
-first use and cached on the circuit per numeric mode and set of shared
-variables: log mode maps every weight through ``math.log`` (zero to
-``-inf``), and a decision sum (below) of a shared variable becomes a
-``(None, branches)`` row. The same dict (``Circuit._memo``) keeps
-``partition`` and a leaf template per mode and, per batch of variables,
-the inner nodes that the batch recomputes.
+The constructor is the one gate of every circuit, parsed or API-built:
+``num_vars`` is an ``int`` ≥ 0, every weight is finite and nonnegative
+(``-0.0`` too) and the rows are well formed. It checks them in one pass,
+which also computes each node's scope as an ``int`` bitmask
+(``Circuit.scopes``, bit ``v`` set for variable ``v``), the ascending ids
+of the leaves, of each variable's leaves and of the inner nodes
+(``Circuit.leaves``, ``Circuit.var_leaves``, ``Circuit.inner``) and the
+smoothness and decomposability verdict that ``validate`` returns. The
+rows a kernel reads are built by ``_rows`` on first use and cached on the
+circuit per numeric mode and set of shared variables: log mode maps every
+weight through ``math.log`` (zero to ``-inf``), and a decision sum (below)
+of a shared variable becomes a ``(None, branches)`` row. The same dict
+(``Circuit._memo``) keeps ``partition`` and a leaf template per mode and,
+per batch of variables, the inner nodes that the batch recomputes.
 
 One function, ``_fold``, computes every node's bounds from scratch for
 ``marginal``, ``partition``, ``evaluate_joint`` and every fresh
@@ -94,7 +96,7 @@ CircuitVar = int
 
 
 class PcFormatError(ValueError):
-    """Raised on malformed circuit files."""
+    """Raised on malformed circuit files and rows."""
 
 
 class CircuitStructureError(ValueError):
@@ -255,6 +257,12 @@ _OPS: dict[NumericMode, tuple[_Add, Callable]] = {
 }
 
 
+def _weight_error(nid: int, weights: Iterable[float]) -> PcFormatError:
+    """The gate's error for the first of `weights` that is negative or not finite."""
+    w = next(w for w in weights if not 0.0 <= w < math.inf)
+    return PcFormatError(f"node {nid}: negative or non-finite weight {w!r}")
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     smooth: bool
@@ -274,13 +282,12 @@ class Circuit:
     only on the circuit: the partition function and leaf template of each
     mode, and the inner ids each batch mask recomputes.
 
-    The constructor checks the rows' structure, not their weights: unlike
-    ``parse_pc`` it trusts every weight to be finite and nonnegative, and
-    the bounds are unsound when one is not. Over ``Circuit(2, [(0, -1.0,
-    2.0), (1, -1.0, 2.0), ((0, 1), None)])`` a ``le 0.0`` predicate solves
-    UNSAT, while ``brute_solve`` finds a model."""
+    The constructor checks the rows' structure and weights: the bounds are
+    sound only when every weight is finite and nonnegative."""
 
     def __init__(self, num_vars: int, nodes: Iterable[tuple]):
+        if type(num_vars) is not int or num_vars < 0:
+            raise PcFormatError(f"variable count {num_vars!r} is not an int >= 0")
         self.num_vars = num_vars
         self.nodes: tuple[tuple, ...] = tuple(nodes)
         if not self.nodes:
@@ -292,21 +299,28 @@ class Circuit:
         # Per variable that has leaves, the ascending ids of its leaves.
         self.var_leaves: dict[int, list[int]] = defaultdict(list)
         scopes, var_leaves, violations = self.scopes, self.var_leaves, []
+        inf = math.inf
         for nid, row in enumerate(self.nodes):
             if len(row) == 3:
-                var = row[0]
+                var, t, f = row
+                if not (0.0 <= t < inf and 0.0 <= f < inf):  # false for NaN too
+                    raise _weight_error(nid, (t, f))
                 if 0 <= var < num_vars:
                     scopes.append(1 << var)
                     var_leaves[var].append(nid)
-                elif var == -1 and row[2] == 0.0:
+                elif var == -1 and f == 0.0:
                     scopes.append(0)
                 else:
                     raise PcFormatError(f"node {nid}: variable {var} out of range")
                 self.leaves.append(nid)
                 continue
             children, weights = row
-            if weights is not None and len(weights) != len(children):
-                raise PcFormatError(f"node {nid}: {len(weights)} weights for {len(children)} children")
+            if weights is not None:
+                if len(weights) != len(children):
+                    raise PcFormatError(f"node {nid}: {len(weights)} weights for {len(children)} children")
+                for w in weights:
+                    if not 0.0 <= w < inf:
+                        raise _weight_error(nid, weights)
             scope = overlap = 0
             for child in children:
                 if child < 0 or child >= nid:
@@ -630,12 +644,9 @@ _PC_LINES = {
 
 def _pc_weight(tok: str) -> float:
     try:
-        w = float(tok)
+        return float(tok)
     except ValueError:
         raise PcFormatError(f"bad number {tok!r}") from None
-    if not math.isfinite(w) or w < 0.0:
-        raise PcFormatError(f"negative or non-finite weight {tok}")
-    return w
 
 
 def _pc_int(tok: str) -> int:
@@ -683,7 +694,8 @@ def parse_pc(text: str) -> Circuit:
     topological order: ``l <var> <w_true> <w_false>``, ``i <var> <sign>``
     (sign 1 or 0; read as ``l <var> 1.0 0.0`` or ``l <var> 0.0 1.0``),
     ``c <value>``, ``p <k> <c1> ... <ck>``, ``s <k> <w1> <c1> ... <wk> <ck>``.
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored. The parser reads only
+    tokens; ``Circuit`` checks the rest, weights and variable range included.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]

@@ -73,6 +73,10 @@ class PredicateSpec:
     b: Lit | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cmp, Comparator):
+            raise ValueError(f"cmp {self.cmp!r} is not a Comparator")
+        if not isinstance(self.threshold_mode, ThresholdMode):
+            raise ValueError(f"threshold_mode {self.threshold_mode!r} is not a ThresholdMode")
         if len(set(self.shared_map.values())) != len(self.shared_map):
             raise ValueError("shared map is not injective")
         for cvar, fvar in self.shared_map.items():

@@ -121,6 +121,62 @@ def test_parse_pc_rejects_malformed(text, message):
     assert str(err.value) == message
 
 
+# Per weight position: the rows with `w` in it, the same circuit as PC
+# text, and the id of the node that holds `w`.
+_WEIGHT_POSITIONS = {
+    "leaf-true": (lambda w: (1, [(0, w, 0.5)]), "pc 1 1\nl 0 {} 0.5", 0),
+    "leaf-false": (lambda w: (1, [(0, 0.5, w)]), "pc 1 1\nl 0 0.5 {}", 0),
+    "constant": (lambda w: (0, [(-1, w, 0.0)]), "pc 1 0\nc {}", 0),
+    "sum": (
+        lambda w: (1, [(0, 1.0, 0.0), (0, 0.0, 1.0), ((0, 1), (0.5, w))]),
+        "pc 3 1\ni 0 1\ni 0 0\ns 2 0.5 0 {} 1",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("position", list(_WEIGHT_POSITIONS))
+@pytest.mark.parametrize(
+    "w, shown", [(-0.5, "-0.5"), (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")]
+)
+def test_circuit_rejects_a_negative_or_non_finite_weight(position, w, shown):
+    # the constructor is the one weight gate: an API-built circuit and a
+    # parsed one get the same error, which shows the float's repr
+    rows, text, nid = _WEIGHT_POSITIONS[position]
+    message = f"node {nid}: negative or non-finite weight {shown}"
+    with pytest.raises(PcFormatError) as err:
+        Circuit(*rows(w))
+    assert str(err.value) == message
+    with pytest.raises(PcFormatError) as err:
+        parse_pc(text.format(shown))
+    assert str(err.value) == message
+
+
+def test_weight_gate_accepts_both_zeros_and_rejects_the_least_negative_float():
+    for position, (rows, text, nid) in _WEIGHT_POSITIONS.items():
+        for w in (0.0, -0.0, 1.7976931348623157e308):
+            assert Circuit(*rows(w)).nodes == parse_pc(text.format(repr(w))).nodes
+        with pytest.raises(PcFormatError, match=f"^node {nid}: negative or non-finite weight -5e-324$"):
+            Circuit(*rows(-5e-324))
+    # a file's -0 token is the float -0.0, and a -0.0 weight keeps its sign
+    assert math.copysign(1.0, parse_pc("pc 1 1\nl 0 -0 0").nodes[0][1]) == -1.0
+
+
+def test_api_circuit_with_negative_weights_raises_at_construction():
+    # over these rows a hard `le 0.0` predicate sharing both variables solved
+    # UNSAT while brute_solve found models of marginal -2.0
+    with pytest.raises(PcFormatError, match="^node 0: negative or non-finite weight -1.0$"):
+        Circuit(2, [(0, -1.0, 2.0), (1, -1.0, 2.0), ((0, 1), None)])
+
+
+@pytest.mark.parametrize("num_vars", [1.5, -1, True, "1", None])
+def test_circuit_rejects_a_variable_count_that_is_not_a_nonnegative_int(num_vars):
+    # write_pc would write the count into a header that parse_pc rejects
+    with pytest.raises(PcFormatError) as err:
+        Circuit(num_vars, [(-1, 0.5, 0.0)])
+    assert str(err.value) == f"variable count {num_vars!r} is not an int >= 0"
+
+
 def test_circuit_allocates_nothing_per_declared_variable():
     # a header can declare far more variables than the circuit's leaves
     # use; leaf lists are kept only for the variables that have leaves

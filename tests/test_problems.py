@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from smcsat.circuit import evaluate_joint, partition
+from smcsat.circuit import Circuit, PcFormatError, evaluate_joint, partition
 from smcsat.factorgraph import compile_factor_graph, enumerate_marginal, write_uai
 from smcsat.oracle import brute_solve
 from smcsat.problems import (
@@ -230,6 +230,12 @@ def test_marginalize_false_matches_selection_semantics():
                 enumerate_marginal(fg, chosen),
                 rel=1e-9,
             )
+
+
+def test_marginalize_false_rejects_a_false_weight_that_overflows():
+    # 1e308 + 1e308 is inf: the result would have an infinite marginal everywhere
+    with pytest.raises(PcFormatError, match="^node 0: negative or non-finite weight inf$"):
+        marginalize_false_circuit(Circuit(1, [(0, 1e308, 1e308)]))
 
 
 def test_select_shared_vars_rule():

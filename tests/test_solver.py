@@ -140,6 +140,22 @@ def test_predicate_spec_rejects_a_threshold_that_is_not_a_number(threshold):
     assert PredicateSpec(c, {0: 1}, Comparator.GE, 1).threshold == 1
 
 
+def test_predicate_spec_rejects_a_cmp_or_threshold_mode_that_is_not_the_enum():
+    # a mode's name is not the mode: "partition_fraction" was read as
+    # absolute, so this predicate solved SAT where the enum solves UNSAT,
+    # and the name "ge" failed in the search with a bare KeyError
+    c = parse_pc("pc 1 1\nl 0 3.0 7.0\n")
+    for cmp in ("ge", None):
+        with pytest.raises(ValueError, match=f"^cmp {cmp!r} is not a Comparator$"):
+            PredicateSpec(c, {0: 1}, cmp, 0.8)
+    for mode in ("partition_fraction", "absolute", None):
+        with pytest.raises(ValueError, match=f"^threshold_mode {mode!r} is not a ThresholdMode$"):
+            PredicateSpec(c, {0: 1}, Comparator.GE, 0.8, mode)
+    fraction = PredicateSpec(c, {0: 1}, Comparator.GE, 0.8, ThresholdMode.PARTITION_FRACTION)
+    problem = SmcProblem(CnfFormula(1, ()), (fraction,))
+    assert solve(problem).status is brute_solve(problem).status is SolveStatus.UNSAT
+
+
 def test_solver_config_rejects_negative_and_nan_budgets():
     with pytest.raises(ValueError, match="conflict budget must be nonnegative"):
         SolverConfig(max_conflicts=-1)
