@@ -282,8 +282,8 @@ class Circuit:
     only on the circuit: the partition function and leaf template of each
     mode, and the inner ids each batch mask recomputes.
 
-    The constructor checks the rows' structure and weights: the bounds are
-    sound only when every weight is finite and nonnegative."""
+    The constructor checks the rows' types, structure and weights: the
+    bounds are sound only when every weight is finite and nonnegative."""
 
     def __init__(self, num_vars: int, nodes: Iterable[tuple]):
         if type(num_vars) is not int or num_vars < 0:
@@ -300,44 +300,49 @@ class Circuit:
         self.var_leaves: dict[int, list[int]] = defaultdict(list)
         scopes, var_leaves, violations = self.scopes, self.var_leaves, []
         inf = math.inf
-        for nid, row in enumerate(self.nodes):
-            if len(row) == 3:
-                var, t, f = row
-                if not (0.0 <= t < inf and 0.0 <= f < inf):  # false for NaN too
-                    raise _weight_error(nid, (t, f))
-                if 0 <= var < num_vars:
-                    scopes.append(1 << var)
-                    var_leaves[var].append(nid)
-                elif var == -1 and f == 0.0:
-                    scopes.append(0)
-                else:
-                    raise PcFormatError(f"node {nid}: variable {var} out of range")
-                self.leaves.append(nid)
-                continue
-            children, weights = row
-            if weights is not None:
-                if len(weights) != len(children):
-                    raise PcFormatError(f"node {nid}: {len(weights)} weights for {len(children)} children")
-                for w in weights:
-                    if not 0.0 <= w < inf:
-                        raise _weight_error(nid, weights)
-            scope = overlap = 0
-            for child in children:
-                if child < 0 or child >= nid:
-                    raise PcFormatError(f"node {nid}: child {child} is not an earlier node")
-                # Bits a child shares with the union of its earlier siblings.
-                overlap |= scope & scopes[child]
-                scope |= scopes[child]
-            scopes.append(scope)
-            self.inner.append(nid)
-            if weights is None:
-                if overlap:
-                    violations.append(("decomposability", nid))
-                continue
-            for child in children:
-                if scopes[child] != scope:
-                    violations.append(("smoothness", nid))
-                    break
+        try:
+            for nid, row in enumerate(self.nodes):
+                if len(row) == 3:
+                    var, t, f = row
+                    if type(var) is not int:
+                        raise PcFormatError(f"node {nid}: variable {var!r} is not an int")
+                    if not (0.0 <= t < inf and 0.0 <= f < inf):  # false for NaN too
+                        raise _weight_error(nid, (t, f))
+                    if 0 <= var < num_vars:
+                        scopes.append(1 << var)
+                        var_leaves[var].append(nid)
+                    elif var == -1 and f == 0.0:
+                        scopes.append(0)
+                    else:
+                        raise PcFormatError(f"node {nid}: variable {var} out of range")
+                    self.leaves.append(nid)
+                    continue
+                children, weights = row
+                if weights is not None:
+                    if len(weights) != len(children):
+                        raise PcFormatError(f"node {nid}: {len(weights)} weights for {len(children)} children")
+                    for w in weights:
+                        if not 0.0 <= w < inf:
+                            raise _weight_error(nid, weights)
+                scope = overlap = 0
+                for child in children:
+                    if child < 0 or child >= nid:
+                        raise PcFormatError(f"node {nid}: child {child} is not an earlier node")
+                    # Bits a child shares with the union of its earlier siblings.
+                    overlap |= scope & scopes[child]
+                    scope |= scopes[child]
+                scopes.append(scope)
+                self.inner.append(nid)
+                if weights is None:
+                    if overlap:
+                        violations.append(("decomposability", nid))
+                    continue
+                for child in children:
+                    if scopes[child] != scope:
+                        violations.append(("smoothness", nid))
+                        break
+        except TypeError:  # a weight, child id or row of the wrong type
+            raise PcFormatError(f"node {nid}: malformed row {self.nodes[nid]!r}") from None
         kinds = {kind for kind, _ in violations}
         self.report = ValidationReport(
             "smoothness" not in kinds, "decomposability" not in kinds, tuple(violations)

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import enum
 import json
 import random
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 from .circuit import Circuit, parse_pc
 from .factorgraph import Factor, FactorGraph, compile_factor_graph, parse_uai
 from .formula import CnfFormula, Lit, Var, parse_dimacs
-from .solver import Comparator, PredicateSpec, SmcProblem, ThresholdMode
+from .solver import Comparator, PredicateSpec, SmcProblem, ThresholdMode, check_predicate_fields
 
 
 class ManifestError(ValueError):
@@ -301,10 +301,6 @@ def select_shared_vars(
     return dict(zip(cvars, fvars))
 
 
-_CMP_VALUES = {c.value for c in Comparator}
-_MODE_VALUES = {m.value for m in ThresholdMode}
-
-
 def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -317,6 +313,14 @@ def _int_key(key: object) -> int | None:
         except ValueError:
             return None
     return key if _is_int(key) else None
+
+
+def _member(kind: type[enum.Enum], value: object) -> object:
+    """The member of `kind` whose value is `value`, else `value` itself."""
+    try:
+        return kind(value)
+    except ValueError:
+        return value
 
 
 def _check_predicate(desc: object) -> dict:
@@ -338,35 +342,25 @@ def _check_predicate(desc: object) -> dict:
     shared = desc.get("shared", {})
     if not isinstance(shared, dict):
         raise ManifestError(f"'shared' must be an object, got {shared!r}")
-    mapping: dict[int, Var] = {}
+    mapping: dict = {}
     for key, fvar in shared.items():
         cvar = _int_key(key)
-        if cvar is None or cvar in mapping or not _is_int(fvar):
+        if cvar is None or cvar in mapping:
             raise ManifestError(f"'shared' entry {key!r}: {fvar!r} is not a new integer-to-integer pair")
         mapping[cvar] = fvar
-    if len(set(mapping.values())) != len(mapping):
-        raise ManifestError("shared map is not injective")
-    entry["shared"] = {str(k): v for k, v in sorted(mapping.items())}
-    b = desc.get("b")
-    if b is not None:
-        if not _is_int(b) or b == 0:
-            raise ManifestError(f"'b' must be a nonzero integer literal, got {b!r}")
-        entry["b"] = b
-    cmp = desc.get("cmp", "ge")
-    if not isinstance(cmp, str) or cmp not in _CMP_VALUES:
-        raise ManifestError(f"unknown comparator {cmp!r}")
-    entry["cmp"] = cmp
     if "threshold" not in desc:
         raise ManifestError("missing 'threshold'")
-    q = desc["threshold"]
-    # The comparison also rejects NaN, infinities and ints beyond float range.
-    if not (_is_int(q) or isinstance(q, float)) or not abs(q) <= sys.float_info.max:
-        raise ManifestError(f"'threshold' must be a finite number, got {q!r}")
-    entry["threshold"] = float(q)
-    mode = desc.get("threshold_mode", "absolute")
-    if not isinstance(mode, str) or mode not in _MODE_VALUES:
-        raise ManifestError(f"unknown threshold mode {mode!r}")
-    entry["threshold_mode"] = mode
+    b, q = desc.get("b"), desc["threshold"]
+    cmp = _member(Comparator, desc.get("cmp", "ge"))
+    mode = _member(ThresholdMode, desc.get("threshold_mode", "absolute"))
+    try:
+        check_predicate_fields(mapping, cmp, q, mode, b)
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from None
+    entry["shared"] = {str(k): v for k, v in sorted(mapping.items())}
+    if b is not None:
+        entry["b"] = b
+    entry.update(cmp=cmp.value, threshold=float(q), threshold_mode=mode.value)
     return entry
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -56,13 +57,34 @@ class ThresholdMode(enum.Enum):
     PARTITION_FRACTION = "partition_fraction"
 
 
+def check_predicate_fields(shared: dict, cmp: Comparator, q: float, mode: ThresholdMode, b: Lit | None) -> None:
+    """Raise ValueError unless a predicate's own fields are well formed."""
+    if not isinstance(cmp, Comparator):
+        raise ValueError(f"cmp {cmp!r} is not a Comparator")
+    if not isinstance(mode, ThresholdMode):
+        raise ValueError(f"threshold_mode {mode!r} is not a ThresholdMode")
+    # Types first, so an unhashable value never reaches set().
+    for cvar, fvar in shared.items():
+        if type(cvar) is not int or type(fvar) is not int:
+            raise ValueError(f"shared map entry {cvar!r}: {fvar!r} is not an integer pair")
+    if len(set(shared.values())) != len(shared):
+        raise ValueError("shared map is not injective")
+    if b is not None and (type(b) is not int or b == 0):
+        raise ValueError(f"b literal {b!r} is not a nonzero integer")
+    # The comparison also rejects NaN, infinities and ints beyond float range.
+    if type(q) not in (int, float) or not abs(q) <= sys.float_info.max:
+        raise ValueError(f"threshold {q!r} is not a finite number")
+
+
 @dataclass(frozen=True)
 class PredicateSpec:
     """One probabilistic predicate: b <=> (marginal cmp threshold).
 
     `shared_map` sends circuit variables to formula variables (injective);
     unmapped circuit variables are latent and always marginalized. A missing
-    `b` makes the predicate hard: the inequality must hold.
+    `b` makes the predicate hard: the inequality must hold. The fields pass
+    `check_predicate_fields`, as a manifest's do: `cmp` and `threshold_mode`
+    are enum members, not names, and `threshold` is a finite int or float.
     """
 
     circuit: Circuit
@@ -73,25 +95,10 @@ class PredicateSpec:
     b: Lit | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cmp, Comparator):
-            raise ValueError(f"cmp {self.cmp!r} is not a Comparator")
-        if not isinstance(self.threshold_mode, ThresholdMode):
-            raise ValueError(f"threshold_mode {self.threshold_mode!r} is not a ThresholdMode")
-        if len(set(self.shared_map.values())) != len(self.shared_map):
-            raise ValueError("shared map is not injective")
-        for cvar, fvar in self.shared_map.items():
-            if type(cvar) is not int or type(fvar) is not int:
-                raise ValueError(f"shared map entry {cvar!r}: {fvar!r} is not an integer pair")
+        check_predicate_fields(self.shared_map, self.cmp, self.threshold, self.threshold_mode, self.b)
+        for cvar in self.shared_map:
             if cvar < 0 or cvar >= self.circuit.num_vars:
                 raise ValueError(f"shared circuit variable {cvar} out of range")
-        if self.b is not None and type(self.b) is not int:
-            raise ValueError(f"b literal {self.b!r} is not an integer")
-        if self.b == 0:
-            raise ValueError("b literal must be nonzero")
-        if type(self.threshold) not in (int, float):
-            raise ValueError(f"threshold {self.threshold!r} is not an int or float")
-        if self.threshold != self.threshold:  # NaN; math.isnan overflows on a huge int
-            raise ValueError(f"threshold {self.threshold} is not a number")
         self.circuit.require_valid()
 
     def resolved_threshold(self, mode: NumericMode = NumericMode.LINEAR) -> float:
@@ -147,10 +154,11 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.numeric_mode, NumericMode):
             raise ValueError(f"numeric_mode {self.numeric_mode!r} is not a NumericMode")
-        if self.max_conflicts is not None and self.max_conflicts < 0:
-            raise ValueError("conflict budget must be nonnegative")
+        conflicts, seconds = self.max_conflicts, self.max_seconds
+        if conflicts is not None and (type(conflicts) is not int or conflicts < 0):
+            raise ValueError("conflict budget must be a nonnegative int")
         # `not >=` also rejects NaN, which would never trip the budget.
-        if self.max_seconds is not None and not self.max_seconds >= 0:
+        if seconds is not None and (type(seconds) not in (int, float) or not seconds >= 0):
             raise ValueError("time budget must be a nonnegative number")
 
 

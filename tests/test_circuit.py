@@ -73,6 +73,25 @@ def test_circuit_rejects_malformed_rows():
             Circuit(1, rows)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        pytest.param([(True, 0.5, 0.5)], "node 0: variable True is not an int", id="bool-variable"),
+        pytest.param([(0.0, 0.5, 0.5)], "node 0: variable 0.0 is not an int", id="float-variable"),
+        pytest.param([(0, 0.5, 0.5), ((0.0,), None)], "node 1: malformed row ((0.0,), None)", id="float-child"),
+        pytest.param([(0, "0.5", 0.5)], "node 0: malformed row (0, '0.5', 0.5)", id="string-leaf-weight"),
+        pytest.param([(0, 0.5, 0.5), ((0,), ("1",))], "node 1: malformed row ((0,), ('1',))", id="string-sum-weight"),
+        pytest.param([5], "node 0: malformed row 5", id="row-not-a-tuple"),
+    ],
+)
+def test_circuit_rejects_a_row_of_the_wrong_types(rows, message):
+    # a bool variable was taken as variable 1, and write_pc then wrote
+    # `l True ...`, which parse_pc rejects; the others raised a bare TypeError
+    with pytest.raises(PcFormatError) as err:
+        Circuit(2, rows)
+    assert str(err.value) == message
+
+
 def test_parse_errors():
     with pytest.raises(PcFormatError):
         parse_pc("pc 1 1\nl 0 -0.5 0.5")  # negative weight

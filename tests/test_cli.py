@@ -656,7 +656,7 @@ def test_sweep_without_feasible_threshold(route_manifest):
     "argv, message",
     [
         pytest.param(("--layers", "4,4,4"), "32 variables exceed compile cap 20", id="compile-cap"),
-        pytest.param(("--layers", "2,2,2", "--cmp", "foo"), "predicate 0: unknown comparator 'foo'", id="bad-cmp"),
+        pytest.param(("--layers", "2,2,2", "--cmp", "foo"), "predicate 0: cmp 'foo' is not a Comparator", id="bad-cmp"),
     ],
 )
 def test_gen_supply_bundle_error_writes_nothing(tmp_path, capsys, argv, message):

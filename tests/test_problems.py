@@ -27,8 +27,8 @@ from smcsat.problems import (
     select_shared_vars,
     shuffle_variables,
 )
-from smcsat.solver import SmcProblem
-from util import MALFORMED_MANIFESTS, TWO_ROUTE_CIRCUIT_TEXT, rel_close
+from smcsat.solver import Comparator, PredicateSpec, SmcProblem
+from util import MALFORMED_MANIFESTS, TWO_ROUTE_CIRCUIT_TEXT, rel_close, two_route_circuit
 
 
 def count_models(formula) -> int:
@@ -345,3 +345,49 @@ def test_manifest_malformed_rejected_on_read_and_write(tmp_path, doc, message):
     if isinstance(doc, dict):
         with pytest.raises(ManifestError, match=message):
             build_manifest(doc["cnf"], doc["predicates"])
+
+
+# One fault per row in a predicate's own fields, as a manifest writes it
+# (`shared` keyed by strings), with the one message that rejects it.
+PREDICATE_FIELD_FAULTS = [
+    pytest.param("cmp", "eq", "cmp 'eq' is not a Comparator", id="cmp-name"),
+    pytest.param("cmp", 1, "cmp 1 is not a Comparator", id="cmp-int"),
+    pytest.param("threshold_mode", "relative", "threshold_mode 'relative' is not a ThresholdMode", id="mode-name"),
+    pytest.param("shared", {"0": 1.5}, "shared map entry 0: 1.5 is not an integer pair", id="shared-float"),
+    pytest.param("shared", {"0": True}, "shared map entry 0: True is not an integer pair", id="shared-bool"),
+    pytest.param("shared", {"0": [1]}, "shared map entry 0: [1] is not an integer pair", id="shared-unhashable"),
+    pytest.param("shared", {"0": 1, "1": 1}, "shared map is not injective", id="shared-not-injective"),
+    pytest.param("b", 0, "b literal 0 is not a nonzero integer", id="b-zero"),
+    pytest.param("b", 1.5, "b literal 1.5 is not a nonzero integer", id="b-float"),
+    pytest.param("b", True, "b literal True is not a nonzero integer", id="b-bool"),
+    pytest.param("b", "5", "b literal '5' is not a nonzero integer", id="b-string"),
+    pytest.param("threshold", "0.5", "threshold '0.5' is not a finite number", id="threshold-string"),
+    pytest.param("threshold", True, "threshold True is not a finite number", id="threshold-bool"),
+    pytest.param("threshold", 10**400, f"threshold {10**400} is not a finite number", id="threshold-huge-int"),
+    pytest.param("threshold", math.nan, "threshold nan is not a finite number", id="threshold-nan"),
+    pytest.param("threshold", math.inf, "threshold inf is not a finite number", id="threshold-inf"),
+    pytest.param("threshold", -math.inf, "threshold -inf is not a finite number", id="threshold-minus-inf"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", PREDICATE_FIELD_FAULTS)
+def test_predicate_field_fault_has_one_message_through_api_and_manifest(tmp_path, field, value, message):
+    # the API and the manifest schema apply one check, so they agree
+    _write_route_files(tmp_path)
+    api = {"shared_map": {0: 1, 1: 2}, "cmp": Comparator.GE, "threshold": 0.5, "b": 5}
+    if field == "shared":
+        api["shared_map"] = {int(k): v for k, v in value.items()}
+    else:
+        api[field] = value
+    with pytest.raises(ValueError) as err:
+        PredicateSpec(two_route_circuit(), **api)
+    assert str(err.value) == message
+    desc = {"circuit": "route.pc", "shared": {"0": 1, "1": 2}, "b": 5, "cmp": "ge", "threshold": 0.5, field: value}
+    with pytest.raises(ManifestError) as err:
+        build_manifest("route.cnf", [desc])
+    assert str(err.value) == f"predicate 0: {message}"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"cnf": "route.cnf", "predicates": [desc]}))
+    with pytest.raises(ManifestError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"{path}: predicate 0: {message}"

@@ -104,13 +104,10 @@ def test_predicate_spec_rejects_bad_fields_through_the_api():
     c = two_route_circuit()
     with pytest.raises(ValueError, match="shared map is not injective"):
         PredicateSpec(c, {0: 1, 1: 1}, Comparator.GE, 0.5)
-    with pytest.raises(ValueError, match="b literal must be nonzero"):
+    with pytest.raises(ValueError, match="b literal 0 is not a nonzero integer"):
         PredicateSpec(c, {0: 1}, Comparator.GE, 0.5, b=0)
-    with pytest.raises(ValueError, match="threshold nan is not a number"):
+    with pytest.raises(ValueError, match="threshold nan is not a finite number"):
         PredicateSpec(c, {0: 1, 1: 2}, Comparator.GE, math.nan)
-    # an infinite threshold stays legal: no marginal reaches it
-    unreachable = SmcProblem(CnfFormula(2, ()), (PredicateSpec(c, {0: 1, 1: 2}, Comparator.GE, math.inf),))
-    assert solve(unreachable).status is brute_solve(unreachable).status is SolveStatus.UNSAT
     negative = PredicateSpec(c, {0: 1}, Comparator.GE, -0.1)
     assert negative.resolved_threshold(NumericMode.LINEAR) == -0.1
     with pytest.raises(ValueError, match="log mode requires nonnegative thresholds"):
@@ -122,21 +119,24 @@ def test_predicate_spec_rejects_non_integer_fields():
     # take a float shared variable where brute_solve raises TypeError, and a
     # bool b for the literal 1
     c = parse_pc("pc 1 1\nl 0 0.3 0.7\n")
-    for shared in ({0: 1.0}, {0.0: 1}, {0: True}):
+    for shared in ({0: 1.0}, {0.0: 1}, {0: True}, {0: [1]}):
         with pytest.raises(ValueError, match="is not an integer pair"):
             PredicateSpec(c, shared, Comparator.GE, 0.5)
     for b in (True, 1.5):
-        with pytest.raises(ValueError, match="is not an integer"):
+        with pytest.raises(ValueError, match="is not a nonzero integer"):
             PredicateSpec(c, {0: 1}, Comparator.GE, 0.5, b=b)
 
 
-@pytest.mark.parametrize("threshold", ["0.5", None, True], ids=["str", "none", "bool"])
+@pytest.mark.parametrize(
+    "threshold", ["0.5", None, True, 10**400, math.inf, -math.inf], ids=["str", "none", "bool", "huge-int", "inf", "-inf"]
+)
 def test_predicate_spec_rejects_a_threshold_that_is_not_a_number(threshold):
-    # a string or None would fail inside the search, and True would be read
-    # as 1.0 and solve UNSAT
+    # a string or None would fail inside the search, True would be read as
+    # 1.0 and solve UNSAT, 10**400 made solve and brute_solve raise a bare
+    # OverflowError, and the manifest already rejected both infinities
     c = parse_pc("pc 1 1\nl 0 0.3 0.7\n")
-    with pytest.raises(ValueError, match=f"threshold {threshold!r} is not an int or float"):
-        PredicateSpec(c, {0: 1}, Comparator.GE, threshold)
+    with pytest.raises(ValueError, match=f"^threshold {threshold!r} is not a finite number$"):
+        PredicateSpec(c, {0: 1}, Comparator.GE, threshold, ThresholdMode.PARTITION_FRACTION)
     assert PredicateSpec(c, {0: 1}, Comparator.GE, 1).threshold == 1
 
 
@@ -157,12 +157,23 @@ def test_predicate_spec_rejects_a_cmp_or_threshold_mode_that_is_not_the_enum():
 
 
 def test_solver_config_rejects_negative_and_nan_budgets():
-    with pytest.raises(ValueError, match="conflict budget must be nonnegative"):
+    with pytest.raises(ValueError, match="conflict budget must be a nonnegative int"):
         SolverConfig(max_conflicts=-1)
     for seconds in (-1.0, math.nan):
         with pytest.raises(ValueError, match="time budget must be a nonnegative number"):
             SolverConfig(max_seconds=seconds)
     assert SolverConfig(max_conflicts=0, max_seconds=0.0).max_seconds == 0.0
+
+
+def test_solver_config_rejects_a_budget_of_the_wrong_type():
+    # "5" failed with a bare TypeError and 1.5 was accepted
+    for conflicts in ("5", 1.5, True):
+        with pytest.raises(ValueError, match="^conflict budget must be a nonnegative int$"):
+            SolverConfig(max_conflicts=conflicts)
+    for seconds in ("5", True):
+        with pytest.raises(ValueError, match="^time budget must be a nonnegative number$"):
+            SolverConfig(max_seconds=seconds)
+    assert SolverConfig(max_conflicts=5, max_seconds=5).max_seconds == 5
 
 
 def test_solver_config_rejects_a_numeric_mode_that_is_not_a_mode():

@@ -27,8 +27,8 @@ def _route_doc(**fields) -> dict:
 # Malformed manifest documents with a fragment of the error each must raise.
 MALFORMED_MANIFESTS = [
     pytest.param(_route_doc(threshold=None), "missing 'threshold'", id="missing-threshold"),
-    pytest.param(_route_doc(b=1.5), "'b' must be a nonzero integer", id="float-b"),
-    pytest.param(_route_doc(b=True), "'b' must be a nonzero integer", id="bool-b"),
+    pytest.param(_route_doc(b=1.5), "b literal 1.5 is not a nonzero integer", id="float-b"),
+    pytest.param(_route_doc(b=True), "b literal True is not a nonzero integer", id="bool-b"),
     pytest.param(_route_doc(shared=[[0, 1]]), "'shared' must be an object", id="shared-list"),
     pytest.param(5, "manifest must be a JSON object", id="non-object"),
     pytest.param(_route_doc(uai="route.uai"), "exactly one of 'circuit' or 'uai'", id="circuit-and-uai"),
@@ -39,10 +39,10 @@ MALFORMED_MANIFESTS = [
     pytest.param(_route_doc(circuit=3), "'circuit' must be a file name", id="circuit-not-string"),
     pytest.param(_route_doc(order=[0, 1]), "'order' is allowed only with 'uai'", id="order-with-circuit"),
     pytest.param(_route_doc(shared={"x": 1}), "'shared' entry 'x'", id="shared-key-not-int"),
-    pytest.param(_route_doc(shared={"0": "1"}), "'shared' entry '0'", id="shared-value-not-int"),
-    pytest.param(_route_doc(threshold="0.5"), "'threshold' must be a finite number", id="threshold-string"),
-    pytest.param(_route_doc(threshold=10**400), "'threshold' must be a finite number", id="threshold-beyond-float"),
-    pytest.param(_route_doc(threshold_mode="relative"), "unknown threshold mode 'relative'", id="unknown-threshold-mode"),
+    pytest.param(_route_doc(shared={"0": "1"}), "shared map entry 0: '1' is not an integer pair", id="shared-value-not-int"),
+    pytest.param(_route_doc(threshold="0.5"), "threshold '0.5' is not a finite number", id="threshold-string"),
+    pytest.param(_route_doc(threshold=10**400), f"threshold {10**400} is not a finite number", id="threshold-beyond-float"),
+    pytest.param(_route_doc(threshold_mode="relative"), "threshold_mode 'relative' is not a ThresholdMode", id="unknown-threshold-mode"),
 ]
 
 
