@@ -79,8 +79,12 @@ Once ``v`` is assigned, the other branch's indicator is 0.0 (``-inf`` in log
 mode) and its own 1.0 (0.0), so for finite masses the rule and the interval
 sum give the same float. A NaN weighted branch ub (in linear mode, an
 overflow times a zero indicator) makes the decision sum NaN, as it makes
-the interval sum. A fully assigned ``BoundState`` sets the same leaves as
-``marginal``, so it then reproduces ``marginal`` bit for bit, NaN included.
+the interval sum. So, as every weight is finite, a node that overflows
+makes the root ub inf or NaN, and a finite root ub means that no node
+overflowed: every completion's mass then lies within the bounds, which
+later assignments only narrow. A fully assigned ``BoundState`` sets the
+same leaves as ``marginal``, so it then reproduces ``marginal`` bit for
+bit, NaN included.
 """
 
 from __future__ import annotations
@@ -296,9 +300,7 @@ class Circuit:
         self.scopes: list[int] = []
         self.leaves: list[int] = []
         self.inner: list[int] = []
-        # Per variable that has leaves, the ascending ids of its leaves.
-        self.var_leaves: dict[int, list[int]] = defaultdict(list)
-        scopes, var_leaves, violations = self.scopes, self.var_leaves, []
+        scopes, var_leaves, violations = self.scopes, defaultdict(list), []
         inf = math.inf
         try:
             for nid, row in enumerate(self.nodes):
@@ -341,8 +343,13 @@ class Circuit:
                     if scopes[child] != scope:
                         violations.append(("smoothness", nid))
                         break
-        except TypeError:  # a weight, child id or row of the wrong type
+        except PcFormatError:
+            raise
+        except (TypeError, ValueError):  # a row of the wrong length or types
             raise PcFormatError(f"node {nid}: malformed row {self.nodes[nid]!r}") from None
+        # Per variable that has leaves, the ascending ids of its leaves; a
+        # plain dict, so that reading a variable without leaves adds nothing.
+        self.var_leaves: dict[int, list[int]] = dict(var_leaves)
         kinds = {kind for kind, _ in violations}
         self.report = ValidationReport(
             "smoothness" not in kinds, "decomposability" not in kinds, tuple(violations)
@@ -729,16 +736,17 @@ def parse_pc(text: str) -> Circuit:
 
 def write_pc(c: Circuit) -> str:
     """Serialize a circuit; round-trips through parse_pc. Indicator leaves
-    are written as ``l`` lines."""
+    are written as ``l`` lines, and child ids as integers (a ``bool`` id as
+    0 or 1)."""
     lines = [f"pc {len(c.nodes)} {c.num_vars}"]
     for row in c.nodes:
         if len(row) == 3:
             var, t, f = row
             lines.append(f"c {t!r}" if var == -1 else f"l {var} {t!r} {f!r}")
         elif row[1] is None:
-            lines.append(" ".join(["p", str(len(row[0])), *map(str, row[0])]))
+            lines.append(" ".join(["p", str(len(row[0])), *(f"{child:d}" for child in row[0])]))
         else:
             children, weights = row
-            pairs = [f"{w!r} {child}" for w, child in zip(weights, children)]
+            pairs = [f"{w!r} {child:d}" for w, child in zip(weights, children)]
             lines.append(" ".join(["s", str(len(children)), *pairs]))
     return "\n".join(lines) + "\n"

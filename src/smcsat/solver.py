@@ -15,6 +15,9 @@ the inequality it propagates b or raises a conflict, learning a clause
 over the assigned shared variables. With bound tracking disabled,
 predicates are checked exactly and only when fully assigned, which
 reproduces the naive solver-plus-inference loop as an ablation baseline.
+Bound tracking decides a predicate only while its root ub is finite,
+and otherwise checks it exactly, as without bound tracking
+(`_pred_bounds`), so every SAT model's predicates verify.
 Either way, every predicate's shared variables start with a small VSIDS
 activity, so they are decided first, as in the constrained order of
 Oztok, Choi and Darwiche (KR 2016): a bound can decide a predicate only
@@ -63,6 +66,8 @@ def check_predicate_fields(shared: dict, cmp: Comparator, q: float, mode: Thresh
         raise ValueError(f"cmp {cmp!r} is not a Comparator")
     if not isinstance(mode, ThresholdMode):
         raise ValueError(f"threshold_mode {mode!r} is not a ThresholdMode")
+    if not isinstance(shared, dict):
+        raise ValueError(f"shared map {shared!r} is not a dict")
     # Types first, so an unhashable value never reaches set().
     for cvar, fvar in shared.items():
         if type(cvar) is not int or type(fvar) is not int:
@@ -433,9 +438,16 @@ class CdclSolver:
         return conflict
 
     def _pred_bounds(self, ps: _PredState) -> tuple[float, float] | None:
-        """Current (ub, lb) for a predicate, or None when not yet available."""
+        """Current (ub, lb) for a predicate, or None when not yet available:
+        the tracked root bounds while their ub is finite (``<`` is false for
+        NaN too), which means that no node overflowed; otherwise, as without
+        bound tracking, the exact ``marginal`` once every shared variable is
+        assigned, which raises on an overflowed mass. The one place that
+        chooses between a tracked bound and the exact check."""
         if ps.bounds is not None:
-            return ps.bounds.root_bounds()
+            bounds = ps.bounds.root_bounds()
+            if bounds[0] < math.inf:
+                return bounds
         values: dict[int, bool] = {}
         for cvar, fvar in ps.shared_items:
             val = self.value[fvar]
@@ -483,9 +495,6 @@ class CdclSolver:
                 if bounds is None:
                     continue
                 ub, lb = bounds
-                if lb == math.inf:
-                    # Every completion's mass overflows; log mode has no +inf.
-                    raise ValueError("marginal is infinite: linear-mode overflow; try --mode log")
                 status = inequality_status(ps.spec.cmp, ps.resolved_q, lb, ub)
                 if status is None:
                     continue
@@ -631,14 +640,6 @@ class CdclSolver:
                     return SolveStatus.BUDGET, None
                 continue
             if len(self.trail) == self.num_vars:
-                # Equal, non-NaN root bounds always settle; NaN ones come
-                # from a linear-mode product that overflows and meets a zero.
-                for i, ps in enumerate(self.preds):
-                    if ps.decided_level is None:
-                        raise ValueError(
-                            f"predicate {i} unsettled at full assignment, root bounds "
-                            f"{self._pred_bounds(ps)}: linear-mode overflow; try --mode log"
-                        )
                 return SolveStatus.SAT, {v: self.value[v] for v in range(1, self.num_vars + 1)}
             if self._out_of_budget(start):
                 return SolveStatus.BUDGET, None

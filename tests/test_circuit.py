@@ -92,6 +92,48 @@ def test_circuit_rejects_a_row_of_the_wrong_types(rows, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        pytest.param([(0,)], "node 0: malformed row (0,)", id="one-field"),
+        pytest.param([(0, 0.5, 0.5, 1)], "node 0: malformed row (0, 0.5, 0.5, 1)", id="four-fields"),
+        pytest.param([(0, 0.5, 0.5), ((0,),)], "node 1: malformed row ((0,),)", id="inner-one-field"),
+        # the gate's own messages pass through unchanged
+        pytest.param([(0, -0.5, 0.5)], "node 0: negative or non-finite weight -0.5", id="negative-weight"),
+        pytest.param([(0, 0.5, 0.5), ((1,), None)], "node 1: child 1 is not an earlier node", id="later-child"),
+    ],
+)
+def test_circuit_rejects_a_row_of_the_wrong_shape(rows, message):
+    # a row of the wrong length raised a bare ValueError from unpacking,
+    # naming no node
+    with pytest.raises(PcFormatError) as err:
+        Circuit(1, rows)
+    assert str(err.value) == message
+
+
+def test_bool_child_ids_round_trip_through_write_pc():
+    # a bool child id is accepted as 0 or 1 (no per-child type test in the
+    # constructor), and write_pc wrote `p 1 True`, which parse_pc rejects
+    for c in (
+        Circuit(1, [(0, 0.5, 0.5), (0, 0.5, 0.5), ((True,), None)]),
+        Circuit(1, [(0, 1.0, 0.0), (0, 0.0, 1.0), ((False, True), (0.25, 0.75))]),
+    ):
+        text = write_pc(c)
+        assert "True" not in text and "False" not in text
+        assert parse_pc(text) == c
+
+
+def test_reading_var_leaves_adds_no_variable():
+    # var_leaves was a defaultdict, so reading a variable without leaves
+    # inserted it, and evaluate_joint then asked for that variable
+    c = parse_pc("pc 3 3\nl 0 0.3 0.7\nl 1 0.4 0.6\np 2 0 1\n")
+    before = evaluate_joint(c, {0: True, 1: False})
+    with pytest.raises(KeyError):
+        c.var_leaves[2]
+    assert evaluate_joint(c, {0: True, 1: False}) == before == 0.3 * 0.6
+    assert type(c.var_leaves) is dict and c.var_leaves == {0: [0], 1: [1]}
+
+
 def test_parse_errors():
     with pytest.raises(PcFormatError):
         parse_pc("pc 1 1\nl 0 -0.5 0.5")  # negative weight

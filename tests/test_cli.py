@@ -202,7 +202,7 @@ def infinite_manifest(tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("solve", "o.json"), "error: predicate 0 unsettled at full assignment, root bounds (nan, nan): "),
+        (("solve", "o.json"), "error: marginal is NaN: "),
         (("solve", "o.json", "--no-ulw"), "error: marginal is NaN: "),
         (("oracle", "o.json"), "error: marginal is NaN: "),
         (("solve", "inf.json"), "error: marginal is infinite: "),
@@ -253,7 +253,7 @@ def test_nan_decision_branch_is_an_error(tmp_path, capsys, q, log_code):
     manifest = tmp_path / "n.json"
     manifest.write_text(json.dumps({"cnf": "n.cnf", "predicates": [pred]}))
     for flags, message in [
-        ((), "error: predicate 0 unsettled at full assignment, root bounds (nan, nan): "),
+        ((), "error: marginal is NaN: "),
         (("--no-ulw",), "error: marginal is NaN: "),
     ]:
         code, out = run_cli("solve", str(manifest), *flags)
@@ -264,12 +264,52 @@ def test_nan_decision_branch_is_an_error(tmp_path, capsys, q, log_code):
     assert run_cli("solve", str(manifest), "--mode", "log")[0] == log_code
 
 
+@pytest.fixture
+def overflow_cases(overflow_manifest, infinite_manifest):
+    """Beside o.json, inf.json and abs.json: n0.1.json and n0.6.json over
+    NAN_BRANCH_PC; e.json, where the root lb is finite and above the
+    threshold while the forced model's mass is infinite; and u.json, whose
+    root lb is infinite at level 0 but whose CNF has no model."""
+    d = overflow_manifest.parent
+    (d / "n.pc").write_text(NAN_BRANCH_PC)
+    (d / "n.cnf").write_text("p cnf 1 1\n1 0\n")
+    for q in (0.1, 0.6):
+        pred = {"circuit": "n.pc", "shared": {"0": 1}, "cmp": "ge", "threshold": q}
+        (d / f"n{q}.json").write_text(json.dumps({"cnf": "n.cnf", "predicates": [pred]}))
+    (d / "e.pc").write_text("pc 3 1\nl 0 1e300 2.0\nc 1e10\np 2 0 1\n")
+    (d / "e.cnf").write_text("p cnf 2 2\n1 2 0\n1 -2 0\n")
+    pred = {"circuit": "e.pc", "shared": {"0": 1}, "cmp": "ge", "threshold": 1.0}
+    (d / "e.json").write_text(json.dumps({"cnf": "e.cnf", "predicates": [pred]}))
+    (d / "u.pc").write_text("pc 5 2\nc 1e200\nc 1e200\nl 0 1.0 0.5\nl 1 1.0 0.5\np 4 0 1 2 3\n")
+    (d / "u.cnf").write_text("p cnf 4 4\n-1 3 0\n-1 -3 0\n1 4 0\n1 -4 0\n")
+    pred = {"circuit": "u.pc", "shared": {"0": 1, "1": 2}, "cmp": "ge", "threshold": 0.5}
+    (d / "u.json").write_text(json.dumps({"cnf": "u.cnf", "predicates": [pred]}))
+    return d
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [("o", 1), ("inf", 1), ("abs", 1), ("n0.1", 1), ("n0.6", 1), ("e", 1), ("u", 20)],
+)
+def test_overflow_solves_as_without_bound_tracking(overflow_cases, monkeypatch, capsys, name, code):
+    # bound tracking decides only from a finite root ub, and otherwise
+    # checks the predicate exactly, as --no-ulw does; e.json printed a model
+    # whose mass verify rejects, and u.json exited 1 where --no-ulw is UNSAT
+    monkeypatch.chdir(overflow_cases)
+    runs = []
+    for flags in ((), ("--no-ulw",)):
+        result = run_cli("solve", f"{name}.json", *flags)
+        runs.append((*result, capsys.readouterr().err))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+
+
 def test_bench_names_the_failing_manifest(route_manifest, overflow_manifest, capsys):
     route_manifest(0.5)
     code, out = run_cli("bench", str(overflow_manifest.parent))
     assert code == 1 and out == ""
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {overflow_manifest}: predicate 0 unsettled")
+    assert len(err) == 1 and err[0].startswith(f"error: {overflow_manifest}: marginal is NaN: ")
 
 
 def test_solve_deterministic_output(route_manifest):

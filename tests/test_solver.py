@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
-from smcsat.circuit import BoundState, NumericMode, marginal, parse_pc, partition
+from smcsat.circuit import BoundState, Circuit, NumericMode, marginal, parse_pc, partition
 from smcsat.factorgraph import compile_factor_graph
 from smcsat.formula import CnfFormula
 from smcsat.oracle import brute_solve, verify
@@ -125,6 +125,14 @@ def test_predicate_spec_rejects_non_integer_fields():
     for b in (True, 1.5):
         with pytest.raises(ValueError, match="is not a nonzero integer"):
             PredicateSpec(c, {0: 1}, Comparator.GE, 0.5, b=b)
+
+
+def test_predicate_spec_rejects_a_shared_map_that_is_not_a_dict():
+    # a list of pairs raised a bare AttributeError on `.items()`
+    c = parse_pc("pc 1 1\nl 0 0.3 0.7\n")
+    for shared in ([(0, 1)], ((0, 1),), None):
+        with pytest.raises(ValueError, match=r"^shared map .* is not a dict$"):
+            PredicateSpec(c, shared, Comparator.GE, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -515,6 +523,58 @@ def test_no_ulw_agreement_fuzz():
         assert with_ulw.status is without.status, f"seed {seed}"
         if without.status is SolveStatus.SAT:
             assert verify(problem, without.model).passed
+
+
+# Leaf weights whose products overflow a float: 1e150 * 1e300 is inf, and
+# inf times an indicator's zero is NaN.
+_OVERFLOW_WEIGHTS = (1e-5, 0.5, 1e150, 1e300)
+
+
+def _overflow_instance(seed: int) -> SmcProblem:
+    """A random CNF with one or two predicates over random circuits whose
+    weighted leaves draw from _OVERFLOW_WEIGHTS, at absolute thresholds."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 8)
+    cnf = random_cnf(seed, n, rng.randint(1, 2 * n))
+    preds = []
+    for j in range(rng.randint(1, 2)):
+        c = random_circuit(seed * 3 + j, rng.randint(2, 5))
+        c = Circuit(
+            c.num_vars,
+            [
+                (row[0], rng.choice(_OVERFLOW_WEIGHTS), rng.choice(_OVERFLOW_WEIGHTS))
+                if len(row) == 3 and row[1:] not in ((1.0, 0.0), (0.0, 1.0))
+                else row
+                for row in c.nodes
+            ],
+        )
+        shared = select_shared_vars(c.num_vars, n, seed + 13 * j)
+        q = rng.choice((1e-3, 1.0, 1e150, 1e300))
+        preds.append(PredicateSpec(c, shared, rng.choice(list(Comparator)), q, b=rng.choice([None, rng.randint(1, n)])))
+    return SmcProblem(cnf, tuple(preds))
+
+
+def test_linear_overflow_answers_are_right_and_verify():
+    # In linear mode a solve either raises the overflow error or answers as
+    # log-mode enumeration does, which no overflow reaches, with and
+    # without bound tracking, and every SAT model verifies. Bound tracking
+    # used to answer SAT from a finite root lb (seeds 108, 119, 183, 221, 243
+    # and 261), where the model's own mass is infinite, so verify raised.
+    # Whether the exact check raises depends on which shared assignments the
+    # search reaches, so one side may answer where the other raises (6 of
+    # these 300 seeds).
+    for seed in range(300):
+        problem = _overflow_instance(seed)
+        expected = brute_solve(problem, mode=NumericMode.LOG).status
+        for ulw in (True, False):
+            try:
+                result = solve(problem, SolverConfig(ulw_enabled=ulw))
+            except ValueError as exc:
+                assert str(exc).endswith("linear-mode overflow; try --mode log"), f"seed {seed}"
+                continue
+            assert result.status is expected, f"seed {seed}, ulw {ulw}"
+            if result.status is SolveStatus.SAT:
+                assert verify(problem, result.model).passed, f"seed {seed}, ulw {ulw}"
 
 
 def test_log_mode_agreement():
